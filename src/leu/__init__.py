@@ -37,7 +37,7 @@ from .derived import (
     mat_inverse,
     mat_rank,
 )
-from .errors import FieldMismatchError, ParseError, ShapeError, SingularError
+from .errors import FieldMismatchError, InvariantError, ParseError, ShapeError, SingularError
 from .fields import GF, QQ, FieldSpec, PrimeField, RationalField, Scalar
 from .perms import (
     DiagIdem,
@@ -62,6 +62,7 @@ __all__ = [
     "DiagIdem",
     "FieldMismatchError",
     "FieldSpec",
+    "InvariantError",
     "LeuResult",
     "MulCounter",
     "ParseError",

@@ -46,7 +46,7 @@ from .dense import (
     pad_to_pow2,
     strassen_count,
 )
-from .errors import ShapeError
+from .errors import InvariantError, ShapeError
 from .fields import Scalar
 from .perms import DiagIdem, TruncPerm, tp_to_dense
 
@@ -162,23 +162,28 @@ def _unit_row(rows, n, i, one):
     return r[i] == one and all(not r[j] for j in range(n) if j != i)
 
 
+def _ensure(ok, what):
+    if not ok:
+        raise InvariantError(what)
+
+
 def _debug_node(l, e, u, n, im, jm, one):
     i_e = _row_mask(e)
     j_e = _col_mask(e)
-    assert i_e & im == i_e, "row support escapes its contract"
-    assert j_e & jm == j_e, "column support escapes its contract"
+    _ensure(i_e & im == i_e, "row support escapes its contract")
+    _ensure(j_e & jm == j_e, "column support escapes its contract")
     for j in range(n):
         if not (i_e >> j) & 1:
-            assert _unit_column(l, n, j, one), "L has a non-unit column outside the support"
+            _ensure(_unit_column(l, n, j, one), "L has a non-unit column outside the support")
     for i in range(n):
         if not (im >> i) & 1:
-            assert _unit_row(l, n, i, one), "L has a non-unit row outside the support"
+            _ensure(_unit_row(l, n, i, one), "L has a non-unit row outside the support")
     for i in range(n):
         if not (j_e >> i) & 1:
-            assert _unit_row(u, n, i, one), "U has a non-unit row outside the support"
+            _ensure(_unit_row(u, n, i, one), "U has a non-unit row outside the support")
     for j in range(n):
         if not (jm >> j) & 1:
-            assert _unit_column(u, n, j, one), "U has a non-unit column outside the support"
+            _ensure(_unit_column(u, n, j, one), "U has a non-unit column outside the support")
 
 
 def _leu_rec(a, n, im, jm, plan, counter):
@@ -389,11 +394,13 @@ def leu_decompose(
         if debug_checks:
             one = field.one_raw
             for i in range(s, m):
-                assert _unit_row(l, m, i, one) and _unit_column(l, m, i, one)
-                assert _unit_row(u, m, i, one) and _unit_column(u, m, i, one)
+                _ensure(_unit_row(l, m, i, one) and _unit_column(l, m, i, one),
+                        "L is not the identity on the padded region")
+                _ensure(_unit_row(u, m, i, one) and _unit_column(u, m, i, one),
+                        "U is not the identity on the padded region")
         l = [r[:s] for r in l[:s]]
         u = [r[:s] for r in u[:s]]
-        assert all(i < s and j < s for i, j in e), "support escaped the unpadded block"
+        _ensure(all(i < s and j < s for i, j in e), "support escaped the unpadded block")
     return LeuResult(
         DenseMatrix._wrap(field, l, s, s),
         TruncPerm(s, e),

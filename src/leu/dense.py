@@ -8,12 +8,17 @@ path adds what its recursion actually performs, and applications of
 permutation or diagonal matrices (see :mod:`leu.perms`) add nothing.
 
 Every product is an exact integer product followed by one canonicalization
-per output entry.  Over GF(p) the intermediate integers are never reduced,
-only the final entries are.  Over the rationals products are fraction-free:
-the public products scale each row of the left operand and each column of
-the right one to integers over the lcm of its denominators, multiply the
-integer matrices (classically or by Strassen) and make each entry one
-integer over the product of its row and column scales.  Inside the
+per output entry.  Over GF(p) a classical product packs each row of the
+right operand into one integer of fixed-width slots, wide enough that the
+sum of a row's products never carries from one slot into the next; an
+output row is then one multiply-accumulate of residues against the packed
+rows, cut back into its slots and reduced once per entry (see
+``_gfp_classical``).  Strassen products over GF(p) reduce their unreduced
+integer results once per entry.  Over the rationals products are
+fraction-free: the public products scale each row of the left operand and
+each column of the right one to integers over the lcm of its denominators,
+multiply the integer matrices (classically or by Strassen) and make each
+entry one integer over the product of its row and column scales.  Inside the
 recursions, blocks stay in such a scaled integer form throughout (see the
 block kernels below).
 """
@@ -22,6 +27,7 @@ from __future__ import annotations
 
 from math import gcd, lcm
 from operator import add as _add, mul as _mul, sub as _sub
+from struct import Struct
 
 from .errors import FieldMismatchError, ShapeError, SingularError
 from .fields import FieldSpec, Scalar, _rational
@@ -57,9 +63,11 @@ class MulCounter:
 class DenseMatrix:
     """A rows x cols matrix of canonical field values.
 
-    Construct from any nested sequence of entries (ints, fractions or
-    :class:`Scalar` of the matching field).  Indexing with ``A[i, j]``
-    returns a :class:`Scalar`.
+    Construct from any nested sequence of entries: integers of any integral
+    type, fractions or rational strings over the rationals, or
+    :class:`Scalar` of the matching field.  Floats are rejected, because a
+    float is not the exact value it was written as.  Indexing with
+    ``A[i, j]`` returns a :class:`Scalar`.
     """
 
     __slots__ = ("field", "rows", "cols", "_d")
@@ -197,6 +205,38 @@ def _raw_classical(x, y, inner, out_cols):
         return [zrow] * len(x)
     yt = list(zip(*y))
     return [[sum(map(_mul, r, c)) for c in yt] if any(r) else zrow for r in x]
+
+
+_STRUCT_CODES = {1: "B", 2: "H", 4: "I", 8: "Q"}
+
+
+def _gfp_classical(x, y, k, c, p):
+    # Canonical rows of x * y (r x k times k x c) for residues in [0, p).
+    # Each row of y is packed into one integer of c slots, so row i of the
+    # product is one multiply-accumulate of x[i] against the packed rows.
+    # A slot sums k products of residues, at most k(p-1)^2, and its width
+    # holds that, so no slot carries into the next.  Slots of 1, 2, 4 or 8
+    # bytes are packed and cut by struct in C, wider ones by byte slices.
+    width = ((k * (p - 1) ** 2).bit_length() + 7) // 8
+    size = next((s for s in _STRUCT_CODES if s >= width), width)
+    n = size * c
+    fb = int.from_bytes
+    code = _STRUCT_CODES.get(size)
+    if code:
+        s = Struct(f"<{c}{code}")
+        packed = [fb(s.pack(*row), "little") for row in y]
+        cut = s.unpack
+    else:
+        packed = [fb(b"".join([v.to_bytes(size, "little") for v in row]), "little") for row in y]
+
+        def cut(b):
+            return [fb(b[j : j + size], "little") for j in range(0, n, size)]
+
+    zrow = [0] * c
+    return [
+        [v % p for v in cut(z.to_bytes(n, "little"))] if z else zrow
+        for z in (sum(map(_mul, r, packed)) for r in x)
+    ]
 
 
 def _radd(x, y):
@@ -411,9 +451,7 @@ class _PrimeBlocks(_Blocks):
         return _perm_rows(ones, x, [0] * c)
 
     def _classical(self, x, y, k, c):
-        p = self.p
-        yt = list(zip(*y))
-        return [[sum(map(_mul, r, col)) % p for col in yt] for r in x]
+        return _gfp_classical(x, y, k, c, self.p)
 
     def _strassen(self, x, y, h, cutoff, counter):
         p = self.p
@@ -660,7 +698,10 @@ def mat_mul_classical(A: DenseMatrix, B: DenseMatrix, counter: MulCounter | None
         counter = MulCounter()
     k, c = A.cols, B.cols
     counter.scalar_mults += A.rows * k * c
-    data = _dense_product(A._d, B._d, k, c, A.field, lambda x, y: _raw_classical(x, y, k, c))
+    if A.field.kind == "gfp":
+        data = _gfp_classical(A._d, B._d, k, c, A.field.modulus)
+    else:
+        data = _dense_product(A._d, B._d, k, c, A.field, lambda x, y: _raw_classical(x, y, k, c))
     return DenseMatrix._wrap(A.field, data, A.rows, c)
 
 

@@ -19,7 +19,7 @@ from .dense import (
     invert_upper_unitriangular,
     mat_mul_classical,
 )
-from .errors import ShapeError, SingularError
+from .errors import InvariantError, ShapeError, SingularError
 from .perms import TruncPerm, reversal_perm, tp_apply_left
 
 
@@ -178,7 +178,8 @@ def kernel_basis(
     K = DenseMatrix._wrap(A.field, data, cols, len(free))
     if debug_checks:
         prod = mat_mul_classical(A, K, MulCounter())
-        assert prod.is_zero(), "kernel candidate fails to annihilate"
+        if not prod.is_zero():
+            raise InvariantError("kernel candidate fails to annihilate")
     return K
 
 

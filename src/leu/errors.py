@@ -23,3 +23,11 @@ class SingularError(ArithmeticError):
     def __init__(self, message: str = "singular matrix", rank=None):
         super().__init__(message)
         self.rank = rank
+
+
+class InvariantError(RuntimeError):
+    """An internal contract of a computation does not hold.
+
+    Raised by the contract checks (``debug_checks`` and the checks that are
+    always on); it signals a defect in the library, not bad input.
+    """

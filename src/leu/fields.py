@@ -17,6 +17,7 @@ seen at the public API.
 from __future__ import annotations
 
 import re
+from operator import index as _index
 
 from .errors import FieldMismatchError, ParseError
 
@@ -112,9 +113,13 @@ class PrimeField(FieldSpec):
         return f"GF({self.modulus})"
 
     def canon(self, v):
-        if isinstance(v, int) and not isinstance(v, bool):
-            return v % self.modulus
-        raise TypeError(f"GF({self.modulus}) values must be ints, got {type(v).__name__}")
+        # any integral type (numbers.Integral implements __index__), not bool
+        if not isinstance(v, bool):
+            try:
+                return _index(v) % self.modulus
+            except TypeError:
+                pass
+        raise TypeError(f"GF({self.modulus}) values must be integers, got {type(v).__name__}")
 
     def add(self, x, y):
         return (x + y) % self.modulus
@@ -176,8 +181,9 @@ class RationalField(FieldSpec):
         return "QQ"
 
     def canon(self, v):
-        if isinstance(v, bool):
-            raise TypeError("rational values must be numbers, got bool")
+        # a float is a binary approximation: 0.1 would become 3602879701896397/2**55
+        if isinstance(v, (bool, float)):
+            raise TypeError(f"rational values must be exact numbers, got {type(v).__name__}")
         try:
             return _rational(v)
         except TypeError:

@@ -9,6 +9,7 @@ from leu import (
     QQ,
     DenseMatrix,
     DiagIdem,
+    InvariantError,
     MulCounter,
     ShapeError,
     TruncPerm,
@@ -285,3 +286,26 @@ def test_support_form():
             if not (j_e.mask >> i) & 1:
                 assert res.U._d[i] == ident._d[i]
         assert leu_verify(A, res).passed
+
+
+_I2 = [[1, 0], [0, 1]]
+_BAD = [[1, 5], [5, 1]]  # neither a unit row nor a unit column anywhere
+
+
+@pytest.mark.parametrize(
+    "l, e, u, im, jm, what",
+    [
+        (_I2, [(1, 0)], _I2, 0b01, 0b11, "row support escapes"),
+        (_I2, [(0, 1)], _I2, 0b11, 0b01, "column support escapes"),
+        (_BAD, [], _I2, 0b11, 0b11, "L has a non-unit column"),
+        ([[1, 0], [5, 1]], [(0, 0)], _I2, 0b01, 0b11, "L has a non-unit row"),
+        (_I2, [], _BAD, 0b11, 0b11, "U has a non-unit row"),
+        (_I2, [(0, 0)], [[1, 5], [0, 1]], 0b11, 0b01, "U has a non-unit column"),
+    ],
+)
+def test_debug_node_rejects_corrupted_nodes(l, e, u, im, jm, what):
+    from leu.decompose import _debug_node
+
+    _debug_node(_I2, [(0, 0)], _I2, 2, 0b11, 0b11, 1)  # a sound node passes
+    with pytest.raises(InvariantError, match=what):
+        _debug_node(l, e, u, 2, im, jm, 1)

@@ -306,3 +306,69 @@ def test_zero_operand_products_keep_their_count():
         assert mat_mul_classical(Z, A, c) == Z
         assert mat_mul_strassen(A, Z, 2, c) == Z
         assert c.scalar_mults == 512 + 7 * 7 * 8
+
+
+# --- packed GF(p) products ---------------------------------------------------
+#
+# Over GF(p) a classical product packs each row of the right operand into one
+# integer of fixed-width slots.  The reference is the schoolbook sum of
+# products reduced once, so agreement is byte for byte.
+
+GFP_PRIMES = (2, 7, 65521, 18446744073709551557)  # the last: largest prime < 2**64
+
+
+def _gfp_schoolbook(x, y, k, c, p):
+    cols = [[y[t][j] for t in range(k)] for j in range(c)]
+    return [[sum(a * b for a, b in zip(r, col)) % p for col in cols] for r in x]
+
+
+def _gfp_operands(p, rows, k, c, r, kind):
+    if kind == "max":  # every slot at its largest sum, k(p-1)^2
+        return [[p - 1] * k for _ in range(rows)], [[p - 1] * c for _ in range(k)]
+    x = [[r.randrange(p) for _ in range(k)] for _ in range(rows)]
+    y = [[r.randrange(p) for _ in range(c)] for _ in range(k)]
+    if rows > 1:
+        x[r.randrange(rows)] = [0] * k
+    return x, y
+
+
+def _assert_same_residues(got, want):
+    assert got == want
+    assert all(type(v) is int for row in got for v in row)
+
+
+@pytest.mark.parametrize("p", GFP_PRIMES)
+@pytest.mark.parametrize("kind", ["random", "max"])
+def test_gfp_classical_square_matches_schoolbook(p, kind):
+    from leu.dense import blocks
+
+    r = random.Random(p)
+    F = GF(p)
+    K = blocks(F)
+    for h in (1, 2, 3, 8, 64):
+        x, y = _gfp_operands(p, h, h, h, r, kind)
+        want = _gfp_schoolbook(x, y, h, h, p)
+        c = MulCounter()
+        got = mat_mul_classical(DenseMatrix(F, x), DenseMatrix(F, y), c)
+        _assert_same_residues(got._d, want)
+        assert c.scalar_mults == h**3
+        c = MulCounter()
+        _assert_same_residues(K.mul(x, y, h, h, c), want)
+        assert c.scalar_mults == h**3
+
+
+@pytest.mark.parametrize("p", GFP_PRIMES)
+def test_gfp_classical_rectangular_matches_schoolbook(p):
+    r = random.Random(500 + p)
+    F = GF(p)
+    shapes = ((1, 4, 3), (5, 2, 1), (2, 9, 5), (3, 0, 4), (0, 3, 2), (4, 7, 0), (4, 0, 0))
+    for rows, k, cols in shapes:
+        for kind in ("random", "max"):
+            x, y = _gfp_operands(p, rows, k, cols, r, kind)
+            A = DenseMatrix._wrap(F, x, rows, k)
+            B = DenseMatrix._wrap(F, y, k, cols)
+            c = MulCounter()
+            got = mat_mul_classical(A, B, c)
+            assert got.shape == (rows, cols)
+            _assert_same_residues(got._d, _gfp_schoolbook(x, y, k, cols, p))
+            assert c.scalar_mults == rows * k * cols

@@ -1,9 +1,12 @@
 """Scalar arithmetic: canonical forms, field axioms, parsing."""
 
+import numbers
+from fractions import Fraction
+
 import pytest
 from hypothesis import given, strategies as st
 
-from leu import GF, QQ, FieldMismatchError, ParseError, Scalar
+from leu import GF, QQ, DenseMatrix, FieldMismatchError, ParseError, Scalar
 from leu.fields import is_prime
 
 GF7 = GF(7)
@@ -52,6 +55,46 @@ def test_field_spec_validation():
     # word-sized primes are fine
     assert GF(2)(1) + GF(2)(1) == GF(2)(0)
     assert GF((1 << 61) - 1).modulus == (1 << 61) - 1
+
+
+def _word_type():
+    # the smallest numbers.Integral that is not an int: every abstract method
+    # a stub, __int__ real, so __index__ comes from the numbers.Integral mixin
+    def stub(self, *args):
+        return NotImplemented
+
+    body = dict.fromkeys(numbers.Integral.__abstractmethods__, stub)
+    body["__init__"] = lambda self, v: setattr(self, "v", v)
+    body["__int__"] = lambda self: self.v
+    return type("Word", (numbers.Integral,), body)
+
+
+def test_gfp_accepts_any_integral():
+    Word = _word_type()
+    w = Word(12)
+    assert isinstance(w, numbers.Integral) and not isinstance(w, int)
+    assert GF7(w) == GF7(5)
+    A = DenseMatrix(GF7, [[w, 3]])
+    assert A._d == [[5, 3]] and type(A._d[0][0]) is int
+    for bad in (True, 1.5, "3", Fraction(1, 2), None):
+        with pytest.raises(TypeError):
+            GF7.canon(bad)
+    with pytest.raises(TypeError):
+        DenseMatrix(GF7, [[1.5]])
+
+
+def test_rational_rejects_floats():
+    for bad in (0.1, 1.0, float("inf"), True):
+        with pytest.raises(TypeError):
+            QQ.canon(bad)
+    with pytest.raises(TypeError):
+        DenseMatrix(QQ, [[0.1]])
+    # exact inputs keep working
+    third = QQ.canon(Fraction(1, 3))
+    assert QQ.canon("2/6") == third
+    assert QQ.canon(third) == third
+    assert QQ.canon(-4) == QQ.canon("-4")
+    assert str(DenseMatrix(QQ, [[Fraction(-6, 4), 2]])) == "-3/2 2"
 
 
 def test_is_prime_small():
