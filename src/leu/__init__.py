@@ -13,9 +13,7 @@ deliberately not re-exported here.
 from .decompose import (
     LeuResult,
     VerifyReport,
-    leu_base,
     leu_decompose,
-    leu_pow2,
     leu_verify,
 )
 from .dense import (
@@ -23,11 +21,9 @@ from .dense import (
     MulCounter,
     invert_lower_triangular,
     invert_upper_unitriangular,
-    join4,
     mat_mul_classical,
     mat_mul_strassen,
     pad_to_pow2,
-    split4,
 )
 from .derived import (
     BruhatResult,
@@ -42,14 +38,8 @@ from .fields import GF, QQ, FieldSpec, PrimeField, RationalField, Scalar
 from .perms import (
     DiagIdem,
     TruncPerm,
-    diag_apply_left,
-    diag_apply_right,
-    diag_to_dense,
     reversal_perm,
     tp_apply_left,
-    tp_apply_right,
-    tp_compose,
-    tp_from_dense,
     tp_to_dense,
 )
 from .textio import format_matrix, format_perm, parse_matrix
@@ -74,19 +64,13 @@ __all__ = [
     "TruncPerm",
     "VerifyReport",
     "bruhat_decompose",
-    "diag_apply_left",
-    "diag_apply_right",
-    "diag_to_dense",
     "format_matrix",
     "format_perm",
     "invert_lower_triangular",
     "invert_upper_unitriangular",
-    "join4",
     "kernel_basis",
     "largest_nonsingular_block",
-    "leu_base",
     "leu_decompose",
-    "leu_pow2",
     "leu_verify",
     "mat_inverse",
     "mat_mul_classical",
@@ -95,10 +79,6 @@ __all__ = [
     "pad_to_pow2",
     "parse_matrix",
     "reversal_perm",
-    "split4",
     "tp_apply_left",
-    "tp_apply_right",
-    "tp_compose",
-    "tp_from_dense",
     "tp_to_dense",
 ]

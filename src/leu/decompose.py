@@ -22,11 +22,17 @@ an identity operand, and a node whose block is zero (it gives L = U = I and
 an empty E).  So the count, like every value, does not depend on which
 shortcuts were taken.
 
+:func:`leu_decompose` is the one entry point.  It pads its input with zeros
+once, to the next power-of-two square, runs the recursion on that block and
+cuts the factors back; the rank and the kernel of a rectangular matrix go
+through the same body, padded straight from their own shape.
+
 The support masks (i, j) threaded through the recursion express which rows
-and columns of a block may be nonzero.  They never influence the computed
-values; they exist so that each sub-result can be checked against its
-support contract when ``debug_checks`` is on, and they document where the
-algorithm is allowed to place nonzero entries.
+and columns of a block may be nonzero.  They start full at the root and are
+narrowed below it by the ones of E that the earlier sub-blocks found.  They
+never influence the computed values; they exist so that each sub-result can
+be checked against its support contract when ``debug_checks`` is on, and
+they document where the algorithm is allowed to place nonzero entries.
 """
 
 from __future__ import annotations
@@ -47,8 +53,7 @@ from .dense import (
     strassen_count,
 )
 from .errors import InvariantError, ShapeError
-from .fields import Scalar
-from .perms import DiagIdem, TruncPerm, tp_to_dense
+from .perms import DiagIdem, TruncPerm, _col_mask, _row_mask, tp_to_dense
 
 # spawn threads for the two independent middle recursions only above this
 # child size; below it thread overhead dominates
@@ -122,20 +127,6 @@ class _Plan:
             h = n >> 1
             t = self._tree[n] = 17 * self.count(h) + 4 * self.tree_mults(h)
         return t
-
-
-def _row_mask(ones):
-    m = 0
-    for i, _ in ones:
-        m |= 1 << i
-    return m
-
-
-def _col_mask(ones):
-    m = 0
-    for _, j in ones:
-        m |= 1 << j
-    return m
 
 
 def _outside_support(rows, n, im, jm):
@@ -301,67 +292,6 @@ def _leu_rec(a, n, im, jm, plan, counter):
     return l, e, u
 
 
-def _decompose(rows, n, im, jm, plan, counter):
-    """Canonical rows of L and U, and the ones of E, for an n x n block."""
-    K = plan.k
-    l, e, u = _leu_rec(K.load(rows), n, im, jm, plan, counter)
-    return K.store(l), e, K.store(u)
-
-
-def leu_base(a: Scalar, counter: MulCounter | None = None) -> LeuResult:
-    """Decomposition of a single scalar: ([a^-1], 1-at-(0,0), [1]) when a is
-    nonzero, ([1], empty, [1]) for zero.  The nonzero case counts one scalar
-    inversion."""
-    if counter is None:
-        counter = MulCounter()
-    field = a.field
-    plan = _Plan(field, "classical", 1, False, None, False)
-    l, e, u = _decompose([[a.value]], 1, 1, 1, plan, counter)
-    return LeuResult(
-        DenseMatrix._wrap(field, l, 1, 1),
-        TruncPerm(1, e),
-        DenseMatrix._wrap(field, u, 1, 1),
-        counter.copy(),
-    )
-
-
-def leu_pow2(
-    A: DenseMatrix,
-    I: DiagIdem,
-    J: DiagIdem,
-    counter: MulCounter | None = None,
-    *,
-    method: str = "classical",
-    cutoff: int = 32,
-    parallel: bool = False,
-    debug_checks: bool = False,
-    _node_log=None,
-) -> LeuResult:
-    """Decompose a power-of-two square matrix that vanishes outside the row
-    support I and column support J.
-
-    The result satisfies L*A*U = E with the support of E contained in
-    (I, J); L and U equal the identity outside those supports.
-    """
-    n = A.rows
-    if A.cols != n or n < 1 or n & (n - 1):
-        raise ShapeError(f"expected a power-of-two square matrix, got {A.shape}")
-    if I.n != n or J.n != n:
-        raise ShapeError("support masks must match the matrix dimension")
-    if _outside_support(A._d, n, I.mask, J.mask):
-        raise ShapeError("matrix has entries outside its (I, J) support")
-    if counter is None:
-        counter = MulCounter()
-    plan = _Plan(A.field, method, cutoff, debug_checks, _node_log, parallel)
-    l, e, u = _decompose(A._d, n, I.mask, J.mask, plan, counter)
-    return LeuResult(
-        DenseMatrix._wrap(A.field, l, n, n),
-        TruncPerm(n, e),
-        DenseMatrix._wrap(A.field, u, n, n),
-        counter.copy(),
-    )
-
-
 def leu_decompose(
     A: DenseMatrix,
     counter: MulCounter | None = None,
@@ -378,9 +308,17 @@ def leu_decompose(
     leading s x s blocks of L, E, U are returned and satisfy every
     invariant for the original matrix.
     """
-    s = A.rows
-    if A.cols != s:
+    if A.cols != A.rows:
         raise ShapeError(f"expected a square matrix, got {A.shape}")
+    return _leu_padded(A, counter, method, cutoff, parallel, debug_checks, _node_log)
+
+
+def _leu_padded(A, counter, method, cutoff, parallel, debug_checks=False, node_log=None):
+    # the body of leu_decompose for any shape: A is padded with zeros once,
+    # straight to the power-of-two square, and the factors are cut back to
+    # s = max(rows, cols); E never leaves the rows and columns of A
+    r, c = A.shape
+    s = max(r, c)
     if s == 0:
         raise ShapeError("empty matrix")
     field = A.field
@@ -388,8 +326,11 @@ def leu_decompose(
     m = P.rows
     if counter is None:
         counter = MulCounter()
-    plan = _Plan(field, method, cutoff, debug_checks, _node_log, parallel)
-    l, e, u = _decompose(P._d, m, (1 << m) - 1, (1 << m) - 1, plan, counter)
+    plan = _Plan(field, method, cutoff, debug_checks, node_log, parallel)
+    K = plan.k
+    full = (1 << m) - 1
+    l, e, u = _leu_rec(K.load(P._d), m, full, full, plan, counter)
+    l, u = K.store(l), K.store(u)
     if m != s:
         if debug_checks:
             one = field.one_raw
@@ -398,9 +339,10 @@ def leu_decompose(
                         "L is not the identity on the padded region")
                 _ensure(_unit_row(u, m, i, one) and _unit_column(u, m, i, one),
                         "U is not the identity on the padded region")
-        l = [r[:s] for r in l[:s]]
-        u = [r[:s] for r in u[:s]]
-        _ensure(all(i < s and j < s for i, j in e), "support escaped the unpadded block")
+        l = [row[:s] for row in l[:s]]
+        u = [row[:s] for row in u[:s]]
+    if m != r or m != c:
+        _ensure(all(i < r and j < c for i, j in e), "support escaped the unpadded block")
     return LeuResult(
         DenseMatrix._wrap(field, l, s, s),
         TruncPerm(s, e),

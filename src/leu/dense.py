@@ -731,40 +731,6 @@ def mat_mul_strassen(
     return DenseMatrix._wrap(A.field, data, n, n)
 
 
-def split4(A: DenseMatrix):
-    """Quadrants (A11, A12, A21, A22) of an even-dimension square matrix."""
-    n = A.rows
-    if A.cols != n:
-        raise ShapeError(f"split4 needs a square matrix, got {A.shape}")
-    if n == 0 or n % 2:
-        raise ShapeError(f"split4 needs an even dimension, got {n}")
-    h = n // 2
-    d = A._d
-    w = DenseMatrix._wrap
-    f = A.field
-    return (
-        w(f, [r[:h] for r in d[:h]], h, h),
-        w(f, [r[h:] for r in d[:h]], h, h),
-        w(f, [r[:h] for r in d[h:]], h, h),
-        w(f, [r[h:] for r in d[h:]], h, h),
-    )
-
-
-def join4(A11: DenseMatrix, A12: DenseMatrix, A21: DenseMatrix, A22: DenseMatrix) -> DenseMatrix:
-    """Inverse of :func:`split4` for conformal quadrants."""
-    f = A11.field
-    for q in (A12, A21, A22):
-        if q.field != f:
-            raise FieldMismatchError("quadrants of mixed fields")
-    if A11.rows != A12.rows or A21.rows != A22.rows:
-        raise ShapeError("row counts of quadrants do not conform")
-    if A11.cols != A21.cols or A12.cols != A22.cols:
-        raise ShapeError("column counts of quadrants do not conform")
-    data = [r1 + r2 for r1, r2 in zip(A11._d, A12._d)]
-    data += [r1 + r2 for r1, r2 in zip(A21._d, A22._d)]
-    return DenseMatrix._wrap(f, data, A11.rows + A21.rows, A11.cols + A12.cols)
-
-
 def pad_to_pow2(A: DenseMatrix) -> DenseMatrix:
     """Embed A in the top-left corner of the next power-of-two square."""
     s = max(A.rows, A.cols, 1)

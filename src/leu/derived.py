@@ -11,7 +11,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 
-from .decompose import LeuResult, leu_decompose
+from .decompose import _leu_padded, leu_decompose
 from .dense import (
     DenseMatrix,
     MulCounter,
@@ -77,8 +77,6 @@ def bruhat_decompose(
         raise ShapeError(f"expected a square matrix, got {M.shape}")
     if s == 0:
         raise ShapeError("empty matrix")
-    if counter is None:
-        counter = MulCounter()
     rev = reversal_perm(s)
     res = leu_decompose(
         tp_apply_left(rev, M),
@@ -113,14 +111,10 @@ def mat_inverse(
     E^T is applied by row selection; one dense product remains and is
     counted.  Raises SingularError carrying the rank when rank < n.
     """
-    n = A.rows
-    if A.cols != n:
-        raise ShapeError(f"expected a square matrix, got {A.shape}")
-    if counter is None:
-        counter = MulCounter()
     res = leu_decompose(
         A, counter, method=method, cutoff=cutoff, parallel=parallel, debug_checks=debug_checks
     )
+    n = A.rows
     r = res.rank
     if r < n:
         raise SingularError(f"matrix of rank {r} < {n} has no inverse", rank=r)
@@ -137,18 +131,7 @@ def mat_rank(
     parallel: bool = False,
 ) -> int:
     """Rank of a matrix; rectangular input is padded square with zeros."""
-    res = _decompose_squared(A, counter, method, cutoff, parallel)
-    return res.rank
-
-
-def _decompose_squared(A, counter, method, cutoff, parallel) -> LeuResult:
-    s = max(A.rows, A.cols)
-    if A.rows != A.cols:
-        z = A.field.zero_raw
-        data = [row + [z] * (s - A.cols) for row in A._d]
-        data += [[z] * s for _ in range(s - A.rows)]
-        A = DenseMatrix._wrap(A.field, data, s, s)
-    return leu_decompose(A, counter, method=method, cutoff=cutoff, parallel=parallel)
+    return _leu_padded(A, counter, method, cutoff, parallel).rank
 
 
 def kernel_basis(
@@ -164,13 +147,14 @@ def kernel_basis(
 
     With L*A*U = E, each zero column j of E gives A * (U e_j) =
     L^-1 * E * e_j = 0, and those columns of U are linearly independent
-    because U is invertible.  For rectangular input the matrix is padded
-    square; only zero columns inside the original domain contribute (the
-    basis columns of a unitriangular U never reach below their index, so
-    nothing is lost by truncating the padded coordinates).
+    because U is invertible.  Rectangular input is padded with zeros, once,
+    to the power-of-two square the recursion runs on; only zero columns
+    inside the original domain contribute (the basis columns of a
+    unitriangular U never reach below their index, so nothing is lost by
+    truncating the padded coordinates).
     """
     cols = A.cols
-    res = _decompose_squared(A, counter, method, cutoff, parallel)
+    res = _leu_padded(A, counter, method, cutoff, parallel)
     covered = {j for _, j in res.E.ones}
     free = [j for j in range(cols) if j not in covered]
     ud = res.U._d
@@ -198,11 +182,6 @@ def largest_nonsingular_block(
     returned, each ascending.  With ``verify`` the submatrix is
     cross-checked nonsingular by the elimination oracle.
     """
-    n = A.rows
-    if A.cols != n:
-        raise ShapeError(f"expected a square matrix, got {A.shape}")
-    if counter is None:
-        counter = MulCounter()
     res = leu_decompose(A, counter, method=method, cutoff=cutoff, parallel=parallel)
     rows = tuple(res.E.row_support().indices())
     cols = tuple(res.E.col_support().indices())
@@ -211,5 +190,5 @@ def largest_nonsingular_block(
 
         sub = A.select(rows, cols)
         if gauss_rank(sub) != len(rows):
-            raise AssertionError("selected block is singular")
+            raise InvariantError("selected block is singular")
     return rows, cols

@@ -246,8 +246,14 @@ class Scalar:
     __slots__ = ("field", "value")
 
     def __init__(self, field: FieldSpec, value):
+        if isinstance(value, Scalar):
+            if value.field != field:
+                raise FieldMismatchError(f"scalar of field {value.field!r} given to {field!r}")
+            value = value.value
+        else:
+            value = field.canon(value)
         self.field = field
-        self.value = value.value if isinstance(value, Scalar) else field.canon(value)
+        self.value = value
 
     def _coerce(self, other) -> "Scalar":
         if not isinstance(other, Scalar):

@@ -1,10 +1,9 @@
 """Truncated permutations and diagonal 0/1 matrices, applied sparsely.
 
 A truncated permutation is a 0/1 matrix with at most one 1 per row and per
-column; full permutations are the rank-n case.  The diagonal 0/1 matrices
-form a sub-semigroup ordered by mask inclusion.  Both kinds multiply dense
-matrices by pure row/column selection, which never touches the
-multiplication counter.
+column; full permutations are the rank-n case.  Its row and column supports
+are diagonal 0/1 matrices, kept as bitmasks.  It multiplies a dense matrix
+by pure row selection, which never touches the multiplication counter.
 """
 
 from __future__ import annotations
@@ -39,9 +38,6 @@ class TruncPerm:
     def rank(self) -> int:
         return len(self.ones)
 
-    def is_full(self) -> bool:
-        return len(self.ones) == self.n
-
     def __eq__(self, other):
         return isinstance(other, TruncPerm) and other.n == self.n and other.ones == self.ones
 
@@ -55,16 +51,10 @@ class TruncPerm:
         return TruncPerm(self.n, [(j, i) for i, j in self.ones])
 
     def row_support(self) -> "DiagIdem":
-        m = 0
-        for i, _ in self.ones:
-            m |= 1 << i
-        return DiagIdem(self.n, m)
+        return DiagIdem(self.n, _row_mask(self.ones))
 
     def col_support(self) -> "DiagIdem":
-        m = 0
-        for _, j in self.ones:
-            m |= 1 << j
-        return DiagIdem(self.n, m)
+        return DiagIdem(self.n, _col_mask(self.ones))
 
     def complement(self) -> "TruncPerm":
         """Pairs the zero rows with the zero columns, both ascending.
@@ -83,21 +73,6 @@ class TruncPerm:
             raise ShapeError("size mismatch")
         return TruncPerm(self.n, self.ones + other.ones)
 
-    def quadrants(self):
-        """Split an even-dimension permutation into its four corner blocks."""
-        if self.n % 2:
-            raise ShapeError(f"dimension {self.n} is odd")
-        h = self.n // 2
-        q = {(0, 0): [], (0, 1): [], (1, 0): [], (1, 1): []}
-        for i, j in self.ones:
-            q[(i >= h, j >= h)].append((i % h if i >= h else i, j % h if j >= h else j))
-        return (
-            TruncPerm(h, q[(0, 0)]),
-            TruncPerm(h, q[(0, 1)]),
-            TruncPerm(h, q[(1, 0)]),
-            TruncPerm(h, q[(1, 1)]),
-        )
-
 
 class DiagIdem:
     """Diagonal 0/1 matrix as a bitmask; bit i set means entry (i, i) is 1."""
@@ -110,32 +85,6 @@ class DiagIdem:
         self.n = n
         self.mask = mask
 
-    @classmethod
-    def full(cls, n: int) -> "DiagIdem":
-        return cls(n, (1 << n) - 1)
-
-    @classmethod
-    def from_indices(cls, n: int, indices) -> "DiagIdem":
-        m = 0
-        for i in indices:
-            m |= 1 << i
-        return cls(n, m)
-
-    def complement(self) -> "DiagIdem":
-        return DiagIdem(self.n, self.mask ^ ((1 << self.n) - 1))
-
-    def __and__(self, other: "DiagIdem") -> "DiagIdem":
-        # product of diagonal idempotents
-        if other.n != self.n:
-            raise ShapeError("size mismatch")
-        return DiagIdem(self.n, self.mask & other.mask)
-
-    def __le__(self, other: "DiagIdem") -> bool:
-        # partial order: the difference is again a diagonal 0/1 matrix
-        if other.n != self.n:
-            raise ShapeError("size mismatch")
-        return self.mask & other.mask == self.mask
-
     def __eq__(self, other):
         return isinstance(other, DiagIdem) and other.n == self.n and other.mask == self.mask
 
@@ -146,19 +95,24 @@ class DiagIdem:
         bits = "".join("1" if (self.mask >> i) & 1 else "0" for i in range(self.n))
         return f"DiagIdem({self.n}, 0b{bits[::-1] or '0'})"
 
-    @property
-    def count(self) -> int:
-        return bin(self.mask).count("1")
-
     def indices(self) -> list:
         return [i for i in range(self.n) if (self.mask >> i) & 1]
 
-    def to_truncperm(self) -> TruncPerm:
-        return TruncPerm(self.n, [(i, i) for i in self.indices()])
+
+def _row_mask(ones) -> int:
+    """Bit i set for every row i that holds a one of ``ones``."""
+    m = 0
+    for i, _ in ones:
+        m |= 1 << i
+    return m
 
 
-def diag_leq(I: DiagIdem, J: DiagIdem) -> bool:
-    return I <= J
+def _col_mask(ones) -> int:
+    """Bit j set for every column j that holds a one of ``ones``."""
+    m = 0
+    for _, j in ones:
+        m |= 1 << j
+    return m
 
 
 def reversal_perm(n: int) -> TruncPerm:
@@ -169,14 +123,6 @@ def reversal_perm(n: int) -> TruncPerm:
     return TruncPerm(n, [(i, n - 1 - i) for i in range(n)])
 
 
-def tp_compose(E: TruncPerm, F: TruncPerm) -> TruncPerm:
-    """Product E*F of two truncated permutations."""
-    if E.n != F.n:
-        raise ShapeError("size mismatch")
-    by_row = {i: j for i, j in F.ones}
-    return TruncPerm(E.n, [(i, by_row[j]) for i, j in E.ones if j in by_row])
-
-
 def tp_to_dense(E: TruncPerm, field: FieldSpec) -> DenseMatrix:
     z, o = field.zero_raw, field.one_raw
     data = [[z] * E.n for _ in range(E.n)]
@@ -185,31 +131,8 @@ def tp_to_dense(E: TruncPerm, field: FieldSpec) -> DenseMatrix:
     return DenseMatrix._wrap(field, data, E.n, E.n)
 
 
-def tp_from_dense(A: DenseMatrix) -> TruncPerm:
-    """Sparse form of a dense 0/1 truncated-permutation matrix."""
-    if A.rows != A.cols:
-        raise ShapeError(f"expected square, got {A.shape}")
-    one = A.field.one_raw
-    ones = []
-    for i, row in enumerate(A._d):
-        for j, v in enumerate(row):
-            if v:
-                if v != one:
-                    raise ValueError(f"entry ({i}, {j}) is not 0 or 1")
-                ones.append((i, j))
-    return TruncPerm(A.rows, ones)
-
-
-def diag_to_dense(D: DiagIdem, field: FieldSpec) -> DenseMatrix:
-    z, o = field.zero_raw, field.one_raw
-    data = [[z] * D.n for _ in range(D.n)]
-    for i in D.indices():
-        data[i][i] = o
-    return DenseMatrix._wrap(field, data, D.n, D.n)
-
-
 # ---------------------------------------------------------------------------
-# sparse application to dense matrices: row/column selection, never counted
+# sparse application to dense matrices: row selection, never counted
 
 
 def tp_apply_left(E: TruncPerm, A: DenseMatrix) -> DenseMatrix:
@@ -222,39 +145,3 @@ def tp_apply_left(E: TruncPerm, A: DenseMatrix) -> DenseMatrix:
     for i, j in E.ones:
         out[i] = d[j]
     return DenseMatrix._wrap(A.field, list(out), E.n, A.cols)
-
-
-def tp_apply_right(A: DenseMatrix, E: TruncPerm) -> DenseMatrix:
-    """A * E: column j of the result is column i of A for each one (i, j)."""
-    if E.n != A.cols:
-        raise ShapeError(f"cannot apply {E.n}-permutation to {A.shape}")
-    z = A.field.zero_raw
-    n = E.n
-    out = []
-    for row in A._d:
-        nr = [z] * n
-        for i, j in E.ones:
-            nr[j] = row[i]
-        out.append(nr)
-    return DenseMatrix._wrap(A.field, out, A.rows, n)
-
-
-def diag_apply_left(D: DiagIdem, A: DenseMatrix) -> DenseMatrix:
-    """D * A: keeps the rows selected by D, zeroes the rest."""
-    if D.n != A.rows:
-        raise ShapeError(f"cannot apply {D.n}-diagonal to {A.shape}")
-    z = [A.field.zero_raw] * A.cols
-    mask = D.mask
-    out = [row if (mask >> i) & 1 else z for i, row in enumerate(A._d)]
-    return DenseMatrix._wrap(A.field, out, A.rows, A.cols)
-
-
-def diag_apply_right(A: DenseMatrix, D: DiagIdem) -> DenseMatrix:
-    """A * D: keeps the columns selected by D, zeroes the rest."""
-    if D.n != A.cols:
-        raise ShapeError(f"cannot apply {D.n}-diagonal to {A.shape}")
-    z = A.field.zero_raw
-    mask = D.mask
-    keep = [(mask >> j) & 1 for j in range(A.cols)]
-    out = [[v if k else z for v, k in zip(row, keep)] for row in A._d]
-    return DenseMatrix._wrap(A.field, out, A.rows, A.cols)

@@ -35,3 +35,10 @@ def planted_rank(field, n: int, r: int, rng: random.Random) -> DenseMatrix:
 
 def mul(A: DenseMatrix, B: DenseMatrix) -> DenseMatrix:
     return mat_mul_classical(A, B, MulCounter())
+
+
+def diag(field, n: int, mask: int) -> DenseMatrix:
+    """Dense n x n diagonal 0/1 matrix: a one at (i, i) for each bit i of mask."""
+    z, o = field.zero_raw, field.one_raw
+    data = [[o if i == j and (mask >> i) & 1 else z for j in range(n)] for i in range(n)]
+    return DenseMatrix._wrap(field, data, n, n)

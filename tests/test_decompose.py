@@ -1,22 +1,30 @@
 """Core factorization: base cases, worked traces, invariants, counting."""
 
+import os
 import random
+import subprocess
+import sys
+import textwrap
+from pathlib import Path
 
 import pytest
+from hypothesis import given, settings, strategies as st
 
+import leu
 from leu import (
     GF,
     QQ,
     DenseMatrix,
-    DiagIdem,
     InvariantError,
     MulCounter,
     ShapeError,
+    SingularError,
     TruncPerm,
-    leu_base,
+    kernel_basis,
     leu_decompose,
-    leu_pow2,
     leu_verify,
+    mat_inverse,
+    mat_rank,
     tp_to_dense,
 )
 from leu import oracle
@@ -30,7 +38,7 @@ def reconstructs(A, res):
 
 
 def test_base_zero():
-    res = leu_base(GF7(0))
+    res = leu_decompose(DenseMatrix(GF7, [[0]]))
     assert res.L == DenseMatrix(GF7, [[1]])
     assert res.E == TruncPerm(1)
     assert res.U == DenseMatrix(GF7, [[1]])
@@ -39,7 +47,7 @@ def test_base_zero():
 
 def test_base_nonzero_gf7():
     c = MulCounter()
-    res = leu_base(GF7(3), c)
+    res = leu_decompose(DenseMatrix(GF7, [[3]]), c)
     assert res.L == DenseMatrix(GF7, [[5]])
     assert res.E == TruncPerm(1, [(0, 0)])
     assert res.U == DenseMatrix(GF7, [[1]])
@@ -47,9 +55,11 @@ def test_base_nonzero_gf7():
 
 
 def test_base_rational():
-    res = leu_base(QQ(-2) / QQ(3))
+    res = leu_decompose(DenseMatrix(QQ, [[QQ(-2) / QQ(3)]]))
     assert res.L == DenseMatrix(QQ, [[QQ(-3) / QQ(2)]])
     assert res.E == TruncPerm(1, [(0, 0)])
+    assert res.U == DenseMatrix(QQ, [[1]])
+    assert res.counter.scalar_invs == 1
 
 
 def test_worked_trace_gf7():
@@ -131,7 +141,11 @@ def test_block_support_disjointness():
         n = rng.choice([2, 4, 8])
         A = planted_rank(GF7, n, rng.randint(0, n), rng)
         E = leu_decompose(A).E
-        e11, e12, e21, e22 = E.quadrants()
+        h = n // 2
+        quads = [[], [], [], []]  # ones of E11, E12, E21, E22
+        for i, j in E.ones:
+            quads[2 * (i >= h) + (j >= h)].append((i % h, j % h))
+        e11, e12, e21, e22 = (TruncPerm(h, q) for q in quads)
         assert not (e11.col_support().mask & e21.col_support().mask)
         assert not (e11.row_support().mask & e12.row_support().mask)
         assert not (e22.row_support().mask & e21.row_support().mask)
@@ -217,35 +231,22 @@ def test_padding_truncation_roundtrip():
         assert reconstructs(A, res)
 
 
-def test_leu_pow2_contracts():
-    A = rand_matrix(GF7, 4, 4, rng)
-    full = DiagIdem.full(4)
-    res = leu_pow2(A, full, full, debug_checks=True)
-    assert reconstructs(A, res)
-    with pytest.raises(ShapeError):
-        leu_pow2(rand_matrix(GF7, 3, 3, rng), DiagIdem.full(3), DiagIdem.full(3))
-    with pytest.raises(ShapeError):
-        leu_pow2(A, DiagIdem.full(8), full)
-    # support precondition: nonzero entries outside (I, J) are rejected
-    with pytest.raises(ShapeError):
-        leu_pow2(DenseMatrix(GF7, [[1, 0], [0, 1]]), DiagIdem(2, 0b01), DiagIdem.full(2))
-
-
 def test_leu_pow2_respects_support_contract():
-    # a matrix supported on (I, J) decomposes with E inside that support
+    # a matrix that vanishes outside rows I and columns J decomposes with E
+    # inside (I, J), and the contract checks at every node hold
     for _ in range(20):
-        n = rng.choice([2, 4, 8])
-        im = DiagIdem(n, rng.getrandbits(n))
-        jm = DiagIdem(n, rng.getrandbits(n))
+        n = rng.choice([2, 3, 4, 6, 8])
+        im = rng.getrandbits(n)
+        jm = rng.getrandbits(n)
         B = rand_matrix(GF7, n, n, rng)
         A = DenseMatrix._wrap(
             GF7,
-            [[B._d[i][j] if (im.mask >> i) & 1 and (jm.mask >> j) & 1 else 0
+            [[B._d[i][j] if (im >> i) & 1 and (jm >> j) & 1 else 0
               for j in range(n)] for i in range(n)],
             n, n)
-        res = leu_pow2(A, im, jm, debug_checks=True)
-        assert res.E.row_support() <= im
-        assert res.E.col_support() <= jm
+        res = leu_decompose(A, debug_checks=True)
+        assert res.E.row_support().mask & ~im == 0
+        assert res.E.col_support().mask & ~jm == 0
         assert reconstructs(A, res)
 
 
@@ -309,3 +310,98 @@ def test_debug_node_rejects_corrupted_nodes(l, e, u, im, jm, what):
     _debug_node(_I2, [(0, 0)], _I2, 2, 0b11, 0b11, 1)  # a sound node passes
     with pytest.raises(InvariantError, match=what):
         _debug_node(l, e, u, 2, im, jm, 1)
+
+
+_O_SCRIPT = textwrap.dedent("""
+    import sys
+    from leu import GF, DenseMatrix, InvariantError
+    import leu.derived
+    from leu.decompose import _debug_node
+
+    assert sys.flags.optimize and not __debug__
+    caught = []
+    try:
+        _debug_node([[1, 0], [0, 1]], [(1, 0)], [[1, 0], [0, 1]], 2, 0b01, 0b11, 1)
+    except InvariantError as exc:
+        caught.append(str(exc))
+
+    # hand kernel_basis a U that is not the decomposition's: its candidate
+    # columns then fail to annihilate A
+    real = leu.derived._leu_padded
+
+    def wrong_u(A, *args):
+        res = real(A, *args)
+        res.U = DenseMatrix.identity(A.field, res.U.rows)
+        return res
+
+    leu.derived._leu_padded = wrong_u
+    try:
+        leu.derived.kernel_basis(DenseMatrix(GF(7), [[1, 1], [0, 0]]), debug_checks=True)
+    except InvariantError as exc:
+        caught.append(str(exc))
+    print(caught)
+""")
+
+
+def test_contract_checks_hold_under_python_O():
+    # the contract checks are typed errors, not asserts that -O strips
+    src = str(Path(leu.__file__).resolve().parents[1])
+    env = dict(os.environ)
+    env["PYTHONPATH"] = os.pathsep.join(filter(None, [src, env.get("PYTHONPATH")]))
+    out = subprocess.run([sys.executable, "-O", "-c", _O_SCRIPT], env=env,
+                         capture_output=True, text=True, timeout=120)
+    assert out.returncode == 0, out.stderr
+    assert out.stdout.strip() == (
+        "['row support escapes its contract', 'kernel candidate fails to annihilate']"
+    )
+
+
+# differential fuzz of the derived operations against the elimination oracle
+
+
+_FUZZ_FIELDS = (GF7, GF65521, GF(2**64 - 59), QQ)
+
+
+def _entries(field):
+    if field.kind == "gfp":
+        return st.integers(0, field.modulus - 1)
+    return st.fractions(min_value=-9, max_value=9, max_denominator=9)
+
+
+@st.composite
+def planted_matrices(draw):
+    """A matrix of 1..12 rows and columns (square half the time) and rank at
+    most a drawn r, as the product of an rows x r and an r x cols matrix."""
+    field = draw(st.sampled_from(_FUZZ_FIELDS))
+    rows = draw(st.integers(1, 12))
+    cols = rows if draw(st.booleans()) else draw(st.integers(1, 12))
+    r = draw(st.integers(0, min(rows, cols)))
+    if r == 0:
+        return DenseMatrix.zeros(field, rows, cols)
+    x = _entries(field)
+    P = DenseMatrix(field, draw(st.lists(st.lists(x, min_size=r, max_size=r),
+                                         min_size=rows, max_size=rows)))
+    Q = DenseMatrix(field, draw(st.lists(st.lists(x, min_size=cols, max_size=cols),
+                                         min_size=r, max_size=r)))
+    return mul(P, Q)
+
+
+@settings(max_examples=100, deadline=None)
+@given(planted_matrices(), st.sampled_from([("classical", 32), ("strassen", 1), ("strassen", 4)]))
+def test_derived_ops_match_the_oracle(A, mode):
+    method, cutoff = mode
+    kw = dict(method=method, cutoff=cutoff)
+    rank = oracle.gauss_rank(A)
+    assert mat_rank(A, **kw) == rank
+    K = kernel_basis(A, debug_checks=True, **kw)
+    assert K.shape == (A.cols, A.cols - rank)
+    assert mul(A, K).is_zero()
+    assert oracle.gauss_rank(K) == K.cols
+    if A.rows != A.cols:
+        return
+    if rank == A.rows:
+        assert mat_inverse(A, **kw) == oracle.gauss_inverse(A)
+    else:
+        with pytest.raises(SingularError) as exc:
+            mat_inverse(A, **kw)
+        assert exc.value.rank == rank

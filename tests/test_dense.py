@@ -14,11 +14,9 @@ from leu import (
     SingularError,
     invert_lower_triangular,
     invert_upper_unitriangular,
-    join4,
     mat_mul_classical,
     mat_mul_strassen,
     pad_to_pow2,
-    split4,
 )
 from helpers import FIELDS, GF7, mul, rand_matrix
 
@@ -102,20 +100,6 @@ def test_strassen_validation():
     B = rand_matrix(GF7, 4, 4, rng)
     with pytest.raises(ValueError):
         mat_mul_strassen(B, B, 0)
-
-
-def test_split_join_roundtrip():
-    A = rand_matrix(QQ, 8, 8, rng)
-    assert join4(*split4(A)) == A
-    q = split4(DenseMatrix(GF7, [[1, 2], [3, 4]]))
-    assert [m._d for m in q] == [[[1]], [[2]], [[3]], [[4]]]
-
-
-def test_split4_odd_rejected():
-    with pytest.raises(ShapeError):
-        split4(rand_matrix(GF7, 3, 3, rng))
-    with pytest.raises(ShapeError):
-        split4(rand_matrix(GF7, 2, 4, rng))
 
 
 def test_pad_to_pow2():

@@ -7,6 +7,7 @@ import pytest
 from leu import (
     QQ,
     DenseMatrix,
+    InvariantError,
     MulCounter,
     ShapeError,
     SingularError,
@@ -180,6 +181,16 @@ def test_block_random_singular(field):
         r = oracle.gauss_rank(A)
         assert len(rows) == len(cols) == r
         assert oracle.gauss_rank(A.select(rows, cols)) == r
+
+
+def test_block_verify_raises_typed_error(monkeypatch):
+    # the cross-check is a contract: an oracle that under-reports the rank
+    # of the selected block must raise InvariantError, not a bare assert
+    A = DenseMatrix(GF7, [[3, 1], [2, 5]])
+    monkeypatch.setattr(oracle, "gauss_rank", lambda M: M.rows - 1)
+    with pytest.raises(InvariantError, match="selected block is singular"):
+        largest_nonsingular_block(A, verify=True)
+    assert largest_nonsingular_block(A) == ((0, 1), (0, 1))
 
 
 def test_counters_accumulate():

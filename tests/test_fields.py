@@ -186,3 +186,10 @@ def test_parse_strictness():
 def test_scalar_from_scalar():
     a = GF7(3)
     assert Scalar(GF7, a) == a
+    assert Scalar(GF(7), a) == a  # an equal field built separately
+    with pytest.raises(FieldMismatchError):
+        GF7(QQ(1) / QQ(2))
+    with pytest.raises(FieldMismatchError):
+        GF7(GF(5)(3))
+    with pytest.raises(FieldMismatchError):
+        QQ(GF7(3))
