@@ -18,6 +18,8 @@ import click
 from .decompose import leu_decompose, leu_verify
 from .dense import DenseMatrix, MulCounter, mat_mul_classical
 from .derived import (
+    _inverse_from,
+    _kernel_from,
     bruhat_decompose,
     kernel_basis,
     largest_nonsingular_block,
@@ -156,7 +158,7 @@ def run(config: CliConfig) -> int:
         return 0
 
     if cmd == "rank":
-        r = mat_rank(A, counter, **kw)
+        r = mat_rank(A, counter, debug_checks=config.debug_checks, **kw)
         _emit(config, f"rank {r}\n" + _counter_lines(config, counter))
         return 0
 
@@ -186,19 +188,20 @@ def _verify(config: CliConfig, A: DenseMatrix, counter: MulCounter, kw) -> int:
 
     checks.append(("rank-oracle", res.rank == oracle.gauss_rank(A)))
 
-    K = kernel_basis(A, MulCounter(), **kw)
+    # every check below reads the one decomposition above
+    K = _kernel_from(A, res)
     prod = mat_mul_classical(A, K, MulCounter())
     checks.append(("kernel-annihilation", prod.is_zero()))
     checks.append(("kernel-nullity-oracle", K.cols == oracle.gauss_kernel(A).cols))
 
     if res.rank == A.rows == A.cols:
-        inv = mat_inverse(A, MulCounter(), **kw)
+        inv = _inverse_from(A, res, MulCounter())
         checks.append(("inverse-oracle", inv == oracle.gauss_inverse(A)
                        and oracle.check_inverse(A, inv)))
     else:
         ok = False
         try:
-            mat_inverse(A, MulCounter(), **kw)
+            _inverse_from(A, res, MulCounter())
         except SingularError as exc:
             ok = exc.rank == res.rank
         checks.append(("inverse-singular-agrees", ok))

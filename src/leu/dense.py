@@ -4,8 +4,9 @@ Matrices are immutable after construction, so every operation is a pure
 function and rows may be shared between results freely.  Multiplications
 carry an explicit :class:`MulCounter` instead of global state: classical
 multiplication adds exactly rows*inner*cols scalar products, the Strassen
-path adds what its recursion actually performs, and applications of
-permutation or diagonal matrices (see :mod:`leu.perms`) add nothing.
+path adds 7 half-size products per level down to classical leaves at the
+cutoff (``strassen_count``), and applications of permutation or diagonal
+matrices (see :mod:`leu.perms`) add nothing.
 
 Every product is an exact integer product followed by one canonicalization
 per output entry.  Over GF(p) a classical product packs each row of the
@@ -13,14 +14,17 @@ right operand into one integer of fixed-width slots, wide enough that the
 sum of a row's products never carries from one slot into the next; an
 output row is then one multiply-accumulate of residues against the packed
 rows, cut back into its slots and reduced once per entry (see
-``_gfp_classical``).  Strassen products over GF(p) reduce their unreduced
-integer results once per entry.  Over the rationals products are
-fraction-free: the public products scale each row of the left operand and
-each column of the right one to integers over the lcm of its denominators,
-multiply the integer matrices (classically or by Strassen) and make each
-entry one integer over the product of its row and column scales.  Inside the
-recursions, blocks stay in such a scaled integer form throughout (see the
-block kernels below).
+``_gfp_classical``).  Strassen products over GF(p) recurse on residues:
+the sums and differences that feed each sub-product are reduced mod p, every
+leaf is such a packed product, and the unreduced result is reduced once per
+entry at the top.  Over the rationals products are fraction-free: the public
+products scale each row of the left operand and each column of the right one
+to integers over the lcm of its denominators, multiply the integer matrices
+(classically or by Strassen) and make each entry one integer over the
+product of its row and column scales.  Inside the recursions, blocks stay in
+such a scaled integer form throughout (see the block kernels below).  In
+both fields a Strassen sub-product with an all-zero operand is skipped at
+every level and counted as if it had been computed.
 """
 
 from __future__ import annotations
@@ -210,13 +214,14 @@ def _raw_classical(x, y, inner, out_cols):
 _STRUCT_CODES = {1: "B", 2: "H", 4: "I", 8: "Q"}
 
 
-def _gfp_classical(x, y, k, c, p):
+def _gfp_classical(x, y, k, c, p, reduce=True):
     # Canonical rows of x * y (r x k times k x c) for residues in [0, p).
     # Each row of y is packed into one integer of c slots, so row i of the
     # product is one multiply-accumulate of x[i] against the packed rows.
     # A slot sums k products of residues, at most k(p-1)^2, and its width
     # holds that, so no slot carries into the next.  Slots of 1, 2, 4 or 8
     # bytes are packed and cut by struct in C, wider ones by byte slices.
+    # Without reduce the rows are those slot sums, as sequences.
     width = ((k * (p - 1) ** 2).bit_length() + 7) // 8
     size = next((s for s in _STRUCT_CODES if s >= width), width)
     n = size * c
@@ -233,25 +238,37 @@ def _gfp_classical(x, y, k, c, p):
             return [fb(b[j : j + size], "little") for j in range(0, n, size)]
 
     zrow = [0] * c
-    return [
-        [v % p for v in cut(z.to_bytes(n, "little"))] if z else zrow
-        for z in (sum(map(_mul, r, packed)) for r in x)
-    ]
+    sums = (sum(map(_mul, r, packed)) for r in x)
+    if not reduce:
+        return [cut(z.to_bytes(n, "little")) if z else zrow for z in sums]
+    return [[v % p for v in cut(z.to_bytes(n, "little"))] if z else zrow for z in sums]
 
 
-def _radd(x, y):
+def _quarters(rows, h):
+    top, bot = rows[:h], rows[h:]
+    return [r[:h] for r in top], [r[h:] for r in top], [r[:h] for r in bot], [r[h:] for r in bot]
+
+
+def _radd(x, y, p):
+    if p:
+        return [[(a + b) % p for a, b in zip(rx, ry)] for rx, ry in zip(x, y)]
     return [[a + b for a, b in zip(rx, ry)] for rx, ry in zip(x, y)]
 
 
-def _rsub(x, y):
+def _rsub(x, y, p):
+    if p:
+        return [[(a - b) % p for a, b in zip(rx, ry)] for rx, ry in zip(x, y)]
     return [[a - b for a, b in zip(rx, ry)] for rx, ry in zip(x, y)]
 
 
-def _strassen_raw(x, y, n, cutoff, counter):
+def _strassen_raw(x, y, n, cutoff, counter, p=0):
     # Unreduced ring arithmetic; callers canonicalize the final entries.
+    # With a prime p the operands are residues, and so are the operands of
+    # every sub-product: their sums and differences are reduced mod p, and
+    # each leaf is a packed product.
     if n <= cutoff:
         counter.scalar_mults += n * n * n
-        return _raw_classical(x, y, n, n)
+        return _gfp_classical(x, y, n, n, p, reduce=False) if p else _raw_classical(x, y, n, n)
     if n == 2:
         counter.scalar_mults += 7
         a, b = x[0]
@@ -267,26 +284,38 @@ def _strassen_raw(x, y, n, cutoff, counter):
         m7 = (b - d) * (g + h)
         return [[m1 + m4 - m5 + m7, m3 + m5], [m2 + m4, m1 - m2 + m3 + m6]]
     h2 = n >> 1
-    x11 = [r[:h2] for r in x[:h2]]
-    x12 = [r[h2:] for r in x[:h2]]
-    x21 = [r[:h2] for r in x[h2:]]
-    x22 = [r[h2:] for r in x[h2:]]
-    y11 = [r[:h2] for r in y[:h2]]
-    y12 = [r[h2:] for r in y[:h2]]
-    y21 = [r[:h2] for r in y[h2:]]
-    y22 = [r[h2:] for r in y[h2:]]
-    m1 = _strassen_raw(_radd(x11, x22), _radd(y11, y22), h2, cutoff, counter)
-    m2 = _strassen_raw(_radd(x21, x22), y11, h2, cutoff, counter)
-    m3 = _strassen_raw(x11, _rsub(y12, y22), h2, cutoff, counter)
-    m4 = _strassen_raw(x22, _rsub(y21, y11), h2, cutoff, counter)
-    m5 = _strassen_raw(_radd(x11, x12), y22, h2, cutoff, counter)
-    m6 = _strassen_raw(_rsub(x21, x11), _radd(y11, y12), h2, cutoff, counter)
-    m7 = _strassen_raw(_rsub(x12, x22), _radd(y21, y22), h2, cutoff, counter)
-    c11 = _radd(_rsub(_radd(m1, m4), m5), m7)
-    c12 = _radd(m3, m5)
-    c21 = _radd(m2, m4)
-    c22 = _radd(_rsub(_radd(m1, m3), m2), m6)
-    return [r1 + r2 for r1, r2 in zip(c11, c12)] + [r1 + r2 for r1, r2 in zip(c21, c22)]
+    x11, x12, x21, x22 = _quarters(x, h2)
+    y11, y12, y21, y22 = _quarters(y, h2)
+    args = (h2, cutoff, counter, p)
+    m1 = _strassen_sub(_radd(x11, x22, p), _radd(y11, y22, p), *args)
+    m2 = _strassen_sub(_radd(x21, x22, p), y11, *args)
+    m3 = _strassen_sub(x11, _rsub(y12, y22, p), *args)
+    m4 = _strassen_sub(x22, _rsub(y21, y11, p), *args)
+    m5 = _strassen_sub(_radd(x11, x12, p), y22, *args)
+    m6 = _strassen_sub(_rsub(x21, x11, p), _radd(y11, y12, p), *args)
+    m7 = _strassen_sub(_rsub(x12, x22, p), _radd(y21, y22, p), *args)
+    top = [
+        [a + d - e + g for a, d, e, g in zip(r1, r4, r5, r7)] + [c + e for c, e in zip(r3, r5)]
+        for r1, r3, r4, r5, r7 in zip(m1, m3, m4, m5, m7)
+    ]
+    return top + [
+        [b + d for b, d in zip(r2, r4)] + [a - b + c + f for a, b, c, f in zip(r1, r2, r3, r6)]
+        for r1, r2, r3, r4, r6 in zip(m1, m2, m3, m4, m6)
+    ]
+
+
+def _strassen_sub(x, y, h, cutoff, counter, p):
+    # one half-size sub-product; with an all-zero operand it is skipped and
+    # counted in full
+    if any(map(any, x)) and any(map(any, y)):
+        return _strassen_raw(x, y, h, cutoff, counter, p)
+    counter.scalar_mults += strassen_count(h, cutoff)
+    return [[0] * h] * h
+
+
+def _gfp_strassen(x, y, n, cutoff, counter, p):
+    # canonical rows of the Strassen product of two n x n blocks of residues
+    return [[v % p for v in r] for r in _strassen_raw(x, y, n, cutoff, counter, p)]
 
 
 def strassen_count(n: int, cutoff: int) -> int:
@@ -313,11 +342,6 @@ def strassen_count(n: int, cutoff: int) -> int:
 # The row helpers below move or zero whole rows and columns and serve both
 # forms: over the rationals they act on the integer rows and, with a fill
 # of 1, on the list of row scales.
-
-
-def _quarters(rows, h):
-    top, bot = rows[:h], rows[h:]
-    return [r[:h] for r in top], [r[h:] for r in top], [r[:h] for r in bot], [r[h:] for r in bot]
 
 
 def _keep_rows(rows, mask, fill):
@@ -454,8 +478,7 @@ class _PrimeBlocks(_Blocks):
         return _gfp_classical(x, y, k, c, self.p)
 
     def _strassen(self, x, y, h, cutoff, counter):
-        p = self.p
-        return [[v % p for v in r] for r in _strassen_raw(x, y, h, cutoff, counter)]
+        return _gfp_strassen(x, y, h, cutoff, counter, self.p)
 
 
 def _fraction_free(rows):
@@ -661,17 +684,14 @@ def blocks(field: FieldSpec):
     return _RationalBlocks(field) if field.kind == "rational" else _PrimeBlocks(field)
 
 
-def _dense_product(x, y, k, c, field, raw):
-    """Canonical rows of x * y for canonical rows x (r x k) and y (k x c).
+def _rational_product(x, y, k, c, field, raw):
+    """Canonical rows of x * y for canonical rational rows x (r x k) and y (k x c).
 
-    ``raw`` is any exact integer product of two lists of rows.  Over the
-    rationals each row of x is scaled to integers over the lcm of its
-    denominators and each column of y likewise; the scaling commutes with
-    the product, so each entry is one integer over dx_i * dy_j.
+    ``raw`` is any exact integer product of two lists of rows.  Each row of
+    x is scaled to integers over the lcm of its denominators and each column
+    of y likewise; the scaling commutes with the product, so each entry is
+    one integer over dx_i * dy_j.
     """
-    if field.kind == "gfp":
-        p = field.modulus
-        return [[v % p for v in r] for r in raw(x, y)]
     zero = field.zero_raw
     if not k:
         return [[zero] * c for _ in x]
@@ -701,7 +721,7 @@ def mat_mul_classical(A: DenseMatrix, B: DenseMatrix, counter: MulCounter | None
     if A.field.kind == "gfp":
         data = _gfp_classical(A._d, B._d, k, c, A.field.modulus)
     else:
-        data = _dense_product(A._d, B._d, k, c, A.field, lambda x, y: _raw_classical(x, y, k, c))
+        data = _rational_product(A._d, B._d, k, c, A.field, lambda x, y: _raw_classical(x, y, k, c))
     return DenseMatrix._wrap(A.field, data, A.rows, c)
 
 
@@ -725,9 +745,12 @@ def mat_mul_strassen(
         raise ValueError("cutoff must be >= 1")
     if counter is None:
         counter = MulCounter()
-    data = _dense_product(
-        A._d, B._d, n, n, A.field, lambda x, y: _strassen_raw(x, y, n, cutoff, counter)
-    )
+    if A.field.kind == "gfp":
+        data = _gfp_strassen(A._d, B._d, n, cutoff, counter, A.field.modulus)
+    else:
+        data = _rational_product(
+            A._d, B._d, n, n, A.field, lambda x, y: _strassen_raw(x, y, n, cutoff, counter)
+        )
     return DenseMatrix._wrap(A.field, data, n, n)
 
 

@@ -11,7 +11,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 
-from .decompose import _leu_padded, leu_decompose
+from .decompose import LeuResult, _leu_padded, leu_decompose
 from .dense import (
     DenseMatrix,
     MulCounter,
@@ -114,6 +114,11 @@ def mat_inverse(
     res = leu_decompose(
         A, counter, method=method, cutoff=cutoff, parallel=parallel, debug_checks=debug_checks
     )
+    return _inverse_from(A, res, counter)
+
+
+def _inverse_from(A: DenseMatrix, res: LeuResult, counter: MulCounter | None) -> DenseMatrix:
+    # the inverse read off a decomposition of the square matrix A
     n = A.rows
     r = res.rank
     if r < n:
@@ -129,9 +134,10 @@ def mat_rank(
     method: str = "classical",
     cutoff: int = 32,
     parallel: bool = False,
+    debug_checks: bool = False,
 ) -> int:
     """Rank of a matrix; rectangular input is padded square with zeros."""
-    return _leu_padded(A, counter, method, cutoff, parallel).rank
+    return _leu_padded(A, counter, method, cutoff, parallel, debug_checks).rank
 
 
 def kernel_basis(
@@ -153,18 +159,22 @@ def kernel_basis(
     unitriangular U never reach below their index, so nothing is lost by
     truncating the padded coordinates).
     """
-    cols = A.cols
-    res = _leu_padded(A, counter, method, cutoff, parallel)
-    covered = {j for _, j in res.E.ones}
-    free = [j for j in range(cols) if j not in covered]
-    ud = res.U._d
-    data = [[ud[i][j] for j in free] for i in range(cols)]
-    K = DenseMatrix._wrap(A.field, data, cols, len(free))
+    K = _kernel_from(A, _leu_padded(A, counter, method, cutoff, parallel, debug_checks))
     if debug_checks:
         prod = mat_mul_classical(A, K, MulCounter())
         if not prod.is_zero():
             raise InvariantError("kernel candidate fails to annihilate")
     return K
+
+
+def _kernel_from(A: DenseMatrix, res: LeuResult) -> DenseMatrix:
+    # the kernel basis read off a decomposition of A padded square
+    cols = A.cols
+    covered = {j for _, j in res.E.ones}
+    free = [j for j in range(cols) if j not in covered]
+    ud = res.U._d
+    data = [[ud[i][j] for j in free] for i in range(cols)]
+    return DenseMatrix._wrap(A.field, data, cols, len(free))
 
 
 def largest_nonsingular_block(

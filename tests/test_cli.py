@@ -165,3 +165,79 @@ def test_module_entrypoint_subprocess():
     )
     assert proc.returncode == 0
     assert proc.stdout == golden("leu_gf7_worked.txt")
+
+
+VERIFY_SINGULAR = "".join(
+    f"{name}: PASS\n"
+    for name in ("lower-triangular", "upper-unitriangular", "reconstruction", "support-form",
+                 "support-form-inverse", "rank-oracle", "kernel-annihilation",
+                 "kernel-nullity-oracle", "inverse-singular-agrees")
+)
+
+
+def _count_calls(monkeypatch, module_names, attr):
+    # wrap one function under every name it is imported as; returns the calls
+    import importlib
+
+    calls = []
+    original = getattr(importlib.import_module(module_names[0]), attr)
+
+    def counted(*args, **kwargs):
+        calls.append(args)
+        return original(*args, **kwargs)
+
+    for name in module_names:
+        monkeypatch.setattr(importlib.import_module(name), attr, counted)
+    return calls
+
+
+@pytest.mark.parametrize(
+    "data,want",
+    [
+        ("gf7_worked.txt", golden("verify_worked.txt")),
+        ("rational_3x3.txt", golden("verify_worked.txt")),
+        ("gf7_nilpotent.txt", VERIFY_SINGULAR),
+        (None, VERIFY_SINGULAR),
+    ],
+    ids=["full-rank", "rational", "singular", "zero"],
+)
+@pytest.mark.parametrize("flags", [[], ["--mul", "strassen", "--cutoff", "1"], ["--debug-checks"]],
+                         ids=["classical", "strassen", "debug-checks"])
+def test_verify_decomposes_once(tmp_path, monkeypatch, capsys, data, want, flags):
+    # every check of verify reads one decomposition: the kernel and the
+    # inverse checks reuse it instead of decomposing the matrix again
+    if data is None:
+        path = tmp_path / "zero.txt"
+        path.write_text("field gfp 7\nrows 3\ncols 3\n0 0 0\n0 0 0\n0 0 0\n")
+    else:
+        path = DATA / data
+    calls = _count_calls(monkeypatch, ["leu.decompose", "leu.derived"], "_leu_padded")
+    assert main(["verify", str(path)] + flags) == 0
+    assert len(calls) == 1
+    assert capsys.readouterr().out == want
+
+
+def test_debug_checks_reach_the_node_checks(monkeypatch, capsys):
+    # with debug_checks the rank and the kernel run the per-node contract
+    # checks of the decomposition they rest on; without it they do not
+    from leu import kernel_basis, mat_rank
+    from leu.textio import parse_matrix
+
+    calls = _count_calls(monkeypatch, ["leu.decompose"], "_debug_node")
+    A = parse_matrix((DATA / "gf7_worked.txt").read_text())
+    wide = parse_matrix("field gfp 7\nrows 2\ncols 3\n3 1 4\n2 5 1\n")
+    for B in (A, wide):
+        plain = kernel_basis(B), mat_rank(B)
+        assert not calls
+        assert kernel_basis(B, debug_checks=True) == plain[0]
+        assert calls
+        calls.clear()
+        assert mat_rank(B, debug_checks=True) == plain[1]
+        assert calls
+        calls.clear()
+    assert main(["rank", str(DATA / "gf7_worked.txt")]) == 0
+    out = capsys.readouterr().out
+    assert not calls
+    assert main(["rank", str(DATA / "gf7_worked.txt"), "--debug-checks"]) == 0
+    assert calls
+    assert capsys.readouterr().out == out

@@ -214,6 +214,40 @@ def test_strassen_and_classical_agree():
     assert (r1.L, r1.E, r1.U) == (r3.L, r3.E, r3.U)
 
 
+def _strassen_tree_count(m, cutoff):
+    # 17 Strassen products of half size per node, four children per node
+    from leu.dense import strassen_count
+
+    if m == 1:
+        return 0
+    return 17 * strassen_count(m // 2, cutoff) + 4 * _strassen_tree_count(m // 2, cutoff)
+
+
+@pytest.mark.parametrize("p", (2, 7, 65521, 2**64 - 59))
+def test_gfp_strassen_decomposition_matches_classical(p):
+    # Strassen over GF(p) works on residues with packed leaves and skips zero
+    # sub-products; L, E, U must be the classical bytes and the count the model
+    r = random.Random(p)
+    F = GF(p)
+    for n in (17, 33, 40):
+        A = rand_matrix(F, n, n, r)
+        d = [row[:] for row in A._d]
+        for i in r.sample(range(n), 3):
+            d[i] = [0] * n
+        for i in range(n // 2):
+            d[i][n // 2:] = [0] * (n - n // 2)
+        A = DenseMatrix(F, d)
+        ref_c = MulCounter()
+        ref = leu_decompose(A, ref_c)
+        m = 1 << (n - 1).bit_length()
+        for cutoff in (1, 2, 8, 32):
+            c = MulCounter()
+            res = leu_decompose(A, c, method="strassen", cutoff=cutoff)
+            assert (str(res.L), res.E.ones, str(res.U)) == (str(ref.L), ref.E.ones, str(ref.U))
+            assert c.scalar_mults == _strassen_tree_count(m, cutoff), (n, cutoff)
+            assert c.scalar_invs == ref_c.scalar_invs
+
+
 def test_parallel_matches_sequential():
     A = rand_matrix(GF65521, 34, 34, rng)
     c_seq, c_par = MulCounter(), MulCounter()

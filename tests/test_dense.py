@@ -356,3 +356,60 @@ def test_gfp_classical_rectangular_matches_schoolbook(p):
             assert got.shape == (rows, cols)
             _assert_same_residues(got._d, _gfp_schoolbook(x, y, k, cols, p))
             assert c.scalar_mults == rows * k * cols
+
+
+# --- GF(p) Strassen on residues -------------------------------------------------
+#
+# Strassen over GF(p) reduces its operand sums mod p and takes every leaf as a
+# packed product; a sub-product with an all-zero operand is skipped.  Values
+# must be the schoolbook residues and the count the model count, whatever was
+# skipped.
+
+
+def _zero_quarter(x, n, which, zero=0):
+    h = n // 2
+    rows = range(h) if which < 2 else range(h, n)
+    cols = range(h) if which % 2 == 0 else range(h, n)
+    x = [row[:] for row in x]
+    for i in rows:
+        for j in cols:
+            x[i][j] = zero
+    return x
+
+
+@pytest.mark.parametrize("p", GFP_PRIMES)
+def test_gfp_strassen_matches_schoolbook(p):
+    from leu.dense import strassen_count
+
+    r = random.Random(900 + p)
+    F = GF(p)
+    for n in (1, 2, 4, 8, 16, 32):
+        for cutoff in (1, 2, 8, 32):
+            if cutoff == 1 and n > 16:
+                continue
+            for kind in ("random", "max", "zero-quarter"):
+                x, y = _gfp_operands(p, n, n, n, r, "max" if kind == "max" else "random")
+                if kind == "zero-quarter" and n > 1:
+                    x = _zero_quarter(x, n, r.randrange(4))
+                    y = _zero_quarter(y, n, r.randrange(4))
+                c = MulCounter()
+                got = mat_mul_strassen(DenseMatrix(F, x), DenseMatrix(F, y), cutoff, c)
+                _assert_same_residues(got._d, _gfp_schoolbook(x, y, n, n, p))
+                assert c.scalar_mults == strassen_count(n, cutoff), (n, cutoff, kind)
+
+
+@pytest.mark.parametrize("field", [GF(7), GF(65521), QQ])
+def test_strassen_zero_quarter_counts_in_full(field):
+    # one zero quarter in either operand makes some sub-products zero at the
+    # top level; they are skipped, and counted as if computed
+    from leu.dense import strassen_count
+
+    r = random.Random(901)
+    for n, cutoff in ((4, 1), (8, 2), (16, 4), (32, 8)):
+        A = rand_matrix(field, n, n, r)
+        for which in range(4):
+            Z = DenseMatrix._wrap(field, _zero_quarter(A._d, n, which, field.zero_raw), n, n)
+            for X, Y in ((Z, A), (A, Z)):
+                c = MulCounter()
+                assert mat_mul_strassen(X, Y, cutoff, c) == mul(X, Y)
+                assert c.scalar_mults == strassen_count(n, cutoff), (n, cutoff, which)

@@ -1,12 +1,17 @@
-"""Wall time of leu_decompose and of one classical product over GF(65521).
+"""Wall time of leu_decompose, of one classical product and of ``leu verify``
+over GF(65521).
 
 Decompositions run on ``cli.bench_matrix(n, seed, 65521)``, the full-rank
-matrix of the ``bench`` command, at n = 64, 128, 256.  Products multiply two
-seeded h x h matrices of uniform residues with ``mat_mul_classical`` at
-h = 8, 16, 32, 64, 128.  Every case is timed REPEAT times after one untimed
-warm-up; the median and the quartiles are printed as one JSON object,
-together with the rank and the multiplication count of each decomposition,
-which the product kernel must not change.
+matrix of the ``bench`` command: with classical products at n = 64, 128, 256
+(``decompose``), and with Strassen products at cutoffs 8 and 32 at n = 64,
+128 (``strassen``, keyed ``n/cutoff``).  Products multiply two seeded h x h
+matrices of uniform residues with ``mat_mul_classical`` at h = 8, 16, 32, 64,
+128 (``product``).  ``verify`` times one in-process ``leu.cli.main(["verify",
+FILE])`` on the n = 40 bench matrix written to a temporary file.  Every case
+is timed REPEAT times after one untimed warm-up; the median and the quartiles
+are printed as one JSON object, together with the rank and the multiplication
+count of each decomposition, which no speed-up may change; the script fails
+if a run of verify reports a failed check.
 
     python tools/bench_gfp.py [--src DIR] [--repeat 5] [--seed 1]
 
@@ -16,17 +21,23 @@ with one copy of this script.
 """
 
 import argparse
+import contextlib
+import io
 import json
 import os
 import platform
 import random
 import statistics
 import sys
+import tempfile
 import time
 
 P = 65521
 DECOMPOSE_SIZES = (64, 128, 256)
+STRASSEN_SIZES = (64, 128)
+STRASSEN_CUTOFFS = (8, 32)
 PRODUCT_SIZES = (8, 16, 32, 64, 128)
+VERIFY_SIZE = 40
 
 
 def _timed(fn, repeat):
@@ -55,7 +66,8 @@ def main(argv=None):
         ap.error("--repeat must be at least 2 for quartiles")
     sys.path.insert(0, os.path.abspath(args.src))
     from leu import GF, DenseMatrix, MulCounter, leu_decompose, mat_mul_classical
-    from leu.cli import bench_matrix
+    from leu.cli import bench_matrix, main as cli_main
+    from leu.textio import format_matrix
 
     out = {
         "python": platform.python_version(),
@@ -63,16 +75,28 @@ def main(argv=None):
         "repeat": args.repeat,
         "seed": args.seed,
         "decompose": {},
+        "strassen": {},
         "product": {},
+        "verify": {},
     }
+
+    def decompose(key, A, **kw):
+        counter = MulCounter()
+        res = leu_decompose(A, counter, **kw)
+        row = _timed(lambda: leu_decompose(A, **kw), args.repeat)
+        row.update(rank=res.rank, scalar_mults=counter.scalar_mults)
+        print(f"{key}: median {row['median_s']:.4f} s", file=sys.stderr)
+        return row
+
     for n in DECOMPOSE_SIZES:
         A = bench_matrix(n, args.seed, P)
-        counter = MulCounter()
-        res = leu_decompose(A, counter)
-        row = _timed(lambda: leu_decompose(A), args.repeat)
-        row.update(rank=res.rank, scalar_mults=counter.scalar_mults)
-        out["decompose"][str(n)] = row
-        print(f"decompose n={n}: median {row['median_s']:.4f} s", file=sys.stderr)
+        out["decompose"][str(n)] = decompose(f"decompose n={n}", A)
+    for n in STRASSEN_SIZES:
+        A = bench_matrix(n, args.seed, P)
+        for cutoff in STRASSEN_CUTOFFS:
+            out["strassen"][f"{n}/{cutoff}"] = decompose(
+                f"strassen n={n} cutoff={cutoff}", A, method="strassen", cutoff=cutoff
+            )
     rng = random.Random(args.seed)
     F = GF(P)
     for h in PRODUCT_SIZES:
@@ -81,6 +105,23 @@ def main(argv=None):
         row = _timed(lambda: mat_mul_classical(X, Y), args.repeat)
         out["product"][str(h)] = row
         print(f"product h={h}: median {row['median_s']:.5f} s", file=sys.stderr)
+    with tempfile.TemporaryDirectory() as tmp:
+        path = os.path.join(tmp, "verify.txt")
+        with open(path, "w", encoding="utf-8") as fh:
+            fh.write(format_matrix(bench_matrix(VERIFY_SIZE, args.seed, P)))
+        passed = []
+
+        def verify():
+            text = io.StringIO()
+            with contextlib.redirect_stdout(text):
+                code = cli_main(["verify", path])
+            passed.append(code == 0 and "FAIL" not in text.getvalue())
+
+        row = _timed(verify, args.repeat)
+        if not all(passed):
+            sys.exit("verify did not pass every check")
+        out["verify"][str(VERIFY_SIZE)] = row
+        print(f"verify n={VERIFY_SIZE}: median {row['median_s']:.4f} s", file=sys.stderr)
     print(json.dumps(out))
 
 
