@@ -22,7 +22,6 @@ from .dense import (
     invert_lower_triangular,
     invert_upper_unitriangular,
     mat_mul_classical,
-    mat_mul_strassen,
     pad_to_pow2,
 )
 from .derived import (
@@ -74,7 +73,6 @@ __all__ = [
     "leu_verify",
     "mat_inverse",
     "mat_mul_classical",
-    "mat_mul_strassen",
     "mat_rank",
     "pad_to_pow2",
     "parse_matrix",

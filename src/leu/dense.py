@@ -14,9 +14,15 @@ right operand into one integer of fixed-width slots, wide enough that the
 sum of a row's products never carries from one slot into the next; an
 output row is then one multiply-accumulate of residues against the packed
 rows, cut back into its slots and reduced once per entry (see
-``_gfp_classical``).  Strassen products over GF(p) recurse on residues:
-the sums and differences that feed each sub-product are reduced mod p, every
-leaf is such a packed product, and the unreduced result is reduced once per
+``_gfp_classical``).  Strassen products over GF(p) run on such packed rows
+from top to bottom (see ``_gfp_strassen``): both operands are packed once,
+with one slot width that a closed-form bound in n, the cutoff and p shows
+no slot outgrows anywhere in the recursion.  A quarter is one mask or shift
+per row, an operand sum one add per row, and a difference or a combination
+of the seven sub-products adds, before each subtraction, a multiple of p at
+least the bound of what it subtracts, so no slot goes negative.  Leaves cut
+the left operand's rows into scalars and multiply-accumulate them against
+the right operand's packed rows; the result is cut and reduced once per
 entry at the top.  Over the rationals products are fraction-free: the public
 products scale each row of the left operand and each column of the right one
 to integers over the lcm of its denominators, multiply the integer matrices
@@ -214,33 +220,41 @@ def _raw_classical(x, y, inner, out_cols):
 _STRUCT_CODES = {1: "B", 2: "H", 4: "I", 8: "Q"}
 
 
-def _gfp_classical(x, y, k, c, p, reduce=True):
+def _slots(bound, c):
+    # Slot bytes, a packer of one row into bytes and a cutter of bytes back
+    # into a row, for rows of c slots that hold values up to bound.  A row
+    # read as a little-endian integer has slot j at byte j * size, so
+    # whole-row integer sums are slot-wise sums while no slot leaves
+    # [0, 2^(8 size)).  Slots of 1, 2, 4 or 8 bytes are packed and cut by
+    # struct in C, wider ones by byte slices.
+    width = (bound.bit_length() + 7) // 8
+    size = next((s for s in _STRUCT_CODES if s >= width), width)
+    code = _STRUCT_CODES.get(size)
+    if code:
+        s = Struct(f"<{c}{code}")
+        return size, s.pack, s.unpack
+
+    def pack(*row):
+        return b"".join([v.to_bytes(size, "little") for v in row])
+
+    def cut(b):
+        return [int.from_bytes(b[j : j + size], "little") for j in range(0, size * c, size)]
+
+    return size, pack, cut
+
+
+def _gfp_classical(x, y, k, c, p):
     # Canonical rows of x * y (r x k times k x c) for residues in [0, p).
     # Each row of y is packed into one integer of c slots, so row i of the
     # product is one multiply-accumulate of x[i] against the packed rows.
     # A slot sums k products of residues, at most k(p-1)^2, and its width
-    # holds that, so no slot carries into the next.  Slots of 1, 2, 4 or 8
-    # bytes are packed and cut by struct in C, wider ones by byte slices.
-    # Without reduce the rows are those slot sums, as sequences.
-    width = ((k * (p - 1) ** 2).bit_length() + 7) // 8
-    size = next((s for s in _STRUCT_CODES if s >= width), width)
+    # holds that, so no slot carries into the next.
+    size, pack, cut = _slots(k * (p - 1) ** 2, c)
     n = size * c
     fb = int.from_bytes
-    code = _STRUCT_CODES.get(size)
-    if code:
-        s = Struct(f"<{c}{code}")
-        packed = [fb(s.pack(*row), "little") for row in y]
-        cut = s.unpack
-    else:
-        packed = [fb(b"".join([v.to_bytes(size, "little") for v in row]), "little") for row in y]
-
-        def cut(b):
-            return [fb(b[j : j + size], "little") for j in range(0, n, size)]
-
+    packed = [fb(pack(*row), "little") for row in y]
     zrow = [0] * c
     sums = (sum(map(_mul, r, packed)) for r in x)
-    if not reduce:
-        return [cut(z.to_bytes(n, "little")) if z else zrow for z in sums]
     return [[v % p for v in cut(z.to_bytes(n, "little"))] if z else zrow for z in sums]
 
 
@@ -249,51 +263,48 @@ def _quarters(rows, h):
     return [r[:h] for r in top], [r[h:] for r in top], [r[:h] for r in bot], [r[h:] for r in bot]
 
 
-def _radd(x, y, p):
-    if p:
-        return [[(a + b) % p for a, b in zip(rx, ry)] for rx, ry in zip(x, y)]
+def _radd(x, y):
     return [[a + b for a, b in zip(rx, ry)] for rx, ry in zip(x, y)]
 
 
-def _rsub(x, y, p):
-    if p:
-        return [[(a - b) % p for a, b in zip(rx, ry)] for rx, ry in zip(x, y)]
+def _rsub(x, y):
     return [[a - b for a, b in zip(rx, ry)] for rx, ry in zip(x, y)]
 
 
-def _strassen_raw(x, y, n, cutoff, counter, p=0):
-    # Unreduced ring arithmetic; callers canonicalize the final entries.
-    # With a prime p the operands are residues, and so are the operands of
-    # every sub-product: their sums and differences are reduced mod p, and
-    # each leaf is a packed product.
+def _strassen2(a, b, c, d, e, f, g, h):
+    # [[a, b], [c, d]] * [[e, f], [g, h]] from Strassen's seven products, as
+    # its entries in row order; each equals its classical sum, ae + bg and so
+    # on, so nonnegative operands give nonnegative entries
+    m1 = (a + d) * (e + h)
+    m2 = (c + d) * e
+    m3 = a * (f - h)
+    m4 = d * (g - e)
+    m5 = (a + b) * h
+    m6 = (c - a) * (e + f)
+    m7 = (b - d) * (g + h)
+    return m1 + m4 - m5 + m7, m3 + m5, m2 + m4, m1 - m2 + m3 + m6
+
+
+def _strassen_raw(x, y, n, cutoff, counter):
+    # Unreduced integer arithmetic; callers canonicalize the final entries.
     if n <= cutoff:
         counter.scalar_mults += n * n * n
-        return _gfp_classical(x, y, n, n, p, reduce=False) if p else _raw_classical(x, y, n, n)
+        return _raw_classical(x, y, n, n)
     if n == 2:
         counter.scalar_mults += 7
-        a, b = x[0]
-        c, d = x[1]
-        e, f = y[0]
-        g, h = y[1]
-        m1 = (a + d) * (e + h)
-        m2 = (c + d) * e
-        m3 = a * (f - h)
-        m4 = d * (g - e)
-        m5 = (a + b) * h
-        m6 = (c - a) * (e + f)
-        m7 = (b - d) * (g + h)
-        return [[m1 + m4 - m5 + m7, m3 + m5], [m2 + m4, m1 - m2 + m3 + m6]]
+        c11, c12, c21, c22 = _strassen2(*x[0], *x[1], *y[0], *y[1])
+        return [[c11, c12], [c21, c22]]
     h2 = n >> 1
     x11, x12, x21, x22 = _quarters(x, h2)
     y11, y12, y21, y22 = _quarters(y, h2)
-    args = (h2, cutoff, counter, p)
-    m1 = _strassen_sub(_radd(x11, x22, p), _radd(y11, y22, p), *args)
-    m2 = _strassen_sub(_radd(x21, x22, p), y11, *args)
-    m3 = _strassen_sub(x11, _rsub(y12, y22, p), *args)
-    m4 = _strassen_sub(x22, _rsub(y21, y11, p), *args)
-    m5 = _strassen_sub(_radd(x11, x12, p), y22, *args)
-    m6 = _strassen_sub(_rsub(x21, x11, p), _radd(y11, y12, p), *args)
-    m7 = _strassen_sub(_rsub(x12, x22, p), _radd(y21, y22, p), *args)
+    args = (h2, cutoff, counter)
+    m1 = _strassen_sub(_radd(x11, x22), _radd(y11, y22), *args)
+    m2 = _strassen_sub(_radd(x21, x22), y11, *args)
+    m3 = _strassen_sub(x11, _rsub(y12, y22), *args)
+    m4 = _strassen_sub(x22, _rsub(y21, y11), *args)
+    m5 = _strassen_sub(_radd(x11, x12), y22, *args)
+    m6 = _strassen_sub(_rsub(x21, x11), _radd(y11, y12), *args)
+    m7 = _strassen_sub(_rsub(x12, x22), _radd(y21, y22), *args)
     top = [
         [a + d - e + g for a, d, e, g in zip(r1, r4, r5, r7)] + [c + e for c, e in zip(r3, r5)]
         for r1, r3, r4, r5, r7 in zip(m1, m3, m4, m5, m7)
@@ -304,18 +315,112 @@ def _strassen_raw(x, y, n, cutoff, counter, p=0):
     ]
 
 
-def _strassen_sub(x, y, h, cutoff, counter, p):
+def _strassen_sub(x, y, h, cutoff, counter):
     # one half-size sub-product; with an all-zero operand it is skipped and
     # counted in full
     if any(map(any, x)) and any(map(any, y)):
-        return _strassen_raw(x, y, h, cutoff, counter, p)
+        return _strassen_raw(x, y, h, cutoff, counter)
     counter.scalar_mults += strassen_count(h, cutoff)
     return [[0] * h] * h
 
 
+def _packed_quarters(rows, h, s):
+    # quarters of packed rows whose left halves take the low s bits
+    mask = (1 << s) - 1
+    top, bot = rows[:h], rows[h:]
+    return ([r & mask for r in top], [r >> s for r in top],
+            [r & mask for r in bot], [r >> s for r in bot])
+
+
+def _padd(x, y):
+    return [a + b for a, b in zip(x, y)]
+
+
+def _psub(x, y, bias):
+    # x - y on packed rows plus a bias at least y's bound in every slot; equal
+    # rows give zero rows, so an all-zero difference is still skipped
+    return [a - b + bias if a != b else 0 for a, b in zip(x, y)]
+
+
 def _gfp_strassen(x, y, n, cutoff, counter, p):
-    # canonical rows of the Strassen product of two n x n blocks of residues
-    return [[v % p for v in r] for r in _strassen_raw(x, y, n, cutoff, counter, p)]
+    # Canonical rows of the Strassen product of two n x n blocks of residues.
+    # The recursion runs on packed rows: a block is a list of row integers of
+    # w-bit slots, so a quarter is one mask or shift per row and a sum one
+    # add per row.  Nothing is reduced until the top, so slots only grow:
+    #   - an operand at depth d is below 2^d p: a sum doubles the bound, and
+    #     a difference a - b adds 2^d p, a multiple of p at least b's bound,
+    #     so no slot goes negative;
+    #   - a leaf product (depth D, size m: a packed leaf, or the scalar 2 x 2
+    #     base, whose Strassen sums equal the classical ones) sums m products
+    #     of operands, at most m (2^D p - 1)^2; round that up to a multiple
+    #     P of p;
+    #   - combining seven products adds the products' bound before each
+    #     subtraction, so the bound grows 4x per level up, to 4^D P at the top.
+    # One slot width holds 4^D P; it is cut and reduced once per entry there.
+    if n <= cutoff:
+        counter.scalar_mults += n * n * n
+        return _gfp_classical(x, y, n, n, p)
+    depth, leaf = 0, n
+    while leaf > cutoff and leaf > 2:
+        depth += 1
+        leaf >>= 1
+    amax = (p << depth) - 1
+    top = -(-leaf * amax * amax // p) * p << 2 * depth
+    size, pack, cut = _slots(top, n)
+    leaf_cut = _slots(top, leaf)[2]
+    leaf_bytes = size * leaf
+    w = 8 * size
+    one = (1 << w) - 1
+    bias = {}
+    m, d = n, 0
+    while m > leaf:
+        # slot-wise 2^d p for operand differences, and the bound of the
+        # quarter products for their combination
+        ones = ((1 << (m >> 1) * w) - 1) // one
+        bias[m] = ((p << d) * ones, (top >> 2 * d + 2) * ones)
+        m >>= 1
+        d += 1
+
+    def product(x, y, n):
+        # one half-size sub-product; with an all-zero operand it is skipped
+        # and counted in full
+        if any(x) and any(y):
+            return rec(x, y, n)
+        counter.scalar_mults += strassen_count(n, cutoff)
+        return [0] * n
+
+    def rec(x, y, n):
+        if n <= cutoff:
+            counter.scalar_mults += n * n * n
+            return [sum(map(_mul, leaf_cut(r.to_bytes(leaf_bytes, "little")), y)) if r else 0
+                    for r in x]
+        if n == 2:
+            counter.scalar_mults += 7
+            (x0, x1), (y0, y1) = x, y
+            c11, c12, c21, c22 = _strassen2(x0 & one, x0 >> w, x1 & one, x1 >> w,
+                                            y0 & one, y0 >> w, y1 & one, y1 >> w)
+            return [c11 | c12 << w, c21 | c22 << w]
+        h = n >> 1
+        s = h * w
+        ob, pb = bias[n]
+        x11, x12, x21, x22 = _packed_quarters(x, h, s)
+        y11, y12, y21, y22 = _packed_quarters(y, h, s)
+        m1 = product(_padd(x11, x22), _padd(y11, y22), h)
+        m2 = product(_padd(x21, x22), y11, h)
+        m3 = product(x11, _psub(y12, y22, ob), h)
+        m4 = product(x22, _psub(y21, y11, ob), h)
+        m5 = product(_padd(x11, x12), y22, h)
+        m6 = product(_psub(x21, x11, ob), _padd(y11, y12), h)
+        m7 = product(_psub(x12, x22, ob), _padd(y21, y22), h)
+        return [a + d + g + pb - e | (c + e) << s for a, c, d, e, g in zip(m1, m3, m4, m5, m7)] + [
+            b + d | (a + c + f + pb - b) << s for a, b, c, d, f in zip(m1, m2, m3, m4, m6)
+        ]
+
+    fb = int.from_bytes
+    nb = size * n
+    zrow = [0] * n
+    z = rec([fb(pack(*r), "little") for r in x], [fb(pack(*r), "little") for r in y], n)
+    return [[v % p for v in cut(r.to_bytes(nb, "little"))] if r else zrow for r in z]
 
 
 def strassen_count(n: int, cutoff: int) -> int:
@@ -723,35 +828,6 @@ def mat_mul_classical(A: DenseMatrix, B: DenseMatrix, counter: MulCounter | None
     else:
         data = _rational_product(A._d, B._d, k, c, A.field, lambda x, y: _raw_classical(x, y, k, c))
     return DenseMatrix._wrap(A.field, data, A.rows, c)
-
-
-def mat_mul_strassen(
-    A: DenseMatrix, B: DenseMatrix, cutoff: int = 32, counter: MulCounter | None = None
-) -> DenseMatrix:
-    """Strassen product for square power-of-two operands.
-
-    Falls back to the classical kernel at or below ``cutoff``; above it each
-    level performs 7 recursive half-size products.  The result is bitwise
-    identical to :func:`mat_mul_classical`.
-    """
-    if A.field != B.field:
-        raise FieldMismatchError(f"mixed fields {A.field!r} and {B.field!r}")
-    n = A.rows
-    if A.shape != (n, n) or B.shape != (n, n):
-        raise ShapeError(f"operands must be equal square matrices, got {A.shape} and {B.shape}")
-    if n < 1 or n & (n - 1):
-        raise ShapeError(f"dimension {n} is not a power of two")
-    if cutoff < 1:
-        raise ValueError("cutoff must be >= 1")
-    if counter is None:
-        counter = MulCounter()
-    if A.field.kind == "gfp":
-        data = _gfp_strassen(A._d, B._d, n, cutoff, counter, A.field.modulus)
-    else:
-        data = _rational_product(
-            A._d, B._d, n, n, A.field, lambda x, y: _strassen_raw(x, y, n, cutoff, counter)
-        )
-    return DenseMatrix._wrap(A.field, data, n, n)
 
 
 def pad_to_pow2(A: DenseMatrix) -> DenseMatrix:

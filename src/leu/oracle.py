@@ -4,7 +4,9 @@ Gaussian elimination with pivoting, the classic algorithm family the
 decomposition core deliberately avoids.  Agreement between the two routes
 is therefore meaningful.  Nothing in the decomposition path calls into
 this module; it backs the test-suite and the CLI ``verify`` command only.
-Performance is a non-goal here.
+It is on the ``verify`` path, so its row operations are whole-row list
+expressions in plain integer or rational arithmetic, reduced mod p over
+GF(p), rather than the decomposition's kernels.
 """
 
 from __future__ import annotations
@@ -13,9 +15,20 @@ from .dense import DenseMatrix, MulCounter, mat_mul_classical
 from .errors import ShapeError, SingularError
 
 
+def _row_ops(field):
+    """(f * row, row - f * pivot row), entry by entry, in plain arithmetic."""
+    if field.kind == "gfp":
+        p = field.modulus
+        return (lambda f, row: [f * v % p for v in row],
+                lambda row, f, prow: [(v - f * pv) % p for v, pv in zip(row, prow)])
+    return (lambda f, row: [f * v for v in row],
+            lambda row, f, prow: [v - f * pv for v, pv in zip(row, prow)])
+
+
 def gauss_rank(A: DenseMatrix) -> int:
     """Rank by row reduction with full pivoting."""
     field = A.field
+    mul, axpy = field.mul, _row_ops(field)[1]
     m = [list(r) for r in A._d]
     nrows, ncols = A.rows, A.cols
     rank = 0
@@ -37,15 +50,12 @@ def gauss_rank(A: DenseMatrix) -> int:
             for row in m:
                 row[rank], row[pj] = row[pj], row[rank]
         inv_p = field.inv(m[rank][rank])
-        mul, sub = field.mul, field.sub
-        prow = m[rank]
+        prow = m[rank][rank:]
         for i in range(rank + 1, nrows):
             f = m[i][rank]
             if f:
-                f = mul(f, inv_p)
                 ri = m[i]
-                for j in range(rank, ncols):
-                    ri[j] = sub(ri[j], mul(f, prow[j]))
+                ri[rank:] = axpy(ri[rank:], mul(f, inv_p), prow)
         rank += 1
 
 
@@ -54,7 +64,7 @@ def _row_echelon(A: DenseMatrix):
     field = A.field
     m = [list(r) for r in A._d]
     nrows, ncols = A.rows, A.cols
-    mul, sub = field.mul, field.sub
+    mul, axpy = field.mul, _row_ops(field)[1]
     pivots = []
     prow = 0
     for col in range(ncols):
@@ -68,14 +78,12 @@ def _row_echelon(A: DenseMatrix):
         if found != prow:
             m[prow], m[found] = m[found], m[prow]
         inv_p = field.inv(m[prow][col])
+        pr = m[prow][col:]
         for i in range(prow + 1, nrows):
             f = m[i][col]
             if f:
-                f = mul(f, inv_p)
                 ri = m[i]
-                pr = m[prow]
-                for j in range(col, ncols):
-                    ri[j] = sub(ri[j], mul(f, pr[j]))
+                ri[col:] = axpy(ri[col:], mul(f, inv_p), pr)
         pivots.append(col)
         prow += 1
         if prow == nrows:
@@ -115,7 +123,7 @@ def gauss_inverse(A: DenseMatrix) -> DenseMatrix:
     if A.cols != n:
         raise ShapeError(f"expected a square matrix, got {A.shape}")
     field = A.field
-    mul, sub, inv = field.mul, field.sub, field.inv
+    scale, axpy = _row_ops(field)
     z, o = field.zero_raw, field.one_raw
     m = [list(r) + [o if i == j else z for j in range(n)] for i, r in enumerate(A._d)]
     for col in range(n):
@@ -129,13 +137,15 @@ def gauss_inverse(A: DenseMatrix) -> DenseMatrix:
                                 rank=gauss_rank(A))
         if found != col:
             m[col], m[found] = m[found], m[col]
-        inv_p = inv(m[col][col])
-        m[col] = [mul(v, inv_p) for v in m[col]]
+        # left of col the pivot row is zero
         prow = m[col]
+        prow[col:] = scale(field.inv(prow[col]), prow[col:])
+        prow = prow[col:]
         for i in range(n):
-            if i != col and m[i][col]:
-                f = m[i][col]
-                m[i] = [sub(v, mul(f, pv)) for v, pv in zip(m[i], prow)]
+            f = m[i][col]
+            if i != col and f:
+                ri = m[i]
+                ri[col:] = axpy(ri[col:], f, prow)
     data = [row[n:] for row in m]
     return DenseMatrix._wrap(field, data, n, n)
 

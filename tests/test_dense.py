@@ -14,8 +14,8 @@ from leu import (
     SingularError,
     invert_lower_triangular,
     invert_upper_unitriangular,
+    leu_decompose,
     mat_mul_classical,
-    mat_mul_strassen,
     pad_to_pow2,
 )
 from helpers import FIELDS, GF7, mul, rand_matrix
@@ -72,34 +72,53 @@ def test_classical_shape_error():
         mat_mul_classical(rand_matrix(GF7, 2, 3, rng), rand_matrix(GF7, 2, 3, rng))
 
 
+def _strassen(A, B, cutoff, counter=None):
+    """Strassen product of two equal power-of-two squares: the packed kernel
+    over GF(p), the integer recursion under fraction-free scaling over QQ."""
+    from leu.dense import _gfp_strassen, _rational_product, _strassen_raw
+
+    n = A.rows
+    c = MulCounter() if counter is None else counter
+    if A.field.kind == "gfp":
+        data = _gfp_strassen(A._d, B._d, n, cutoff, c, A.field.modulus)
+    else:
+        data = _rational_product(A._d, B._d, n, n, A.field,
+                                 lambda x, y: _strassen_raw(x, y, n, cutoff, c))
+    return DenseMatrix._wrap(A.field, data, n, n)
+
+
 @pytest.mark.parametrize("field", FIELDS)
 @pytest.mark.parametrize("n", [1, 2, 4, 8])
 def test_strassen_matches_classical(field, n):
     A = rand_matrix(field, n, n, rng)
     B = rand_matrix(field, n, n, rng)
-    assert mat_mul_strassen(A, B, 2) == mul(A, B)
+    assert _strassen(A, B, 2) == mul(A, B)
 
 
 def test_strassen_counts():
     A = rand_matrix(GF(65521), 8, 8, rng)
     c = MulCounter()
-    mat_mul_strassen(A, A, 1, c)
+    _strassen(A, A, 1, c)
     assert c.scalar_mults == 343
     c = MulCounter()
-    mat_mul_strassen(A, A, 8, c)
+    _strassen(A, A, 8, c)
     assert c.scalar_mults == 512  # immediate classical fallback
     c = MulCounter()
-    mat_mul_strassen(A, A, 4, c)
+    _strassen(A, A, 4, c)
     assert c.scalar_mults == 7 * 64
 
 
 def test_strassen_validation():
+    # Strassen products are reached through leu_decompose, which pads any
+    # square to a power of two and rejects other shapes and a cutoff below 1
     A = rand_matrix(GF7, 3, 3, rng)
+    s, k = leu_decompose(A, method="strassen", cutoff=2), leu_decompose(A)
+    assert (s.L, s.E, s.U) == (k.L, k.E, k.U)
     with pytest.raises(ShapeError):
-        mat_mul_strassen(A, A, 2)
+        leu_decompose(rand_matrix(GF7, 3, 4, rng), method="strassen", cutoff=2)
     B = rand_matrix(GF7, 4, 4, rng)
     with pytest.raises(ValueError):
-        mat_mul_strassen(B, B, 0)
+        leu_decompose(B, method="strassen", cutoff=0)
 
 
 def test_pad_to_pow2():
@@ -252,7 +271,7 @@ def test_rational_strassen_matches_schoolbook(seed):
     for n, cutoff, count in ((1, 1, 1), (2, 1, 7), (4, 1, 49), (8, 2, 7 * 7 * 8), (8, 8, 512)):
         A, B = _mixed_rational(n, n, r), _mixed_rational(n, n, r)
         c = MulCounter()
-        _assert_same_bytes(mat_mul_strassen(A, B, cutoff, c), _schoolbook(A, B))
+        _assert_same_bytes(_strassen(A, B, cutoff, c), _schoolbook(A, B))
         assert c.scalar_mults == count
 
 
@@ -288,7 +307,7 @@ def test_zero_operand_products_keep_their_count():
         Z = DenseMatrix.zeros(field, 8, 8)
         c = MulCounter()
         assert mat_mul_classical(Z, A, c) == Z
-        assert mat_mul_strassen(A, Z, 2, c) == Z
+        assert _strassen(A, Z, 2, c) == Z
         assert c.scalar_mults == 512 + 7 * 7 * 8
 
 
@@ -360,10 +379,10 @@ def test_gfp_classical_rectangular_matches_schoolbook(p):
 
 # --- GF(p) Strassen on residues -------------------------------------------------
 #
-# Strassen over GF(p) reduces its operand sums mod p and takes every leaf as a
-# packed product; a sub-product with an all-zero operand is skipped.  Values
-# must be the schoolbook residues and the count the model count, whatever was
-# skipped.
+# Strassen over GF(p) recurses on packed rows, keeps every slot nonnegative
+# with multiples of p and reduces once at the top; a sub-product with an
+# all-zero operand is skipped.  Values must be the schoolbook residues and the
+# count the model count, whatever was skipped.
 
 
 def _zero_quarter(x, n, which, zero=0):
@@ -379,10 +398,9 @@ def _zero_quarter(x, n, which, zero=0):
 
 @pytest.mark.parametrize("p", GFP_PRIMES)
 def test_gfp_strassen_matches_schoolbook(p):
-    from leu.dense import strassen_count
+    from leu.dense import _gfp_strassen, strassen_count
 
     r = random.Random(900 + p)
-    F = GF(p)
     for n in (1, 2, 4, 8, 16, 32):
         for cutoff in (1, 2, 8, 32):
             if cutoff == 1 and n > 16:
@@ -393,8 +411,8 @@ def test_gfp_strassen_matches_schoolbook(p):
                     x = _zero_quarter(x, n, r.randrange(4))
                     y = _zero_quarter(y, n, r.randrange(4))
                 c = MulCounter()
-                got = mat_mul_strassen(DenseMatrix(F, x), DenseMatrix(F, y), cutoff, c)
-                _assert_same_residues(got._d, _gfp_schoolbook(x, y, n, n, p))
+                got = _gfp_strassen(x, y, n, cutoff, c, p)
+                _assert_same_residues(got, _gfp_schoolbook(x, y, n, n, p))
                 assert c.scalar_mults == strassen_count(n, cutoff), (n, cutoff, kind)
 
 
@@ -411,5 +429,29 @@ def test_strassen_zero_quarter_counts_in_full(field):
             Z = DenseMatrix._wrap(field, _zero_quarter(A._d, n, which, field.zero_raw), n, n)
             for X, Y in ((Z, A), (A, Z)):
                 c = MulCounter()
-                assert mat_mul_strassen(X, Y, cutoff, c) == mul(X, Y)
+                assert _strassen(X, Y, cutoff, c) == mul(X, Y)
                 assert c.scalar_mults == strassen_count(n, cutoff), (n, cutoff, which)
+
+
+@pytest.mark.parametrize("p", GFP_PRIMES)
+def test_gfp_strassen_slot_bounds_at_depth(p):
+    # The deepest recursions grow the slots the most.  All-(p-1) operands make
+    # every sum and product its largest; a zero quarter against p - 1 makes a
+    # difference subtract the most from nothing, at the top and, in the
+    # self-similar operand whose bottom-left quarter is zero at every level,
+    # at every depth.  p = 2 has the narrowest slots, 2^64 - 59 slots wider
+    # than 8 bytes.
+    from leu.dense import _gfp_strassen, strassen_count
+
+    for n, cutoff in ((32, 1), (64, 2)):
+        full = [[p - 1] * n for _ in range(n)]
+        nested = [[0 if i & ~j else p - 1 for j in range(n)] for i in range(n)]
+        operands = [(full, full), (nested, full), (full, nested), (nested, nested)]
+        for which in range(4):
+            z = _zero_quarter(full, n, which)
+            operands += [(z, full), (full, z)]
+        for x, y in operands:
+            c = MulCounter()
+            got = _gfp_strassen(x, y, n, cutoff, c, p)
+            _assert_same_residues(got, _gfp_schoolbook(x, y, n, n, p))
+            assert c.scalar_mults == strassen_count(n, cutoff), (n, cutoff)

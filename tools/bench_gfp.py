@@ -4,7 +4,8 @@ over GF(65521).
 Decompositions run on ``cli.bench_matrix(n, seed, 65521)``, the full-rank
 matrix of the ``bench`` command: with classical products at n = 64, 128, 256
 (``decompose``), and with Strassen products at cutoffs 8 and 32 at n = 64,
-128 (``strassen``, keyed ``n/cutoff``).  Products multiply two seeded h x h
+128 and at cutoff 1 at n = 64, the deepest recursion (``strassen``, keyed
+``n/cutoff``).  Products multiply two seeded h x h
 matrices of uniform residues with ``mat_mul_classical`` at h = 8, 16, 32, 64,
 128 (``product``).  ``verify`` times one in-process ``leu.cli.main(["verify",
 FILE])`` on the n = 40 bench matrix written to a temporary file.  Every case
@@ -34,8 +35,7 @@ import time
 
 P = 65521
 DECOMPOSE_SIZES = (64, 128, 256)
-STRASSEN_SIZES = (64, 128)
-STRASSEN_CUTOFFS = (8, 32)
+STRASSEN_CASES = ((64, 1), (64, 8), (64, 32), (128, 8), (128, 32))  # (n, cutoff)
 PRODUCT_SIZES = (8, 16, 32, 64, 128)
 VERIFY_SIZE = 40
 
@@ -91,12 +91,11 @@ def main(argv=None):
     for n in DECOMPOSE_SIZES:
         A = bench_matrix(n, args.seed, P)
         out["decompose"][str(n)] = decompose(f"decompose n={n}", A)
-    for n in STRASSEN_SIZES:
+    for n, cutoff in STRASSEN_CASES:
         A = bench_matrix(n, args.seed, P)
-        for cutoff in STRASSEN_CUTOFFS:
-            out["strassen"][f"{n}/{cutoff}"] = decompose(
-                f"strassen n={n} cutoff={cutoff}", A, method="strassen", cutoff=cutoff
-            )
+        out["strassen"][f"{n}/{cutoff}"] = decompose(
+            f"strassen n={n} cutoff={cutoff}", A, method="strassen", cutoff=cutoff
+        )
     rng = random.Random(args.seed)
     F = GF(P)
     for h in PRODUCT_SIZES:
