@@ -5,8 +5,9 @@ triangular L, an upper unitriangular U and a truncated permutation E with
 the same rank as A, such that L*A*U equals E exactly.  Equivalently
 A = L^-1 * E * U^-1.  No entry is ever searched for or swapped: the block
 layout of the recursion is fixed in advance, so identical inputs take
-identical paths regardless of the data, and independent branches may run
-concurrently with bitwise-identical results.
+identical paths regardless of the data.  The two middle recursions of a node
+are independent of each other, so they can be evaluated in either order with
+bitwise-identical results; ``parallel=True`` runs them in the opposite order.
 
 Each recursion node on a 2n x 2n block performs exactly 17 dense n x n
 products (counted through the supplied MulCounter) plus additions and
@@ -37,7 +38,6 @@ they document where the algorithm is allowed to place nonzero entries.
 
 from __future__ import annotations
 
-import threading
 from dataclasses import dataclass
 
 from .dense import (
@@ -54,10 +54,6 @@ from .dense import (
 )
 from .errors import InvariantError, ShapeError
 from .perms import DiagIdem, TruncPerm, _col_mask, _row_mask, tp_to_dense
-
-# spawn threads for the two independent middle recursions only above this
-# child size; below it thread overhead dominates
-_SPAWN_MIN = 16
 
 
 @dataclass
@@ -91,9 +87,9 @@ class VerifyReport:
 class _Plan:
     """Per-call context shared by every node of one decomposition."""
 
-    __slots__ = ("k", "mm", "debug", "log", "parallel", "count", "_tree")
+    __slots__ = ("k", "mm", "debug", "skip_zero", "reverse", "rec", "count", "_tree")
 
-    def __init__(self, field, method, cutoff, debug, log, parallel):
+    def __init__(self, field, method, cutoff, debug, reverse, log):
         k = blocks(field)
         if method == "classical":
             def mm(x, y, h, counter):
@@ -116,8 +112,10 @@ class _Plan:
         self.mm = mm
         self.count = count
         self.debug = debug
-        self.log = log
-        self.parallel = parallel
+        self.reverse = reverse
+        # a logged run visits every node, zero blocks included
+        self.skip_zero = log is None
+        self.rec = _leu_rec if log is None else _logged(log)
         self._tree = {1: 0}
 
     def tree_mults(self, n):
@@ -177,6 +175,24 @@ def _debug_node(l, e, u, n, im, jm, one):
             _ensure(_unit_column(u, n, j, one), "U has a non-unit column outside the support")
 
 
+def _logged(log):
+    # the recursion, appending (size, own count) to log per internal node;
+    # a node's own count leaves out what its four children count
+    kids = [0]  # counted by the children of the node now running
+
+    def rec(a, n, im, jm, plan, counter):
+        outer, kids[0] = kids[0], 0
+        start = counter.scalar_mults
+        out = _leu_rec(a, n, im, jm, plan, counter)
+        total = counter.scalar_mults - start
+        if n > 1:
+            log.append((n, total - kids[0]))
+        kids[0] = outer + total
+        return out
+
+    return rec
+
+
 def _leu_rec(a, n, im, jm, plan, counter):
     # a is a block in the form of plan.k; so are the returned L and U
     K = plan.k
@@ -191,8 +207,7 @@ def _leu_rec(a, n, im, jm, plan, counter):
     if plan.debug and _outside_support(K.nums(a), n, im, jm):
         raise ShapeError("block has entries outside its (I, J) support")
 
-    log = plan.log
-    if log is None and K.is_zero(a):
+    if plan.skip_zero and K.is_zero(a):
         # every node below sees zeros only: L = U = I, E = 0, counted in full
         counter.scalar_mults += plan.tree_mults(n)
         one = K.identity(n)
@@ -204,14 +219,9 @@ def _leu_rec(a, n, im, jm, plan, counter):
     j1, j2 = jm & hm, jm >> h
     a11, a12, a21, a22 = K.split(a, h)
     mm = plan.mm
-    if log is not None:
-        start = counter.scalar_mults
-        kids = 0
-        before = counter.scalar_mults
+    rec = plan.rec
 
-    l11, e11, u11 = _leu_rec(a11, h, i1, j1, plan, counter)
-    if log is not None:
-        kids += counter.scalar_mults - before
+    l11, e11, u11 = rec(a11, h, i1, j1, plan, counter)
 
     q = mm(l11, a12, h, counter)
     b = mm(a21, u11, h, counter)
@@ -225,30 +235,13 @@ def _leu_rec(a, n, im, jm, plan, counter):
     t = K.perm_cols(b, e11, h)
     a1_22 = K.sub(a22, mm(t, q, h, counter))
 
-    im12, jm12 = ib11 & i1, j2
-    im21, jm21 = i2, jb11 & j1
-    if plan.parallel and h >= _SPAWN_MIN and log is None:
-        # the two middle recursions are mutually independent
-        c12, c21 = MulCounter(), MulCounter()
-        box = {}
-
-        def _left_branch():
-            box["r"] = _leu_rec(a1_12, h, im12, jm12, plan, c12)
-
-        th = threading.Thread(target=_left_branch)
-        th.start()
-        l21, e21, u21 = _leu_rec(a1_21, h, im21, jm21, plan, c21)
-        th.join()
-        l12, e12, u12 = box["r"]
-        counter.merge(c12)
-        counter.merge(c21)
+    # the two middle recursions are independent: either order gives the same
+    if plan.reverse:
+        l21, e21, u21 = rec(a1_21, h, i2, jb11 & j1, plan, counter)
+        l12, e12, u12 = rec(a1_12, h, ib11 & i1, j2, plan, counter)
     else:
-        if log is not None:
-            before = counter.scalar_mults
-        l12, e12, u12 = _leu_rec(a1_12, h, im12, jm12, plan, counter)
-        l21, e21, u21 = _leu_rec(a1_21, h, im21, jm21, plan, counter)
-        if log is not None:
-            kids += counter.scalar_mults - before
+        l12, e12, u12 = rec(a1_12, h, ib11 & i1, j2, plan, counter)
+        l21, e21, u21 = rec(a1_21, h, i2, jb11 & j1, plan, counter)
 
     g = mm(mm(l21, a1_22, h, counter), u12, h, counter)
     i21 = _row_mask(e21)
@@ -258,11 +251,7 @@ def _leu_rec(a, n, im, jm, plan, counter):
     gj = K.keep_cols(g, jb12, h)
     a2_22 = K.keep_rows(gj, ib21, h)
 
-    if log is not None:
-        before = counter.scalar_mults
-    l22, e22, u22 = _leu_rec(a2_22, h, ib21 & i2, jb12 & j2, plan, counter)
-    if log is not None:
-        kids += counter.scalar_mults - before
+    l22, e22, u22 = rec(a2_22, h, ib21 & i2, jb12 & j2, plan, counter)
 
     ge = K.perm_cols(g, e12, h)
     w = K.add(mm(ge, l12, h, counter), mm(l21, t, h, counter))
@@ -287,8 +276,6 @@ def _leu_rec(a, n, im, jm, plan, counter):
 
     if plan.debug:
         _debug_node(K.store(l), e, K.store(u), n, im, jm, K.field.one_raw)
-    if log is not None:
-        log.append((n, counter.scalar_mults - start - kids))
     return l, e, u
 
 
@@ -306,14 +293,16 @@ def leu_decompose(
 
     The padded factors carry the identity on the padded region, so the
     leading s x s blocks of L, E, U are returned and satisfy every
-    invariant for the original matrix.
+    invariant for the original matrix.  ``parallel=True`` evaluates the two
+    independent middle recursions of every node in the opposite order; the
+    result and the counts are the same.
     """
     if A.cols != A.rows:
         raise ShapeError(f"expected a square matrix, got {A.shape}")
-    return _leu_padded(A, counter, method, cutoff, parallel, debug_checks, _node_log)
+    return _leu_padded(A, counter, method, cutoff, debug_checks, parallel, _node_log)
 
 
-def _leu_padded(A, counter, method, cutoff, parallel, debug_checks=False, node_log=None):
+def _leu_padded(A, counter, method, cutoff, debug_checks, parallel=False, node_log=None):
     # the body of leu_decompose for any shape: A is padded with zeros once,
     # straight to the power-of-two square, and the factors are cut back to
     # s = max(rows, cols); E never leaves the rows and columns of A
@@ -326,10 +315,10 @@ def _leu_padded(A, counter, method, cutoff, parallel, debug_checks=False, node_l
     m = P.rows
     if counter is None:
         counter = MulCounter()
-    plan = _Plan(field, method, cutoff, debug_checks, node_log, parallel)
+    plan = _Plan(field, method, cutoff, debug_checks, parallel, node_log)
     K = plan.k
     full = (1 << m) - 1
-    l, e, u = _leu_rec(K.load(P._d), m, full, full, plan, counter)
+    l, e, u = plan.rec(K.load(P._d), m, full, full, plan, counter)
     l, u = K.store(l), K.store(u)
     if m != s:
         if debug_checks:

@@ -55,10 +55,6 @@ class MulCounter:
     def copy(self) -> "MulCounter":
         return MulCounter(self.scalar_mults, self.scalar_invs)
 
-    def merge(self, other: "MulCounter") -> None:
-        self.scalar_mults += other.scalar_mults
-        self.scalar_invs += other.scalar_invs
-
     def __eq__(self, other):
         return (
             isinstance(other, MulCounter)
@@ -142,31 +138,6 @@ class DenseMatrix:
             and other.cols == self.cols
             and other._d == self._d
         )
-
-    def _conform(self, other: "DenseMatrix") -> None:
-        if not isinstance(other, DenseMatrix):
-            raise TypeError(f"expected DenseMatrix, got {type(other).__name__}")
-        if other.field != self.field:
-            raise FieldMismatchError(f"mixed fields {self.field!r} and {other.field!r}")
-        if other.shape != self.shape:
-            raise ShapeError(f"shape mismatch {self.shape} vs {other.shape}")
-
-    def __add__(self, other):
-        self._conform(other)
-        vadd = self.field.vadd
-        data = [vadd(a, b) for a, b in zip(self._d, other._d)]
-        return DenseMatrix._wrap(self.field, data, self.rows, self.cols)
-
-    def __sub__(self, other):
-        self._conform(other)
-        vsub = self.field.vsub
-        data = [vsub(a, b) for a, b in zip(self._d, other._d)]
-        return DenseMatrix._wrap(self.field, data, self.rows, self.cols)
-
-    def __neg__(self):
-        vneg = self.field.vneg
-        data = [vneg(r) for r in self._d]
-        return DenseMatrix._wrap(self.field, data, self.rows, self.cols)
 
     def transpose(self) -> "DenseMatrix":
         data = [list(col) for col in zip(*self._d)] if self.rows else []

@@ -62,7 +62,6 @@ def bruhat_decompose(
     *,
     method: str = "classical",
     cutoff: int = 32,
-    parallel: bool = False,
     debug_checks: bool = False,
 ) -> BruhatResult:
     """Generalized Bruhat decomposition M = V1 * w * V2.
@@ -79,12 +78,7 @@ def bruhat_decompose(
         raise ShapeError("empty matrix")
     rev = reversal_perm(s)
     res = leu_decompose(
-        tp_apply_left(rev, M),
-        counter,
-        method=method,
-        cutoff=cutoff,
-        parallel=parallel,
-        debug_checks=debug_checks,
+        tp_apply_left(rev, M), counter, method=method, cutoff=cutoff, debug_checks=debug_checks
     )
     l_inv = invert_lower_triangular(res.L, counter)
     u_inv = invert_upper_unitriangular(res.U, counter)
@@ -133,11 +127,10 @@ def mat_rank(
     *,
     method: str = "classical",
     cutoff: int = 32,
-    parallel: bool = False,
     debug_checks: bool = False,
 ) -> int:
     """Rank of a matrix; rectangular input is padded square with zeros."""
-    return _leu_padded(A, counter, method, cutoff, parallel, debug_checks).rank
+    return _leu_padded(A, counter, method, cutoff, debug_checks).rank
 
 
 def kernel_basis(
@@ -146,7 +139,6 @@ def kernel_basis(
     *,
     method: str = "classical",
     cutoff: int = 32,
-    parallel: bool = False,
     debug_checks: bool = False,
 ) -> DenseMatrix:
     """Basis of the right kernel as the columns of an (n x nullity) matrix.
@@ -159,7 +151,7 @@ def kernel_basis(
     unitriangular U never reach below their index, so nothing is lost by
     truncating the padded coordinates).
     """
-    K = _kernel_from(A, _leu_padded(A, counter, method, cutoff, parallel, debug_checks))
+    K = _kernel_from(A, _leu_padded(A, counter, method, cutoff, debug_checks))
     if debug_checks:
         prod = mat_mul_classical(A, K, MulCounter())
         if not prod.is_zero():
@@ -183,7 +175,6 @@ def largest_nonsingular_block(
     *,
     method: str = "classical",
     cutoff: int = 32,
-    parallel: bool = False,
     verify: bool = False,
 ) -> tuple:
     """Row and column index sets of a nonsingular rank x rank submatrix.
@@ -192,7 +183,7 @@ def largest_nonsingular_block(
     returned, each ascending.  With ``verify`` the submatrix is
     cross-checked nonsingular by the elimination oracle.
     """
-    res = leu_decompose(A, counter, method=method, cutoff=cutoff, parallel=parallel)
+    res = leu_decompose(A, counter, method=method, cutoff=cutoff)
     rows = tuple(res.E.row_support().indices())
     cols = tuple(res.E.col_support().indices())
     if verify:

@@ -81,8 +81,7 @@ class FieldSpec:
     def one(self) -> "Scalar":
         return Scalar(self, self.one_raw)
 
-    # subclasses: zero_raw, one_raw, canon, add, sub, neg, mul, inv,
-    #             vadd, vsub, vneg, parse, fmt
+    # subclasses: zero_raw, one_raw, canon, add, sub, neg, mul, inv, parse, fmt
 
 
 class PrimeField(FieldSpec):
@@ -137,18 +136,6 @@ class PrimeField(FieldSpec):
         if x % self.modulus == 0:
             raise ZeroDivisionError("0 has no inverse")
         return pow(x, -1, self.modulus)
-
-    def vadd(self, xs, ys):
-        p = self.modulus
-        return [(x + y) % p for x, y in zip(xs, ys)]
-
-    def vsub(self, xs, ys):
-        p = self.modulus
-        return [(x - y) % p for x, y in zip(xs, ys)]
-
-    def vneg(self, xs):
-        p = self.modulus
-        return [-x % p for x in xs]
 
     def parse(self, token: str):
         if not _GFP_TOKEN.match(token):
@@ -205,15 +192,6 @@ class RationalField(FieldSpec):
         if not x:
             raise ZeroDivisionError("0 has no inverse")
         return self.one_raw / x
-
-    def vadd(self, xs, ys):
-        return [x + y for x, y in zip(xs, ys)]
-
-    def vsub(self, xs, ys):
-        return [x - y for x, y in zip(xs, ys)]
-
-    def vneg(self, xs):
-        return [-x for x in xs]
 
     def parse(self, token: str):
         if not _RAT_TOKEN.match(token):

@@ -8,6 +8,8 @@ by pure row selection, which never touches the multiplication counter.
 
 from __future__ import annotations
 
+from operator import index as _index
+
 from .dense import DenseMatrix
 from .errors import ShapeError
 from .fields import FieldSpec
@@ -19,7 +21,7 @@ class TruncPerm:
     __slots__ = ("n", "ones")
 
     def __init__(self, n: int, ones=()):
-        pairs = tuple(sorted((int(i), int(j)) for i, j in ones))
+        pairs = tuple(sorted((_position(i), _position(j)) for i, j in ones))
         rows_seen = set()
         cols_seen = set()
         for i, j in pairs:
@@ -72,6 +74,13 @@ class TruncPerm:
         if other.n != self.n:
             raise ShapeError("size mismatch")
         return TruncPerm(self.n, self.ones + other.ones)
+
+
+def _position(v) -> int:
+    # any integral type (numbers.Integral implements __index__), not bool
+    if isinstance(v, bool) or not hasattr(v, "__index__"):
+        raise TypeError(f"positions must be integers, got {type(v).__name__}")
+    return _index(v)
 
 
 class DiagIdem:

@@ -248,13 +248,46 @@ def test_gfp_strassen_decomposition_matches_classical(p):
             assert c.scalar_invs == ref_c.scalar_invs
 
 
+def _zero_top_left(field, n, r):
+    # e11 is empty at the root, so the two middle blocks are the input's own
+    # off-diagonal quarters and both middle recursions have work to do
+    d = [row[:] for row in rand_matrix(field, n, n, r)._d]
+    for row in d[: n // 2]:
+        row[: n // 2] = [field.zero_raw] * (n // 2)
+    return DenseMatrix._wrap(field, d, n, n)
+
+
 def test_parallel_matches_sequential():
-    A = rand_matrix(GF65521, 34, 34, rng)
-    c_seq, c_par = MulCounter(), MulCounter()
-    r_seq = leu_decompose(A, c_seq)
-    r_par = leu_decompose(A, c_par, parallel=True)
-    assert (r_seq.L, r_seq.E, r_seq.U) == (r_par.L, r_par.E, r_par.U)
-    assert c_seq == c_par
+    # parallel=True evaluates each node's two middle recursions in the
+    # opposite order; L, E, U and the counts must not notice
+    r = random.Random(0x0DD)
+    inputs = []
+    for field in FIELDS:
+        inputs.append(DenseMatrix(field, [[0, 1], [0, 0]]))  # gf7_nilpotent over field
+        inputs += [_zero_top_left(field, n, r) for n in (4, 8, 16, 12)]
+    for A in inputs:
+        for method, cutoff in (("classical", 32), ("strassen", 1)):
+            c_seq, c_rev = MulCounter(), MulCounter()
+            seq = leu_decompose(A, c_seq, method=method, cutoff=cutoff)
+            rev = leu_decompose(A, c_rev, method=method, cutoff=cutoff, parallel=True)
+            assert (str(seq.L), seq.E, str(seq.U)) == (str(rev.L), rev.E, str(rev.U))
+            assert c_seq == c_rev
+
+
+@pytest.mark.parametrize("field", FIELDS)
+def test_logged_run_matches_skipping_run(field):
+    # a _node_log run visits every node while a plain run skips zero blocks:
+    # the skipped work must be counted exactly as the work performed
+    r = random.Random(0x106)
+    for n, rank in ((8, 0), (16, 3), (16, 8), (12, 5)):
+        A = planted_rank(field, n, rank, r)
+        for method, cutoff in (("classical", 32), ("strassen", 1)):
+            log, c_log, c = [], MulCounter(), MulCounter()
+            logged = leu_decompose(A, c_log, method=method, cutoff=cutoff, _node_log=log)
+            plain = leu_decompose(A, c, method=method, cutoff=cutoff)
+            assert (str(logged.L), logged.E, str(logged.U)) == (str(plain.L), plain.E, str(plain.U))
+            assert c_log == c
+            assert sum(own for _, own in log) == c.scalar_mults
 
 
 def test_padding_truncation_roundtrip():

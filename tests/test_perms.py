@@ -48,6 +48,26 @@ def test_truncperm_validation():
         TruncPerm(2, [(2, 0)])
 
 
+@pytest.mark.parametrize("bad", [(1.9, 0), (0, 1.0), (True, 0), (0, False), ("1", 0), (0, "0")])
+def test_truncperm_rejects_non_integer_positions(bad):
+    # a float would be truncated and a bool or str coerced, silently moving a one
+    with pytest.raises(TypeError):
+        TruncPerm(3, [bad])
+
+
+def test_truncperm_accepts_any_integral_position():
+    class Pos:
+        def __init__(self, v):
+            self.v = v
+
+        def __index__(self):
+            return self.v
+
+    E = TruncPerm(3, [(Pos(2), Pos(0))])
+    assert E == TruncPerm(3, [(2, 0)])
+    assert all(type(v) is int for pair in E.ones for v in pair)
+
+
 def test_complement_examples():
     E = TruncPerm(2, [(0, 1)])
     assert E.complement() == TruncPerm(2, [(1, 0)])
