@@ -11,7 +11,6 @@ Exit codes: 0 success, 1 parse/usage error (also a failed ``verify``),
 from __future__ import annotations
 
 import sys
-from dataclasses import dataclass
 
 import click
 
@@ -32,19 +31,6 @@ from .textio import format_matrix, format_perm, parse_field, parse_matrix
 
 BENCH_SIZES = (8, 16, 32, 64, 128)
 BENCH_FIELD = 65521
-
-
-@dataclass
-class CliConfig:
-    command: str
-    input_path: str | None = None
-    output_path: str | None = None
-    mul_mode: str = "classical"
-    strassen_cutoff: int = 32
-    count_mults: bool = False
-    seed: int = 0
-    debug_checks: bool = False
-    field_override: str | None = None
 
 
 # ---------------------------------------------------------------------------
@@ -92,98 +78,44 @@ def bench_matrix(n: int, seed: int, p: int = BENCH_FIELD) -> DenseMatrix:
 
 
 # ---------------------------------------------------------------------------
+# one body per command: (A, counter, kw) -> (text, exit code), kw holding
+# method, cutoff and debug_checks
 
 
-def _load(config: CliConfig) -> DenseMatrix:
-    override = parse_field(config.field_override) if config.field_override else None
-    try:
-        with open(config.input_path, "r", encoding="utf-8") as fh:
-            text = fh.read()
-    except OSError as exc:
-        raise ParseError(f"cannot read {config.input_path}: {exc}") from None
-    return parse_matrix(text, override)
+def _leu(A, counter, kw):
+    res = leu_decompose(A, counter, **kw)
+    out = format_matrix(res.L) + format_perm(res.E) + format_matrix(res.U)
+    return out + f"rank {res.rank}\n", 0
 
 
-def _emit(config: CliConfig, text: str) -> None:
-    if config.output_path:
-        with open(config.output_path, "w", encoding="utf-8") as fh:
-            fh.write(text)
-    else:
-        sys.stdout.write(text)
+def _bruhat(A, counter, kw):
+    res = bruhat_decompose(A, counter, **kw)
+    return format_matrix(res.V1) + format_perm(res.w) + format_matrix(res.V2), 0
 
 
-def _counter_lines(config: CliConfig, counter: MulCounter) -> str:
-    if not config.count_mults:
-        return ""
-    return f"mults {counter.scalar_mults}\ninvs {counter.scalar_invs}\n"
+def _invert(A, counter, kw):
+    return format_matrix(mat_inverse(A, counter, **kw)), 0
 
 
-def run(config: CliConfig) -> int:
-    """Execute one command; returns the process exit code."""
-    if config.strassen_cutoff < 1:
-        raise ParseError("cutoff must be >= 1")
-    kw = dict(method=config.mul_mode, cutoff=config.strassen_cutoff)
-    cmd = config.command
-
-    if cmd == "bench":
-        lines = ["n,mode,mults,invs"]
-        for n in BENCH_SIZES:
-            A = bench_matrix(n, config.seed)
-            for mode in ("classical", "strassen"):
-                c = MulCounter()
-                leu_decompose(A, c, method=mode, cutoff=config.strassen_cutoff)
-                lines.append(f"{n},{mode},{c.scalar_mults},{c.scalar_invs}")
-        _emit(config, "\n".join(lines) + "\n")
-        return 0
-
-    A = _load(config)
-    counter = MulCounter()
-
-    if cmd == "leu":
-        res = leu_decompose(A, counter, debug_checks=config.debug_checks, **kw)
-        out = format_matrix(res.L) + format_perm(res.E) + format_matrix(res.U)
-        out += f"rank {res.rank}\n"
-        _emit(config, out + _counter_lines(config, counter))
-        return 0
-
-    if cmd == "bruhat":
-        res = bruhat_decompose(A, counter, debug_checks=config.debug_checks, **kw)
-        out = format_matrix(res.V1) + format_perm(res.w) + format_matrix(res.V2)
-        _emit(config, out + _counter_lines(config, counter))
-        return 0
-
-    if cmd == "invert":
-        inv = mat_inverse(A, counter, debug_checks=config.debug_checks, **kw)
-        _emit(config, format_matrix(inv) + _counter_lines(config, counter))
-        return 0
-
-    if cmd == "rank":
-        r = mat_rank(A, counter, debug_checks=config.debug_checks, **kw)
-        _emit(config, f"rank {r}\n" + _counter_lines(config, counter))
-        return 0
-
-    if cmd == "kernel":
-        K = kernel_basis(A, counter, debug_checks=config.debug_checks, **kw)
-        _emit(config, format_matrix(K) + _counter_lines(config, counter))
-        return 0
-
-    if cmd == "block":
-        rows, cols = largest_nonsingular_block(A, counter, verify=config.debug_checks, **kw)
-        out = "rows" + "".join(f" {i}" for i in rows) + "\n"
-        out += "cols" + "".join(f" {j}" for j in cols) + "\n"
-        _emit(config, out + _counter_lines(config, counter))
-        return 0
-
-    if cmd == "verify":
-        return _verify(config, A, counter, kw)
-
-    raise ParseError(f"unknown command {cmd!r}")
+def _rank(A, counter, kw):
+    return f"rank {mat_rank(A, counter, **kw)}\n", 0
 
 
-def _verify(config: CliConfig, A: DenseMatrix, counter: MulCounter, kw) -> int:
+def _kernel(A, counter, kw):
+    return format_matrix(kernel_basis(A, counter, **kw)), 0
+
+
+def _block(A, counter, kw):
+    rows, cols = largest_nonsingular_block(A, counter, method=kw["method"],
+                                           cutoff=kw["cutoff"], verify=kw["debug_checks"])
+    out = "rows" + "".join(f" {i}" for i in rows) + "\n"
+    return out + "cols" + "".join(f" {j}" for j in cols) + "\n", 0
+
+
+def _verify(A, counter, kw):
     from . import oracle
 
-    res = leu_decompose(A, counter, debug_checks=config.debug_checks, **kw)
+    res = leu_decompose(A, counter, **kw)
     checks = list(leu_verify(A, res).checks)
 
     oracle_rank = oracle.gauss_rank(A)
@@ -208,12 +140,34 @@ def _verify(config: CliConfig, A: DenseMatrix, counter: MulCounter, kw) -> int:
         checks.append(("inverse-singular-agrees", ok))
 
     report = VerifyReport(tuple(checks))
-    _emit(config, "".join(line + "\n" for line in report.lines()))
-    return 0 if report.passed else 1
+    return "".join(line + "\n" for line in report.lines()), 0 if report.passed else 1
 
 
 # ---------------------------------------------------------------------------
 # click wiring
+
+
+def _check_cutoff(cutoff: int) -> None:
+    if cutoff < 1:
+        raise ParseError("cutoff must be >= 1")
+
+
+def _load(path: str, field_spec: str | None) -> DenseMatrix:
+    override = parse_field(field_spec) if field_spec else None
+    try:
+        with open(path, "r", encoding="utf-8") as fh:
+            text = fh.read()
+    except OSError as exc:
+        raise ParseError(f"cannot read {path}: {exc}") from None
+    return parse_matrix(text, override)
+
+
+def _emit(output_path: str | None, text: str) -> None:
+    if output_path:
+        with open(output_path, "w", encoding="utf-8") as fh:
+            fh.write(text)
+    else:
+        sys.stdout.write(text)
 
 
 def _common(fn):
@@ -241,34 +195,32 @@ def cli() -> None:
     """Exact pivot-free matrix decomposition over GF(p) and the rationals."""
 
 
-def _register(name: str, help_text: str) -> None:
+def _register(name: str, help_text: str, body, counts: bool = True) -> None:
     @cli.command(name=name, help=help_text)
     @click.argument("input_path", metavar="MATRIX_FILE")
     @_common
     def _cmd(input_path, output_path, debug_checks, count_mults,
              strassen_cutoff, mul_mode, field_override):
-        return run(CliConfig(
-            command=name,
-            input_path=input_path,
-            output_path=output_path,
-            mul_mode=mul_mode,
-            strassen_cutoff=strassen_cutoff,
-            count_mults=count_mults,
-            debug_checks=debug_checks,
-            field_override=field_override,
-        ))
+        _check_cutoff(strassen_cutoff)
+        A = _load(input_path, field_override)
+        counter = MulCounter()
+        kw = dict(method=mul_mode, cutoff=strassen_cutoff, debug_checks=debug_checks)
+        text, code = body(A, counter, kw)
+        if count_mults and counts:
+            text += f"mults {counter.scalar_mults}\ninvs {counter.scalar_invs}\n"
+        _emit(output_path, text)
+        return code
 
 
-for _name, _help in (
-    ("leu", "Decompose A into L, E, U with L*A*U = E; prints L, E, U and the rank."),
-    ("bruhat", "Generalized Bruhat decomposition A = V1*w*V2."),
-    ("invert", "Exact inverse; exits 2 with 'singular rank=<r>' if singular."),
-    ("rank", "Rank of the matrix."),
-    ("kernel", "Basis of the right kernel, one column per vector."),
-    ("block", "Row/column indices of a nonsingular block of maximal size."),
-    ("verify", "Run the decomposition and print PASS/FAIL per structural check."),
-):
-    _register(_name, _help)
+_register("leu", "Decompose A into L, E, U with L*A*U = E; prints L, E, U and the rank.", _leu)
+_register("bruhat", "Generalized Bruhat decomposition A = V1*w*V2.", _bruhat)
+_register("invert", "Exact inverse; exits 2 with 'singular rank=<r>' if singular.", _invert)
+_register("rank", "Rank of the matrix.", _rank)
+_register("kernel", "Basis of the right kernel, one column per vector.", _kernel)
+_register("block", "Row/column indices of a nonsingular block of maximal size.", _block)
+# every line of verify is a check, so it never carries the totals
+_register("verify", "Run the decomposition and print PASS/FAIL per structural check.", _verify,
+          counts=False)
 
 
 @cli.command(name="bench", help="Multiplication-count benchmark over seeded matrices; emits CSV.")
@@ -277,12 +229,15 @@ for _name, _help in (
 @click.option("--cutoff", "strassen_cutoff", type=int, default=32, show_default=True)
 @click.option("--output", "output_path", default=None, metavar="PATH")
 def _bench(seed, strassen_cutoff, output_path):
-    return run(CliConfig(
-        command="bench",
-        seed=seed,
-        strassen_cutoff=strassen_cutoff,
-        output_path=output_path,
-    ))
+    _check_cutoff(strassen_cutoff)
+    lines = ["n,mode,mults,invs"]
+    for n in BENCH_SIZES:
+        A = bench_matrix(n, seed)
+        for mode in ("classical", "strassen"):
+            c = MulCounter()
+            leu_decompose(A, c, method=mode, cutoff=strassen_cutoff)
+            lines.append(f"{n},{mode},{c.scalar_mults},{c.scalar_invs}")
+    _emit(output_path, "\n".join(lines) + "\n")
 
 
 def main(argv=None) -> int:

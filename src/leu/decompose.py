@@ -39,10 +39,13 @@ they document where the algorithm is allowed to place nonzero entries.
 from __future__ import annotations
 
 from dataclasses import dataclass
+from math import inf
 
 from .dense import (
     DenseMatrix,
     MulCounter,
+    _keep_cols,
+    _keep_rows,
     blocks,
     invert_lower_triangular,
     invert_upper_unitriangular,
@@ -53,7 +56,7 @@ from .dense import (
     strassen_count,
 )
 from .errors import InvariantError, ShapeError
-from .perms import DiagIdem, TruncPerm, _col_mask, _row_mask, tp_to_dense
+from .perms import TruncPerm, _col_mask, _row_mask, tp_to_dense
 
 
 @dataclass
@@ -87,30 +90,19 @@ class VerifyReport:
 class _Plan:
     """Per-call context shared by every node of one decomposition."""
 
-    __slots__ = ("k", "mm", "debug", "skip_zero", "reverse", "rec", "count", "_tree")
+    __slots__ = ("k", "mm", "cutoff", "debug", "skip_zero", "reverse", "rec", "_tree")
 
     def __init__(self, field, method, cutoff, debug, reverse, log):
-        k = blocks(field)
+        # a classical product is a Strassen product that never splits
         if method == "classical":
-            def mm(x, y, h, counter):
-                return k.mul(x, y, h, h, counter)
-
-            def count(h):
-                return h * h * h
-        elif method == "strassen":
-            if cutoff < 1:
-                raise ValueError("cutoff must be >= 1")
-
-            def mm(x, y, h, counter):
-                return k.mul_strassen(x, y, h, cutoff, counter)
-
-            def count(h):
-                return strassen_count(h, cutoff)
-        else:
+            cutoff = inf
+        elif method != "strassen":
             raise ValueError(f"unknown multiplication method {method!r}")
-        self.k = k
-        self.mm = mm
-        self.count = count
+        elif cutoff < 1:
+            raise ValueError("cutoff must be >= 1")
+        self.k = k = blocks(field)
+        self.mm = lambda x, y, h, counter: k.mul_strassen(x, y, h, cutoff, counter)
+        self.cutoff = cutoff
         self.debug = debug
         self.reverse = reverse
         # a logged run visits every node, zero blocks included
@@ -123,32 +115,25 @@ class _Plan:
         t = self._tree.get(n)
         if t is None:
             h = n >> 1
-            t = self._tree[n] = 17 * self.count(h) + 4 * self.tree_mults(h)
+            t = self._tree[n] = 17 * strassen_count(h, self.cutoff) + 4 * self.tree_mults(h)
         return t
 
 
 def _outside_support(rows, n, im, jm):
     """True if some entry lives in a row outside im or a column outside jm."""
-    full = (1 << n) - 1
-    for i in range(n):
-        if not (im >> i) & 1 and any(rows[i]):
-            return True
-    cm = jm ^ full
-    if cm:
-        dead = [j for j in range(n) if (cm >> j) & 1]
-        for r in rows:
-            if any(r[j] for j in dead):
-                return True
-    return False
+    return _keep_cols(_keep_rows(rows, im, [0] * n), jm, n) != rows
 
 
-def _unit_column(rows, n, j, one):
-    return rows[j][j] == one and all(not rows[i][j] for i in range(n) if i != j)
-
-
-def _unit_row(rows, n, i, one):
-    r = rows[i]
-    return r[i] == one and all(not r[j] for j in range(n) if j != i)
+def _unit_outside(rows, n, mask, one, cols):
+    """Whether every column (``cols``) or else every row of the n x n rows
+    whose index is outside mask is that column or row of the identity."""
+    for k in range(n):
+        if not (mask >> k) & 1:
+            unit = [0] * n
+            unit[k] = one
+            if ([r[k] for r in rows] if cols else rows[k]) != unit:
+                return False
+    return True
 
 
 def _ensure(ok, what):
@@ -161,18 +146,10 @@ def _debug_node(l, e, u, n, im, jm, one):
     j_e = _col_mask(e)
     _ensure(i_e & im == i_e, "row support escapes its contract")
     _ensure(j_e & jm == j_e, "column support escapes its contract")
-    for j in range(n):
-        if not (i_e >> j) & 1:
-            _ensure(_unit_column(l, n, j, one), "L has a non-unit column outside the support")
-    for i in range(n):
-        if not (im >> i) & 1:
-            _ensure(_unit_row(l, n, i, one), "L has a non-unit row outside the support")
-    for i in range(n):
-        if not (j_e >> i) & 1:
-            _ensure(_unit_row(u, n, i, one), "U has a non-unit row outside the support")
-    for j in range(n):
-        if not (jm >> j) & 1:
-            _ensure(_unit_column(u, n, j, one), "U has a non-unit column outside the support")
+    _ensure(_unit_outside(l, n, i_e, one, True), "L has a non-unit column outside the support")
+    _ensure(_unit_outside(l, n, im, one, False), "L has a non-unit row outside the support")
+    _ensure(_unit_outside(u, n, j_e, one, False), "U has a non-unit row outside the support")
+    _ensure(_unit_outside(u, n, jm, one, True), "U has a non-unit column outside the support")
 
 
 def _logged(log):
@@ -322,12 +299,10 @@ def _leu_padded(A, counter, method, cutoff, debug_checks, parallel=False, node_l
     l, u = K.store(l), K.store(u)
     if m != s:
         if debug_checks:
-            one = field.one_raw
-            for i in range(s, m):
-                _ensure(_unit_row(l, m, i, one) and _unit_column(l, m, i, one),
-                        "L is not the identity on the padded region")
-                _ensure(_unit_row(u, m, i, one) and _unit_column(u, m, i, one),
-                        "U is not the identity on the padded region")
+            one, cut = field.one_raw, (1 << s) - 1
+            for x, name in ((l, "L"), (u, "U")):
+                unit = _unit_outside(x, m, cut, one, False) and _unit_outside(x, m, cut, one, True)
+                _ensure(unit, f"{name} is not the identity on the padded region")
         l = [row[:s] for row in l[:s]]
         u = [row[:s] for row in u[:s]]
     if m != r or m != c:
@@ -338,20 +313,6 @@ def _leu_padded(A, counter, method, cutoff, debug_checks, parallel=False, node_l
         DenseMatrix._wrap(field, u, s, s),
         counter.copy(),
     )
-
-
-def _unit_outside(M: DenseMatrix, support: DiagIdem, side: str) -> bool:
-    """Whether M agrees with the identity on rows/columns outside support."""
-    n = M.rows
-    one = M.field.one_raw
-    d = M._d
-    for k in range(n):
-        if (support.mask >> k) & 1:
-            continue
-        ok = _unit_column(d, n, k, one) if side == "cols" else _unit_row(d, n, k, one)
-        if not ok:
-            return False
-    return True
 
 
 def leu_verify(A: DenseMatrix, r: LeuResult) -> VerifyReport:
@@ -365,6 +326,7 @@ def leu_verify(A: DenseMatrix, r: LeuResult) -> VerifyReport:
     checks = []
     scratch = MulCounter()
     n = A.rows
+    one = A.field.one_raw
     lower_ok = (
         r.L.shape == (n, n)
         and is_lower_triangular(r.L)
@@ -374,21 +336,25 @@ def leu_verify(A: DenseMatrix, r: LeuResult) -> VerifyReport:
     upper_ok = r.U.shape == (n, n) and is_upper_unitriangular(r.U)
     checks.append(("upper-unitriangular", upper_ok))
 
+    # the checks below read entries of, or multiply by, n x n factors over A's field
+    fits = r.L.shape == r.U.shape == (n, n) and r.L.field == r.U.field == A.field
     recon_ok = False
-    if A.cols == n and r.E.n == n:
+    if fits and A.cols == n and r.E.n == n:
         prod = mat_mul_classical(mat_mul_classical(r.L, A, scratch), r.U, scratch)
         recon_ok = prod == tp_to_dense(r.E, A.field)
     checks.append(("reconstruction", recon_ok))
 
-    i_e = r.E.row_support()
-    j_e = r.E.col_support()
-    imm_ok = _unit_outside(r.L, i_e, "cols") and _unit_outside(r.U, j_e, "rows")
+    i_e = _row_mask(r.E.ones)
+    j_e = _col_mask(r.E.ones)
+    imm_ok = fits and (_unit_outside(r.L._d, n, i_e, one, True)
+                       and _unit_outside(r.U._d, n, j_e, one, False))
     checks.append(("support-form", imm_ok))
 
     inv_ok = lower_ok and upper_ok
     if inv_ok:
         li = invert_lower_triangular(r.L, scratch)
         ui = invert_upper_unitriangular(r.U, scratch)
-        inv_ok = _unit_outside(li, i_e, "cols") and _unit_outside(ui, j_e, "rows")
+        inv_ok = (_unit_outside(li._d, n, i_e, one, True)
+                  and _unit_outside(ui._d, n, j_e, one, False))
     checks.append(("support-form-inverse", inv_ok))
     return VerifyReport(tuple(checks))

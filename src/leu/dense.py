@@ -832,6 +832,17 @@ def _inv_lower(K, x, n, counter, unit=False):
     return K.join(ia, K.zeros(h, n - h), K.neg(m), ib)
 
 
+def _inverse_lower(L, counter, unit=False):
+    # the inverse of a checked lower triangular matrix, through its block kernel
+    if not L.rows:
+        return L
+    if counter is None:
+        counter = MulCounter()
+    K = blocks(L.field)
+    data = K.store(_inv_lower(K, K.load(L._d), L.rows, counter, unit))
+    return DenseMatrix._wrap(L.field, data, L.rows, L.cols)
+
+
 def invert_lower_triangular(L: DenseMatrix, counter: MulCounter | None = None) -> DenseMatrix:
     """Exact inverse of a lower triangular matrix with nonzero diagonal.
 
@@ -847,13 +858,7 @@ def invert_lower_triangular(L: DenseMatrix, counter: MulCounter | None = None) -
     for i in range(n):
         if not d[i][i]:
             raise SingularError(f"zero diagonal entry at position {i}")
-    if counter is None:
-        counter = MulCounter()
-    if n == 0:
-        return L
-    K = blocks(L.field)
-    data = K.store(_inv_lower(K, K.load(d), n, counter))
-    return DenseMatrix._wrap(L.field, data, n, n)
+    return _inverse_lower(L, counter)
 
 
 def invert_upper_unitriangular(U: DenseMatrix, counter: MulCounter | None = None) -> DenseMatrix:
@@ -875,10 +880,4 @@ def invert_upper_unitriangular(U: DenseMatrix, counter: MulCounter | None = None
     for i in range(n):
         if U._d[i][i] != one:
             raise ValueError(f"diagonal entry at position {i} is not 1")
-    if counter is None:
-        counter = MulCounter()
-    if n == 0:
-        return U
-    K = blocks(U.field)
-    data = K.store(_inv_lower(K, K.load([list(col) for col in zip(*U._d)]), n, counter, unit=True))
-    return DenseMatrix._wrap(U.field, [list(col) for col in zip(*data)], n, n)
+    return _inverse_lower(U.transpose(), counter, unit=True).transpose()

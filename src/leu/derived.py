@@ -11,7 +11,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 
-from .decompose import LeuResult, _leu_padded, leu_decompose
+from .decompose import LeuResult, _ensure, _leu_padded, leu_decompose
 from .dense import (
     DenseMatrix,
     MulCounter,
@@ -19,7 +19,7 @@ from .dense import (
     invert_upper_unitriangular,
     mat_mul_classical,
 )
-from .errors import InvariantError, ShapeError, SingularError
+from .errors import ShapeError, SingularError
 from .perms import TruncPerm, reversal_perm, tp_apply_left
 
 
@@ -154,8 +154,7 @@ def kernel_basis(
     K = _kernel_from(A, _leu_padded(A, counter, method, cutoff, debug_checks))
     if debug_checks:
         prod = mat_mul_classical(A, K, MulCounter())
-        if not prod.is_zero():
-            raise InvariantError("kernel candidate fails to annihilate")
+        _ensure(prod.is_zero(), "kernel candidate fails to annihilate")
     return K
 
 
@@ -189,7 +188,5 @@ def largest_nonsingular_block(
     if verify:
         from .oracle import gauss_rank
 
-        sub = A.select(rows, cols)
-        if gauss_rank(sub) != len(rows):
-            raise InvariantError("selected block is singular")
+        _ensure(gauss_rank(A.select(rows, cols)) == len(rows), "selected block is singular")
     return rows, cols

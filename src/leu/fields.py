@@ -73,14 +73,6 @@ class FieldSpec:
     def __call__(self, value) -> "Scalar":
         return Scalar(self, value)
 
-    @property
-    def zero(self) -> "Scalar":
-        return Scalar(self, self.zero_raw)
-
-    @property
-    def one(self) -> "Scalar":
-        return Scalar(self, self.one_raw)
-
     # subclasses: zero_raw, one_raw, canon, add, sub, neg, mul, inv, parse, fmt
 
 

@@ -1,12 +1,14 @@
 """Reference implementations for testing and verification.
 
 Gaussian elimination with pivoting, the classic algorithm family the
-decomposition core deliberately avoids.  Agreement between the two routes
-is therefore meaningful.  Nothing in the decomposition path calls into
-this module; it backs the test-suite and the CLI ``verify`` command only.
-It is on the ``verify`` path, so its row operations are whole-row list
-expressions in plain integer or rational arithmetic, reduced mod p over
-GF(p), rather than the decomposition's kernels.
+decomposition core deliberately avoids: the rank and the kernel read one
+row echelon form, the inverse runs its own Gauss-Jordan elimination.
+Agreement between the two routes is therefore meaningful.  Nothing in
+the decomposition path calls into this module; it backs the test-suite
+and the CLI ``verify`` command only.  It is on the ``verify`` path, so
+its row operations are whole-row list expressions in plain integer or
+rational arithmetic, reduced mod p over GF(p), rather than the
+decomposition's kernels.
 """
 
 from __future__ import annotations
@@ -23,40 +25,6 @@ def _row_ops(field):
                 lambda row, f, prow: [(v - f * pv) % p for v, pv in zip(row, prow)])
     return (lambda f, row: [f * v for v in row],
             lambda row, f, prow: [v - f * pv for v, pv in zip(row, prow)])
-
-
-def gauss_rank(A: DenseMatrix) -> int:
-    """Rank by row reduction with full pivoting."""
-    field = A.field
-    mul, axpy = field.mul, _row_ops(field)[1]
-    m = [list(r) for r in A._d]
-    nrows, ncols = A.rows, A.cols
-    rank = 0
-    while True:
-        pivot = None
-        for i in range(rank, nrows):
-            for j in range(rank, ncols):
-                if m[i][j]:
-                    pivot = (i, j)
-                    break
-            if pivot:
-                break
-        if pivot is None:
-            return rank
-        pi, pj = pivot
-        if pi != rank:
-            m[rank], m[pi] = m[pi], m[rank]
-        if pj != rank:
-            for row in m:
-                row[rank], row[pj] = row[pj], row[rank]
-        inv_p = field.inv(m[rank][rank])
-        prow = m[rank][rank:]
-        for i in range(rank + 1, nrows):
-            f = m[i][rank]
-            if f:
-                ri = m[i]
-                ri[rank:] = axpy(ri[rank:], mul(f, inv_p), prow)
-        rank += 1
 
 
 def _row_echelon(A: DenseMatrix):
@@ -89,6 +57,11 @@ def _row_echelon(A: DenseMatrix):
         if prow == nrows:
             break
     return m, pivots
+
+
+def gauss_rank(A: DenseMatrix) -> int:
+    """Rank: the number of pivots of the echelon form."""
+    return len(_row_echelon(A)[1])
 
 
 def gauss_kernel(A: DenseMatrix) -> DenseMatrix:
@@ -133,8 +106,8 @@ def gauss_inverse(A: DenseMatrix) -> DenseMatrix:
                 found = i
                 break
         if found is None:
-            raise SingularError(f"matrix of rank {gauss_rank(A)} < {n} has no inverse",
-                                rank=gauss_rank(A))
+            rank = gauss_rank(A)
+            raise SingularError(f"matrix of rank {rank} < {n} has no inverse", rank=rank)
         if found != col:
             m[col], m[found] = m[found], m[col]
         # left of col the pivot row is zero

@@ -21,7 +21,9 @@ class TruncPerm:
     __slots__ = ("n", "ones")
 
     def __init__(self, n: int, ones=()):
-        pairs = tuple(sorted((_position(i), _position(j)) for i, j in ones))
+        n = _dimension(n)
+        pairs = tuple(sorted((_integer(i, "positions"), _integer(j, "positions"))
+                             for i, j in ones))
         rows_seen = set()
         cols_seen = set()
         for i, j in pairs:
@@ -76,11 +78,18 @@ class TruncPerm:
         return TruncPerm(self.n, self.ones + other.ones)
 
 
-def _position(v) -> int:
+def _integer(v, what: str) -> int:
     # any integral type (numbers.Integral implements __index__), not bool
     if isinstance(v, bool) or not hasattr(v, "__index__"):
-        raise TypeError(f"positions must be integers, got {type(v).__name__}")
+        raise TypeError(f"{what} must be integers, got {type(v).__name__}")
     return _index(v)
+
+
+def _dimension(n) -> int:
+    n = _integer(n, "dimensions")
+    if n < 0:
+        raise ValueError(f"dimension {n} is negative")
+    return n
 
 
 class DiagIdem:
@@ -89,6 +98,7 @@ class DiagIdem:
     __slots__ = ("n", "mask")
 
     def __init__(self, n: int, mask: int = 0):
+        n = _dimension(n)
         if mask < 0 or mask >> n:
             raise ValueError(f"mask {mask:#x} does not fit dimension {n}")
         self.n = n

@@ -90,6 +90,37 @@ def test_bad_cutoff_exit1(capsys):
     assert main(["leu", str(DATA / "gf7_worked.txt"), "--cutoff", "0"]) == 1
 
 
+MATRIX_COMMANDS = ("leu", "bruhat", "invert", "rank", "kernel", "block", "verify")
+
+
+@pytest.mark.parametrize("argv", [[cmd, str(DATA / "gf7_worked.txt")] for cmd in MATRIX_COMMANDS]
+                         + [["bench"]], ids=MATRIX_COMMANDS + ("bench",))
+def test_cutoff_below_one_exit1_on_every_command(capsys, argv):
+    # checked before the input is read, even where the products are classical
+    assert main(argv + ["--cutoff", "0"]) == 1
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err == "error: cutoff must be >= 1\n"
+
+
+@pytest.mark.parametrize("data", ["gf7_worked.txt", "gf7_nilpotent.txt", "rational_3x3.txt"])
+def test_count_mults_appends_totals_except_to_verify(capsys, data):
+    path = str(DATA / data)
+    for cmd in MATRIX_COMMANDS:
+        code = main([cmd, path])
+        plain = capsys.readouterr().out
+        assert main([cmd, path, "--count-mults"]) == code
+        out = capsys.readouterr().out
+        if cmd == "verify":
+            # every line of verify is a check
+            assert out == plain
+            assert out and all(line.endswith(": PASS") for line in out.splitlines())
+        elif code == 0:
+            assert out.startswith(plain)
+            mults, invs = out[len(plain):].splitlines()
+            assert mults.startswith("mults ") and invs.startswith("invs ")
+
+
 def test_verify_exit0_on_any_parseable_matrix(capsys):
     assert main(["verify", str(DATA / "gf7_nilpotent.txt")]) == 0
     out = capsys.readouterr().out

@@ -16,6 +16,7 @@ from leu import (
     QQ,
     DenseMatrix,
     InvariantError,
+    LeuResult,
     MulCounter,
     ShapeError,
     SingularError,
@@ -335,6 +336,49 @@ def test_verify_flags_tampering():
     zero_diag = DenseMatrix(GF7, [[0, 0], [2, 4]])
     bad2 = leu_verify(A, type(res)(zero_diag, res.E, res.U, res.counter))
     assert dict(bad2.checks)["lower-triangular"] is False
+
+
+def test_verify_reports_wrong_shaped_factors():
+    # factors of the wrong size or field fail their checks instead of raising
+    A = DenseMatrix(GF7, [[3, 1, 4], [1, 5, 2], [6, 5, 3]])
+    res = leu_decompose(A)
+    small_l = DenseMatrix.identity(GF7, 2)
+    large_u = DenseMatrix.identity(GF7, 4)
+    other_l = DenseMatrix(GF(11), res.L._d)
+    for L, U in ((small_l, res.U), (res.L, large_u), (small_l, large_u), (other_l, res.U)):
+        checks = dict(leu_verify(A, LeuResult(L, res.E, U, res.counter)).checks)
+        assert checks["reconstruction"] is False
+        assert checks["support-form"] is False
+    checks = dict(leu_verify(A, LeuResult(small_l, res.E, large_u, res.counter)).checks)
+    assert checks["lower-triangular"] is False and checks["upper-unitriangular"] is False
+    assert checks["support-form-inverse"] is False
+
+
+def test_classical_ignores_cutoff():
+    # a classical product is a Strassen product that never splits, so no
+    # cutoff, not even one Strassen rejects, changes its bytes or counts
+    r = random.Random(0xC0FF)
+    for field in FIELDS:
+        A = planted_rank(field, 12, 7, r)
+        B = mul(rand_matrix(field, 5, 2, r), rand_matrix(field, 2, 9, r))
+        c_ref, c = MulCounter(), MulCounter()
+        ref = leu_decompose(A, c_ref)
+        res = leu_decompose(A, c, method="classical", cutoff=0)
+        assert (str(res.L), res.E, str(res.U)) == (str(ref.L), ref.E, str(ref.U))
+        assert c == c_ref
+        c_ref, c = MulCounter(), MulCounter()
+        assert mat_rank(B, c, method="classical", cutoff=0) == mat_rank(B, c_ref) == 2
+        assert c == c_ref
+
+
+@pytest.mark.parametrize("kw", [dict(method="bogus"), dict(method="strassen", cutoff=0)],
+                         ids=["unknown-method", "strassen-cutoff-0"])
+def test_bad_method_or_cutoff_rejected(kw):
+    A = rand_matrix(GF7, 4, 4, rng)
+    with pytest.raises(ValueError):
+        leu_decompose(A, **kw)
+    with pytest.raises(ValueError):
+        mat_rank(rand_matrix(GF7, 2, 3, rng), **kw)
 
 
 def test_support_form():

@@ -68,6 +68,36 @@ def test_truncperm_accepts_any_integral_position():
     assert all(type(v) is int for pair in E.ones for v in pair)
 
 
+@pytest.mark.parametrize("bad", [3.0, 2.5, True, "3", None])
+def test_dimensions_must_be_integers(bad):
+    # a float or bool size used to be kept as given and fail later, or not at all
+    with pytest.raises(TypeError):
+        TruncPerm(bad, [(1, 0)])
+    with pytest.raises(TypeError):
+        TruncPerm(bad)
+    with pytest.raises(TypeError):
+        DiagIdem(bad, 1)
+
+
+def test_dimensions_must_be_nonnegative():
+    with pytest.raises(ValueError):
+        TruncPerm(-1, [])
+    with pytest.raises(ValueError):
+        DiagIdem(-1)
+    assert TruncPerm(0).n == 0 and DiagIdem(0).indices() == []
+
+
+def test_dimensions_accept_any_integral():
+    class Size:
+        def __index__(self):
+            return 3
+
+    E = TruncPerm(Size(), [(2, 0)])
+    assert E == TruncPerm(3, [(2, 0)]) and type(E.n) is int
+    D = DiagIdem(Size(), 0b101)
+    assert D == DiagIdem(3, 0b101) and type(D.n) is int
+
+
 def test_complement_examples():
     E = TruncPerm(2, [(0, 1)])
     assert E.complement() == TruncPerm(2, [(1, 0)])
