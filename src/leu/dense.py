@@ -14,23 +14,18 @@ right operand into one integer of fixed-width slots, wide enough that the
 sum of a row's products never carries from one slot into the next; an
 output row is then one multiply-accumulate of residues against the packed
 rows, cut back into its slots and reduced once per entry (see
-``_gfp_classical``).  Strassen products over GF(p) run on such packed rows
-from top to bottom (see ``_gfp_strassen``): both operands are packed once,
-with one slot width that a closed-form bound in n, the cutoff and p shows
-no slot outgrows anywhere in the recursion.  A quarter is one mask or shift
-per row, an operand sum one add per row, and a difference or a combination
-of the seven sub-products adds, before each subtraction, a multiple of p at
-least the bound of what it subtracts, so no slot goes negative.  Leaves cut
-the left operand's rows into scalars and multiply-accumulate them against
-the right operand's packed rows; the result is cut and reduced once per
-entry at the top.  Over the rationals products are fraction-free: the public
-products scale each row of the left operand and each column of the right one
-to integers over the lcm of its denominators, multiply the integer matrices
-(classically or by Strassen) and make each entry one integer over the
-product of its row and column scales.  Inside the recursions, blocks stay in
-such a scaled integer form throughout (see the block kernels below).  In
-both fields a Strassen sub-product with an all-zero operand is skipped at
-every level and counted as if it had been computed.
+``_gfp_classical``).  A Strassen-mode product over GF(p) is computed by
+that classical kernel and counted as Strassen (``strassen_count``): the
+exact product is unique, and Strassen's recursion on packed rows measured
+slower than the classical kernel at every size, prime and cutoff tried.
+Over the rationals products are fraction-free: the public products scale
+each row of the left operand and each column of the right one to integers
+over the lcm of its denominators, multiply the integer matrices
+(classically or by Strassen's recursion) and make each entry one integer
+over the product of its row and column scales.  Inside the recursions,
+blocks stay in such a scaled integer form throughout (see the block kernels
+below).  A Strassen sub-product with an all-zero operand is skipped at every
+level and counted as if it had been computed.
 """
 
 from __future__ import annotations
@@ -244,8 +239,7 @@ def _rsub(x, y):
 
 def _strassen2(a, b, c, d, e, f, g, h):
     # [[a, b], [c, d]] * [[e, f], [g, h]] from Strassen's seven products, as
-    # its entries in row order; each equals its classical sum, ae + bg and so
-    # on, so nonnegative operands give nonnegative entries
+    # its entries in row order; each equals its classical sum, ae + bg and so on
     m1 = (a + d) * (e + h)
     m2 = (c + d) * e
     m3 = a * (f - h)
@@ -293,105 +287,6 @@ def _strassen_sub(x, y, h, cutoff, counter):
         return _strassen_raw(x, y, h, cutoff, counter)
     counter.scalar_mults += strassen_count(h, cutoff)
     return [[0] * h] * h
-
-
-def _packed_quarters(rows, h, s):
-    # quarters of packed rows whose left halves take the low s bits
-    mask = (1 << s) - 1
-    top, bot = rows[:h], rows[h:]
-    return ([r & mask for r in top], [r >> s for r in top],
-            [r & mask for r in bot], [r >> s for r in bot])
-
-
-def _padd(x, y):
-    return [a + b for a, b in zip(x, y)]
-
-
-def _psub(x, y, bias):
-    # x - y on packed rows plus a bias at least y's bound in every slot; equal
-    # rows give zero rows, so an all-zero difference is still skipped
-    return [a - b + bias if a != b else 0 for a, b in zip(x, y)]
-
-
-def _gfp_strassen(x, y, n, cutoff, counter, p):
-    # Canonical rows of the Strassen product of two n x n blocks of residues.
-    # The recursion runs on packed rows: a block is a list of row integers of
-    # w-bit slots, so a quarter is one mask or shift per row and a sum one
-    # add per row.  Nothing is reduced until the top, so slots only grow:
-    #   - an operand at depth d is below 2^d p: a sum doubles the bound, and
-    #     a difference a - b adds 2^d p, a multiple of p at least b's bound,
-    #     so no slot goes negative;
-    #   - a leaf product (depth D, size m: a packed leaf, or the scalar 2 x 2
-    #     base, whose Strassen sums equal the classical ones) sums m products
-    #     of operands, at most m (2^D p - 1)^2; round that up to a multiple
-    #     P of p;
-    #   - combining seven products adds the products' bound before each
-    #     subtraction, so the bound grows 4x per level up, to 4^D P at the top.
-    # One slot width holds 4^D P; it is cut and reduced once per entry there.
-    if n <= cutoff:
-        counter.scalar_mults += n * n * n
-        return _gfp_classical(x, y, n, n, p)
-    depth, leaf = 0, n
-    while leaf > cutoff and leaf > 2:
-        depth += 1
-        leaf >>= 1
-    amax = (p << depth) - 1
-    top = -(-leaf * amax * amax // p) * p << 2 * depth
-    size, pack, cut = _slots(top, n)
-    leaf_cut = _slots(top, leaf)[2]
-    leaf_bytes = size * leaf
-    w = 8 * size
-    one = (1 << w) - 1
-    bias = {}
-    m, d = n, 0
-    while m > leaf:
-        # slot-wise 2^d p for operand differences, and the bound of the
-        # quarter products for their combination
-        ones = ((1 << (m >> 1) * w) - 1) // one
-        bias[m] = ((p << d) * ones, (top >> 2 * d + 2) * ones)
-        m >>= 1
-        d += 1
-
-    def product(x, y, n):
-        # one half-size sub-product; with an all-zero operand it is skipped
-        # and counted in full
-        if any(x) and any(y):
-            return rec(x, y, n)
-        counter.scalar_mults += strassen_count(n, cutoff)
-        return [0] * n
-
-    def rec(x, y, n):
-        if n <= cutoff:
-            counter.scalar_mults += n * n * n
-            return [sum(map(_mul, leaf_cut(r.to_bytes(leaf_bytes, "little")), y)) if r else 0
-                    for r in x]
-        if n == 2:
-            counter.scalar_mults += 7
-            (x0, x1), (y0, y1) = x, y
-            c11, c12, c21, c22 = _strassen2(x0 & one, x0 >> w, x1 & one, x1 >> w,
-                                            y0 & one, y0 >> w, y1 & one, y1 >> w)
-            return [c11 | c12 << w, c21 | c22 << w]
-        h = n >> 1
-        s = h * w
-        ob, pb = bias[n]
-        x11, x12, x21, x22 = _packed_quarters(x, h, s)
-        y11, y12, y21, y22 = _packed_quarters(y, h, s)
-        m1 = product(_padd(x11, x22), _padd(y11, y22), h)
-        m2 = product(_padd(x21, x22), y11, h)
-        m3 = product(x11, _psub(y12, y22, ob), h)
-        m4 = product(x22, _psub(y21, y11, ob), h)
-        m5 = product(_padd(x11, x12), y22, h)
-        m6 = product(_psub(x21, x11, ob), _padd(y11, y12), h)
-        m7 = product(_psub(x12, x22, ob), _padd(y21, y22), h)
-        return [a + d + g + pb - e | (c + e) << s for a, c, d, e, g in zip(m1, m3, m4, m5, m7)] + [
-            b + d | (a + c + f + pb - b) << s for a, b, c, d, f in zip(m1, m2, m3, m4, m6)
-        ]
-
-    fb = int.from_bytes
-    nb = size * n
-    zrow = [0] * n
-    z = rec([fb(pack(*r), "little") for r in x], [fb(pack(*r), "little") for r in y], n)
-    return [[v % p for v in cut(r.to_bytes(nb, "little"))] if r else zrow for r in z]
 
 
 def strassen_count(n: int, cutoff: int) -> int:
@@ -488,7 +383,13 @@ class _Blocks:
         return self._classical(x, y, k, c) if z is None else z
 
     def mul_strassen(self, x, y, h, cutoff, counter):
-        """Strassen product of two h x h blocks, h a power of two."""
+        """Product of two h x h blocks, h a power of two, counted as Strassen's.
+
+        The count is always ``strassen_count(h, cutoff)``.  Over the
+        rationals the product runs Strassen's recursion down to the cutoff;
+        over GF(p) it is computed classically, because Strassen on packed
+        rows measured slower than the classical kernel at every size.
+        """
         z = self._free(x, y, h, h, h)
         if z is None:
             return self._strassen(x, y, h, cutoff, counter)
@@ -554,7 +455,9 @@ class _PrimeBlocks(_Blocks):
         return _gfp_classical(x, y, k, c, self.p)
 
     def _strassen(self, x, y, h, cutoff, counter):
-        return _gfp_strassen(x, y, h, cutoff, counter, self.p)
+        # Strassen's count, the classical kernel's product (see mul_strassen)
+        counter.scalar_mults += strassen_count(h, cutoff)
+        return _gfp_classical(x, y, h, h, self.p)
 
 
 def _fraction_free(rows):

@@ -99,6 +99,7 @@ class DiagIdem:
 
     def __init__(self, n: int, mask: int = 0):
         n = _dimension(n)
+        mask = _integer(mask, "masks")
         if mask < 0 or mask >> n:
             raise ValueError(f"mask {mask:#x} does not fit dimension {n}")
         self.n = n

@@ -226,8 +226,8 @@ def _strassen_tree_count(m, cutoff):
 
 @pytest.mark.parametrize("p", (2, 7, 65521, 2**64 - 59))
 def test_gfp_strassen_decomposition_matches_classical(p):
-    # Strassen over GF(p) works on residues with packed leaves and skips zero
-    # sub-products; L, E, U must be the classical bytes and the count the model
+    # Strassen-mode products over GF(p) run on the classical kernel and keep
+    # Strassen's count; L, E, U must be the classical bytes and the count the model
     r = random.Random(p)
     F = GF(p)
     for n in (17, 33, 40):

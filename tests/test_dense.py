@@ -54,14 +54,15 @@ def test_classical_shape_error():
 
 
 def _strassen(A, B, cutoff, counter=None):
-    """Strassen product of two equal power-of-two squares: the packed kernel
-    over GF(p), the integer recursion under fraction-free scaling over QQ."""
-    from leu.dense import _gfp_strassen, _rational_product, _strassen_raw
+    """Strassen-mode product of two equal power-of-two squares: the block
+    kernel over GF(p), the integer recursion under fraction-free scaling over
+    QQ."""
+    from leu.dense import _rational_product, _strassen_raw, blocks
 
     n = A.rows
     c = MulCounter() if counter is None else counter
     if A.field.kind == "gfp":
-        data = _gfp_strassen(A._d, B._d, n, cutoff, c, A.field.modulus)
+        data = blocks(A.field).mul_strassen(A._d, B._d, n, cutoff, c)
     else:
         data = _rational_product(A._d, B._d, n, n, A.field,
                                  lambda x, y: _strassen_raw(x, y, n, cutoff, c))
@@ -363,12 +364,11 @@ def test_gfp_classical_rectangular_matches_schoolbook(p):
             assert c.scalar_mults == rows * k * cols
 
 
-# --- GF(p) Strassen on residues -------------------------------------------------
+# --- GF(p) Strassen-mode products -----------------------------------------------
 #
-# Strassen over GF(p) recurses on packed rows, keeps every slot nonnegative
-# with multiples of p and reduces once at the top; a sub-product with an
-# all-zero operand is skipped.  Values must be the schoolbook residues and the
-# count the model count, whatever was skipped.
+# A Strassen-mode product over GF(p) is computed by the packed classical
+# kernel and counted as Strassen.  Values must be the schoolbook residues and
+# the count the model count, whatever was skipped.
 
 
 def _zero_quarter(x, n, which, zero=0):
@@ -384,9 +384,10 @@ def _zero_quarter(x, n, which, zero=0):
 
 @pytest.mark.parametrize("p", GFP_PRIMES)
 def test_gfp_strassen_matches_schoolbook(p):
-    from leu.dense import _gfp_strassen, strassen_count
+    from leu.dense import blocks, strassen_count
 
     r = random.Random(900 + p)
+    K = blocks(GF(p))
     for n in (1, 2, 4, 8, 16, 32):
         for cutoff in (1, 2, 8, 32):
             if cutoff == 1 and n > 16:
@@ -397,7 +398,7 @@ def test_gfp_strassen_matches_schoolbook(p):
                     x = _zero_quarter(x, n, r.randrange(4))
                     y = _zero_quarter(y, n, r.randrange(4))
                 c = MulCounter()
-                got = _gfp_strassen(x, y, n, cutoff, c, p)
+                got = K.mul_strassen(x, y, n, cutoff, c)
                 _assert_same_residues(got, _gfp_schoolbook(x, y, n, n, p))
                 assert c.scalar_mults == strassen_count(n, cutoff), (n, cutoff, kind)
 
@@ -421,14 +422,15 @@ def test_strassen_zero_quarter_counts_in_full(field):
 
 @pytest.mark.parametrize("p", GFP_PRIMES)
 def test_gfp_strassen_slot_bounds_at_depth(p):
-    # The deepest recursions grow the slots the most.  All-(p-1) operands make
-    # every sum and product its largest; a zero quarter against p - 1 makes a
-    # difference subtract the most from nothing, at the top and, in the
-    # self-similar operand whose bottom-left quarter is zero at every level,
-    # at every depth.  p = 2 has the narrowest slots, 2^64 - 59 slots wider
-    # than 8 bytes.
-    from leu.dense import _gfp_strassen, strassen_count
+    # Extreme operands through the block kernel at the deepest Strassen
+    # counts: all-(p-1) operands fill every slot of the classical kernel to
+    # its k(p-1)^2 bound; a zero quarter against p - 1, and the self-similar
+    # operand whose bottom-left quarter is zero at every level, leave whole
+    # slots empty beside full ones.  p = 2 has the narrowest slots, 2^64 - 59
+    # slots wider than 8 bytes.
+    from leu.dense import blocks, strassen_count
 
+    K = blocks(GF(p))
     for n, cutoff in ((32, 1), (64, 2)):
         full = [[p - 1] * n for _ in range(n)]
         nested = [[0 if i & ~j else p - 1 for j in range(n)] for i in range(n)]
@@ -438,6 +440,6 @@ def test_gfp_strassen_slot_bounds_at_depth(p):
             operands += [(z, full), (full, z)]
         for x, y in operands:
             c = MulCounter()
-            got = _gfp_strassen(x, y, n, cutoff, c, p)
+            got = K.mul_strassen(x, y, n, cutoff, c)
             _assert_same_residues(got, _gfp_schoolbook(x, y, n, n, p))
             assert c.scalar_mults == strassen_count(n, cutoff), (n, cutoff)

@@ -79,6 +79,22 @@ def test_dimensions_must_be_integers(bad):
         DiagIdem(bad, 1)
 
 
+@pytest.mark.parametrize("bad", [1.5, 1.0, True, False, "1", None])
+def test_diag_mask_must_be_an_integer(bad):
+    # unchecked, a float mask would fail on an unrelated >> and a bool be kept as given
+    with pytest.raises(TypeError, match="mask"):
+        DiagIdem(3, bad)
+
+
+def test_diag_mask_accepts_any_integral():
+    class Mask:
+        def __index__(self):
+            return 0b101
+
+    D = DiagIdem(3, Mask())
+    assert D == DiagIdem(3, 0b101) and type(D.mask) is int
+
+
 def test_dimensions_must_be_nonnegative():
     with pytest.raises(ValueError):
         TruncPerm(-1, [])
