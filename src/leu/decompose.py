@@ -10,9 +10,12 @@ are independent of each other, so they can be evaluated in either order with
 bitwise-identical results; ``parallel=True`` runs them in the opposite order.
 
 Each recursion node on a 2n x 2n block performs exactly 17 dense n x n
-products (counted through the supplied MulCounter) plus additions and
-sparse permutation/diagonal applications, which are free of counted
-multiplications.  The scalar base case inverts one nonzero entry.
+products plus additions and sparse permutation/diagonal applications,
+which are free of counted multiplications.  The scalar base case inverts
+one nonzero entry.  Every product is computed by the field's one product
+kernel; ``method`` and ``cutoff`` choose only what the recursion adds to
+the supplied MulCounter for it: n^3 for a classical product, and
+``strassen_count(n, cutoff)`` for a Strassen one.
 
 Blocks travel through the recursion in the form of their field's block
 kernel (see :mod:`leu.dense`): rows of residues over GF(p), and over the
@@ -90,18 +93,17 @@ class VerifyReport:
 class _Plan:
     """Per-call context shared by every node of one decomposition."""
 
-    __slots__ = ("k", "mm", "cutoff", "debug", "skip_zero", "reverse", "rec", "_tree")
+    __slots__ = ("k", "cutoff", "debug", "skip_zero", "reverse", "rec", "_tree")
 
     def __init__(self, field, method, cutoff, debug, reverse, log):
-        # a classical product is a Strassen product that never splits
+        # the classical count is Strassen's count of a product that never splits
         if method == "classical":
             cutoff = inf
         elif method != "strassen":
             raise ValueError(f"unknown multiplication method {method!r}")
         elif cutoff < 1:
             raise ValueError("cutoff must be >= 1")
-        self.k = k = blocks(field)
-        self.mm = lambda x, y, h, counter: k.mul_strassen(x, y, h, cutoff, counter)
+        self.k = blocks(field)
         self.cutoff = cutoff
         self.debug = debug
         self.reverse = reverse
@@ -109,6 +111,11 @@ class _Plan:
         self.skip_zero = log is None
         self.rec = _leu_rec if log is None else _logged(log)
         self._tree = {1: 0}
+
+    def mm(self, x, y, h, counter):
+        """The product of two h x h blocks, counted as ``strassen_count(h, cutoff)``."""
+        counter.scalar_mults += strassen_count(h, self.cutoff)
+        return self.k.mul(x, y, h, h)
 
     def tree_mults(self, n):
         """Multiplications the recursion counts on an n x n block."""

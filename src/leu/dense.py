@@ -1,31 +1,31 @@
 """Dense matrices over an exact field.
 
 Matrices are immutable after construction, so every operation is a pure
-function and rows may be shared between results freely.  Multiplications
-carry an explicit :class:`MulCounter` instead of global state: classical
-multiplication adds exactly rows*inner*cols scalar products, the Strassen
-path adds 7 half-size products per level down to classical leaves at the
-cutoff (``strassen_count``), and applications of permutation or diagonal
-matrices (see :mod:`leu.perms`) add nothing.
+function and rows may be shared between results freely.
+
+Each field has one product kernel, and the kernel only computes.  The
+count is the caller's: multiplications carry an explicit
+:class:`MulCounter` instead of global state, and the code that owns the
+cost model adds to it.  The classical model counts rows*inner*cols scalar
+products, the Strassen model 7 half-size products per level down to
+classical leaves at the cutoff (``strassen_count``), and applications of
+permutation or diagonal matrices (see :mod:`leu.perms`) count nothing.
+The exact product is unique, so ``method`` and ``cutoff`` choose only the
+count, never the kernel or a value.  Strassen's recursion measured slower
+than the classical kernels in both fields at every size and cutoff tried.
 
 Every product is an exact integer product followed by one canonicalization
-per output entry.  Over GF(p) a classical product packs each row of the
-right operand into one integer of fixed-width slots, wide enough that the
-sum of a row's products never carries from one slot into the next; an
-output row is then one multiply-accumulate of residues against the packed
-rows, cut back into its slots and reduced once per entry (see
-``_gfp_classical``).  A Strassen-mode product over GF(p) is computed by
-that classical kernel and counted as Strassen (``strassen_count``): the
-exact product is unique, and Strassen's recursion on packed rows measured
-slower than the classical kernel at every size, prime and cutoff tried.
+per output entry.  Over GF(p) the kernel packs each row of the right
+operand into one integer of fixed-width slots, wide enough that the sum of
+a row's products never carries from one slot into the next; an output row
+is then one multiply-accumulate of residues against the packed rows, cut
+back into its slots and reduced once per entry (see ``_gfp_classical``).
 Over the rationals products are fraction-free: the public products scale
 each row of the left operand and each column of the right one to integers
-over the lcm of its denominators, multiply the integer matrices
-(classically or by Strassen's recursion) and make each entry one integer
-over the product of its row and column scales.  Inside the recursions,
-blocks stay in such a scaled integer form throughout (see the block kernels
-below).  A Strassen sub-product with an all-zero operand is skipped at every
-level and counted as if it had been computed.
+over the lcm of its denominators, multiply the integer matrices and make
+each entry one integer over the product of its row and column scales.
+Inside the recursions, blocks stay in such a scaled integer form throughout
+(see the block kernels below).
 """
 
 from __future__ import annotations
@@ -61,13 +61,17 @@ class MulCounter:
         return f"MulCounter(scalar_mults={self.scalar_mults}, scalar_invs={self.scalar_invs})"
 
 
+_TEXT = (str, bytes, bytearray)
+
+
 class DenseMatrix:
     """A rows x cols matrix of canonical field values.
 
     Construct from any nested sequence of entries: integers of any integral
     type, fractions or rational strings over the rationals, or
     :class:`Scalar` of the matching field.  Floats are rejected, because a
-    float is not the exact value it was written as.  Indexing with
+    float is not the exact value it was written as, and so are a string or
+    bytes in place of the rows or of a row.  Indexing with
     ``A[i, j]`` returns a :class:`Scalar`.
     """
 
@@ -77,7 +81,12 @@ class DenseMatrix:
         canon = field.canon
         data = []
         cols = None
+        # a string iterates as its characters and bytes as small integers
+        if isinstance(entries, _TEXT):
+            raise TypeError(f"matrix entries must be rows, got {type(entries).__name__}")
         for raw_row in entries:
+            if isinstance(raw_row, _TEXT):
+                raise TypeError(f"a matrix row must hold entries, got {type(raw_row).__name__}")
             row = []
             for v in raw_row:
                 if isinstance(v, Scalar):
@@ -229,72 +238,10 @@ def _quarters(rows, h):
     return [r[:h] for r in top], [r[h:] for r in top], [r[:h] for r in bot], [r[h:] for r in bot]
 
 
-def _radd(x, y):
-    return [[a + b for a, b in zip(rx, ry)] for rx, ry in zip(x, y)]
-
-
-def _rsub(x, y):
-    return [[a - b for a, b in zip(rx, ry)] for rx, ry in zip(x, y)]
-
-
-def _strassen2(a, b, c, d, e, f, g, h):
-    # [[a, b], [c, d]] * [[e, f], [g, h]] from Strassen's seven products, as
-    # its entries in row order; each equals its classical sum, ae + bg and so on
-    m1 = (a + d) * (e + h)
-    m2 = (c + d) * e
-    m3 = a * (f - h)
-    m4 = d * (g - e)
-    m5 = (a + b) * h
-    m6 = (c - a) * (e + f)
-    m7 = (b - d) * (g + h)
-    return m1 + m4 - m5 + m7, m3 + m5, m2 + m4, m1 - m2 + m3 + m6
-
-
-def _strassen_raw(x, y, n, cutoff, counter):
-    # Unreduced integer arithmetic; callers canonicalize the final entries.
-    if n <= cutoff:
-        counter.scalar_mults += n * n * n
-        return _raw_classical(x, y, n, n)
-    if n == 2:
-        counter.scalar_mults += 7
-        c11, c12, c21, c22 = _strassen2(*x[0], *x[1], *y[0], *y[1])
-        return [[c11, c12], [c21, c22]]
-    h2 = n >> 1
-    x11, x12, x21, x22 = _quarters(x, h2)
-    y11, y12, y21, y22 = _quarters(y, h2)
-    args = (h2, cutoff, counter)
-    m1 = _strassen_sub(_radd(x11, x22), _radd(y11, y22), *args)
-    m2 = _strassen_sub(_radd(x21, x22), y11, *args)
-    m3 = _strassen_sub(x11, _rsub(y12, y22), *args)
-    m4 = _strassen_sub(x22, _rsub(y21, y11), *args)
-    m5 = _strassen_sub(_radd(x11, x12), y22, *args)
-    m6 = _strassen_sub(_rsub(x21, x11), _radd(y11, y12), *args)
-    m7 = _strassen_sub(_rsub(x12, x22), _radd(y21, y22), *args)
-    top = [
-        [a + d - e + g for a, d, e, g in zip(r1, r4, r5, r7)] + [c + e for c, e in zip(r3, r5)]
-        for r1, r3, r4, r5, r7 in zip(m1, m3, m4, m5, m7)
-    ]
-    return top + [
-        [b + d for b, d in zip(r2, r4)] + [a - b + c + f for a, b, c, f in zip(r1, r2, r3, r6)]
-        for r1, r2, r3, r4, r6 in zip(m1, m2, m3, m4, m6)
-    ]
-
-
-def _strassen_sub(x, y, h, cutoff, counter):
-    # one half-size sub-product; with an all-zero operand it is skipped and
-    # counted in full
-    if any(map(any, x)) and any(map(any, y)):
-        return _strassen_raw(x, y, h, cutoff, counter)
-    counter.scalar_mults += strassen_count(h, cutoff)
-    return [[0] * h] * h
-
-
 def strassen_count(n: int, cutoff: int) -> int:
     """Scalar multiplications of one n x n Strassen product at ``cutoff``."""
     if n <= cutoff:
         return n * n * n
-    if n == 2:
-        return 7
     return 7 * strassen_count(n >> 1, cutoff)
 
 
@@ -307,8 +254,8 @@ def strassen_count(n: int, cutoff: int) -> int:
 # rationals a block is fraction-free: integer rows with a scale per row and
 # per column (see _RationalBlocks), so products and sums are integer
 # arithmetic and canonical fractions are made once, when a block leaves the
-# recursion.  A product with an all-zero or an identity operand is counted
-# like any other but touches no scalar.
+# recursion.  A product with an all-zero or an identity operand touches no
+# scalar; its caller counts it like any other.
 #
 # The row helpers below move or zero whole rows and columns and serve both
 # forms: over the rationals they act on the integer rows and, with a fill
@@ -350,8 +297,9 @@ def _eye(n):
 
 
 class _Blocks:
-    """What the block kernels share: counted products, and the products that
-    need no arithmetic because an operand is zero or the identity."""
+    """What the block kernels share: the one block product, which computes
+    and counts nothing (its caller adds the count of its own cost model),
+    and needs no arithmetic when an operand is zero or the identity."""
 
     __slots__ = ("field", "_eye")
 
@@ -365,36 +313,16 @@ class _Blocks:
             eye = self._eye[n] = self._identity(n)
         return eye
 
-    def _free(self, x, y, r, k, c):
-        # x * y (r x k times k x c) without arithmetic, else None
+    def mul(self, x, y, k, c):
+        """The product of x (r x k) and y (k x c)."""
+        r = self.height(x)
         if not k or self.is_zero(x) or self.is_zero(y):
             return self.zeros(r, c)
         if r == k and x == self.identity(k):
             return y
         if k == c and y == self.identity(k):
             return x
-        return None
-
-    def mul(self, x, y, k, c, counter):
-        """Classical product of x (r x k) and y (k x c), counting r*k*c."""
-        r = self.height(x)
-        counter.scalar_mults += r * k * c
-        z = self._free(x, y, r, k, c)
-        return self._classical(x, y, k, c) if z is None else z
-
-    def mul_strassen(self, x, y, h, cutoff, counter):
-        """Product of two h x h blocks, h a power of two, counted as Strassen's.
-
-        The count is always ``strassen_count(h, cutoff)``.  Over the
-        rationals the product runs Strassen's recursion down to the cutoff;
-        over GF(p) it is computed classically, because Strassen on packed
-        rows measured slower than the classical kernel at every size.
-        """
-        z = self._free(x, y, h, h, h)
-        if z is None:
-            return self._strassen(x, y, h, cutoff, counter)
-        counter.scalar_mults += strassen_count(h, cutoff)
-        return z
+        return self._classical(x, y, k, c)
 
 
 class _PrimeBlocks(_Blocks):
@@ -453,11 +381,6 @@ class _PrimeBlocks(_Blocks):
 
     def _classical(self, x, y, k, c):
         return _gfp_classical(x, y, k, c, self.p)
-
-    def _strassen(self, x, y, h, cutoff, counter):
-        # Strassen's count, the classical kernel's product (see mul_strassen)
-        counter.scalar_mults += strassen_count(h, cutoff)
-        return _gfp_classical(x, y, h, h, self.p)
 
 
 def _fraction_free(rows):
@@ -640,7 +563,7 @@ class _RationalBlocks(_Blocks):
             cc[i] = x[2][j]
         return _perm_cols(x[0], ones, c), x[1], cc
 
-    def _product(self, x, y, raw):
+    def _classical(self, x, y, k, c):
         # x * y = diag(1/rx) nx diag(1/m) ny diag(1/cy) with m = cx * ry;
         # the rows of ny are brought over the common multiple of m
         nx, rx, cx = x
@@ -649,13 +572,7 @@ class _RationalBlocks(_Blocks):
         big = lcm(*m)
         if big != 1:
             ny = [row if d == big else [v * (big // d) for v in row] for row, d in zip(ny, m)]
-        return _reduced(raw(nx, ny), [a * big for a in rx], cy)
-
-    def _classical(self, x, y, k, c):
-        return self._product(x, y, lambda a, b: _raw_classical(a, b, k, c))
-
-    def _strassen(self, x, y, h, cutoff, counter):
-        return self._product(x, y, lambda a, b: _strassen_raw(a, b, h, cutoff, counter))
+        return _reduced(_raw_classical(nx, ny, k, c), [a * big for a in rx], cy)
 
 
 def blocks(field: FieldSpec):
@@ -663,13 +580,12 @@ def blocks(field: FieldSpec):
     return _RationalBlocks(field) if field.kind == "rational" else _PrimeBlocks(field)
 
 
-def _rational_product(x, y, k, c, field, raw):
+def _rational_product(x, y, k, c, field):
     """Canonical rows of x * y for canonical rational rows x (r x k) and y (k x c).
 
-    ``raw`` is any exact integer product of two lists of rows.  Each row of
-    x is scaled to integers over the lcm of its denominators and each column
-    of y likewise; the scaling commutes with the product, so each entry is
-    one integer over dx_i * dy_j.
+    Each row of x is scaled to integers over the lcm of its denominators and
+    each column of y likewise; the scaling commutes with the product, so
+    each entry is one integer over dx_i * dy_j.
     """
     zero = field.zero_raw
     if not k:
@@ -679,7 +595,7 @@ def _rational_product(x, y, k, c, field, raw):
     q = _rational
     return [
         [q(v, dx * dy) if v else zero for v, dy in zip(r, yd)]
-        for r, dx in zip(raw(xn, list(zip(*ytn))), xd)
+        for r, dx in zip(_raw_classical(xn, list(zip(*ytn)), k, c), xd)
     ]
 
 
@@ -700,7 +616,7 @@ def mat_mul_classical(A: DenseMatrix, B: DenseMatrix, counter: MulCounter | None
     if A.field.kind == "gfp":
         data = _gfp_classical(A._d, B._d, k, c, A.field.modulus)
     else:
-        data = _rational_product(A._d, B._d, k, c, A.field, lambda x, y: _raw_classical(x, y, k, c))
+        data = _rational_product(A._d, B._d, k, c, A.field)
     return DenseMatrix._wrap(A.field, data, A.rows, c)
 
 
@@ -730,8 +646,9 @@ def _inv_lower(K, x, n, counter, unit=False):
     a, _, c, b = K.split(x, h)
     ia = _inv_lower(K, a, h, counter, unit)
     ib = _inv_lower(K, b, n - h, counter, unit)
-    m = K.mul(c, ia, h, h, counter)
-    m = K.mul(ib, m, n - h, h, counter)
+    # two classical products: c * ia, then ib times that
+    counter.scalar_mults += (n - h) * h * h + (n - h) * (n - h) * h
+    m = K.mul(ib, K.mul(c, ia, h, h), n - h, h)
     return K.join(ia, K.zeros(h, n - h), K.neg(m), ib)
 
 

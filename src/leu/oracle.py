@@ -13,8 +13,10 @@ decomposition's kernels.
 
 from __future__ import annotations
 
-from .dense import DenseMatrix, MulCounter, mat_mul_classical
-from .errors import ShapeError, SingularError
+from operator import mul as _mul
+
+from .dense import DenseMatrix
+from .errors import FieldMismatchError, ShapeError, SingularError
 
 
 def _row_ops(field):
@@ -124,7 +126,22 @@ def gauss_inverse(A: DenseMatrix) -> DenseMatrix:
 
 
 def check_inverse(A: DenseMatrix, B: DenseMatrix) -> bool:
-    """Whether B is a two-sided inverse of A."""
-    ident = DenseMatrix.identity(A.field, A.rows)
-    c = MulCounter()
-    return mat_mul_classical(A, B, c) == ident and mat_mul_classical(B, A, c) == ident
+    """Whether B is the inverse of the square matrix A.
+
+    A * B is taken in plain row arithmetic, independent of the product
+    kernel under test.  Over a field a one-sided inverse of a square matrix
+    is two-sided, so A * B = I alone decides it.  A non-square A, or a B of
+    another shape, has no inverse to be; a B over another field is an error.
+    """
+    field = A.field
+    if B.field != field:
+        raise FieldMismatchError(f"mixed fields {field!r} and {B.field!r}")
+    if A.rows != A.cols or B.shape != A.shape:
+        return False
+    cols = list(zip(*B._d))
+    if field.kind == "gfp":
+        p = field.modulus
+        prod = [[sum(map(_mul, r, c)) % p for c in cols] for r in A._d]
+    else:
+        prod = [[sum(map(_mul, r, c)) for c in cols] for r in A._d]
+    return prod == DenseMatrix.identity(field, A.rows)._d

@@ -53,20 +53,21 @@ def test_classical_shape_error():
         mat_mul_classical(rand_matrix(GF7, 2, 3, rng), rand_matrix(GF7, 2, 3, rng))
 
 
-def _strassen(A, B, cutoff, counter=None):
-    """Strassen-mode product of two equal power-of-two squares: the block
-    kernel over GF(p), the integer recursion under fraction-free scaling over
-    QQ."""
-    from leu.dense import _rational_product, _strassen_raw, blocks
+def _plan_mm(field, x, y, n, cutoff, counter):
+    """Rows of the Strassen-mode product of two n x n lists of rows, through
+    the decomposition's one counting path: a plan's ``mm`` on loaded blocks."""
+    from leu.decompose import _Plan
 
+    plan = _Plan(field, "strassen", cutoff, False, False, None)
+    K = plan.k
+    return K.store(plan.mm(K.load(x), K.load(y), n, counter))
+
+
+def _strassen(A, B, cutoff, counter=None):
+    """Strassen-mode product of two equal power-of-two squares."""
     n = A.rows
     c = MulCounter() if counter is None else counter
-    if A.field.kind == "gfp":
-        data = blocks(A.field).mul_strassen(A._d, B._d, n, cutoff, c)
-    else:
-        data = _rational_product(A._d, B._d, n, n, A.field,
-                                 lambda x, y: _strassen_raw(x, y, n, cutoff, c))
-    return DenseMatrix._wrap(A.field, data, n, n)
+    return DenseMatrix._wrap(A.field, _plan_mm(A.field, A._d, B._d, n, cutoff, c), n, n)
 
 
 @pytest.mark.parametrize("field", FIELDS)
@@ -164,12 +165,19 @@ def test_invert_random_triangulars(field):
     Ui = invert_upper_unitriangular(U, c)
     assert mul(U, Ui) == DenseMatrix.identity(field, n)
     assert c.scalar_invs == 0
+    # two classical (n/2)^3 products per node: T(n) = 2 T(n/2) + n^3 / 4
+    assert c.scalar_mults == 168
 
 
 def test_inversion_counts_inversions():
     c = MulCounter()
     invert_lower_triangular(DenseMatrix(GF7, [[5, 0], [2, 4]]), c)
     assert c.scalar_invs == 2
+    assert c.scalar_mults == 2
+    # n = 3 splits 1 + 2: a 2x1 by 1x1 and a 2x2 by 2x1 product, and the 2x2 block's 2
+    c = MulCounter()
+    invert_lower_triangular(DenseMatrix(GF7, [[5, 0, 0], [2, 4, 0], [1, 1, 1]]), c)
+    assert (c.scalar_mults, c.scalar_invs) == (2 + 4 + 2, 3)
 
 
 def test_entries_are_scalars():
@@ -185,6 +193,25 @@ def test_constructor_validation():
         DenseMatrix(GF7, [[QQ(1)]])
     with pytest.raises(TypeError):
         DenseMatrix(GF7, [[1.5]])
+
+
+@pytest.mark.parametrize("field", [GF7, QQ])
+@pytest.mark.parametrize("entries", [
+    ["12", "34"],  # rows that would split into characters
+    "12",  # a matrix that would become two rows of one character
+    [b"12"],  # a row that would become the byte values 49 and 50
+    [bytearray(b"12")],
+    b"12",
+    [[1, 2], "34"],
+], ids=["str-rows", "str", "bytes-row", "bytearray-row", "bytes", "str-second-row"])
+def test_constructor_rejects_text_rows(field, entries):
+    with pytest.raises(TypeError):
+        DenseMatrix(field, entries)
+
+
+def test_constructor_keeps_rational_string_entries():
+    A = DenseMatrix(QQ, [["1/2", "-3"], [4, "5/6"]])
+    assert str(A) == "1/2 -3\n4 5/6"
 
 
 # --- fraction-free rational products -------------------------------------
@@ -278,8 +305,9 @@ def test_rational_block_kernel_round_trip():
         _assert_same_bytes(back(K.add(x, y)), _entrywise(operator.add, A, B))
         _assert_same_bytes(back(K.sub(x, y)), _entrywise(operator.sub, A, B))
         _assert_same_bytes(back(K.neg(x)), _entrywise(operator.neg, A))
+        _assert_same_bytes(back(K.mul(x, y, n, n)), _schoolbook(A, B))
         c = MulCounter()
-        _assert_same_bytes(back(K.mul(x, y, n, n, c)), _schoolbook(A, B))
+        _assert_same_bytes(mat_mul_classical(A, B, c), _schoolbook(A, B))
         assert c.scalar_mults == n**3
         wide = DenseMatrix._wrap(QQ, [ra + rb for ra, rb in zip(A._d, B._d)], n, 2 * n)
         _assert_same_bytes(back(K.join(x, y, y, x), 2 * n, 2 * n),
@@ -342,9 +370,7 @@ def test_gfp_classical_square_matches_schoolbook(p, kind):
         got = mat_mul_classical(DenseMatrix(F, x), DenseMatrix(F, y), c)
         _assert_same_residues(got._d, want)
         assert c.scalar_mults == h**3
-        c = MulCounter()
-        _assert_same_residues(K.mul(x, y, h, h, c), want)
-        assert c.scalar_mults == h**3
+        _assert_same_residues(K.mul(x, y, h, h), want)
 
 
 @pytest.mark.parametrize("p", GFP_PRIMES)
@@ -366,9 +392,9 @@ def test_gfp_classical_rectangular_matches_schoolbook(p):
 
 # --- GF(p) Strassen-mode products -----------------------------------------------
 #
-# A Strassen-mode product over GF(p) is computed by the packed classical
-# kernel and counted as Strassen.  Values must be the schoolbook residues and
-# the count the model count, whatever was skipped.
+# A Strassen-mode product is computed by the field's one product kernel and
+# counted as Strassen by the decomposition's plan.  Values must be the
+# schoolbook residues and the count the model count, whatever was skipped.
 
 
 def _zero_quarter(x, n, which, zero=0):
@@ -384,10 +410,9 @@ def _zero_quarter(x, n, which, zero=0):
 
 @pytest.mark.parametrize("p", GFP_PRIMES)
 def test_gfp_strassen_matches_schoolbook(p):
-    from leu.dense import blocks, strassen_count
+    from leu.dense import strassen_count
 
     r = random.Random(900 + p)
-    K = blocks(GF(p))
     for n in (1, 2, 4, 8, 16, 32):
         for cutoff in (1, 2, 8, 32):
             if cutoff == 1 and n > 16:
@@ -398,15 +423,15 @@ def test_gfp_strassen_matches_schoolbook(p):
                     x = _zero_quarter(x, n, r.randrange(4))
                     y = _zero_quarter(y, n, r.randrange(4))
                 c = MulCounter()
-                got = K.mul_strassen(x, y, n, cutoff, c)
+                got = _plan_mm(GF(p), x, y, n, cutoff, c)
                 _assert_same_residues(got, _gfp_schoolbook(x, y, n, n, p))
                 assert c.scalar_mults == strassen_count(n, cutoff), (n, cutoff, kind)
 
 
 @pytest.mark.parametrize("field", [GF(7), GF(65521), QQ])
 def test_strassen_zero_quarter_counts_in_full(field):
-    # one zero quarter in either operand makes some sub-products zero at the
-    # top level; they are skipped, and counted as if computed
+    # one zero quarter in either operand would make some of Strassen's
+    # sub-products zero; the product is still counted in full
     from leu.dense import strassen_count
 
     r = random.Random(901)
@@ -428,9 +453,8 @@ def test_gfp_strassen_slot_bounds_at_depth(p):
     # operand whose bottom-left quarter is zero at every level, leave whole
     # slots empty beside full ones.  p = 2 has the narrowest slots, 2^64 - 59
     # slots wider than 8 bytes.
-    from leu.dense import blocks, strassen_count
+    from leu.dense import strassen_count
 
-    K = blocks(GF(p))
     for n, cutoff in ((32, 1), (64, 2)):
         full = [[p - 1] * n for _ in range(n)]
         nested = [[0 if i & ~j else p - 1 for j in range(n)] for i in range(n)]
@@ -440,6 +464,6 @@ def test_gfp_strassen_slot_bounds_at_depth(p):
             operands += [(z, full), (full, z)]
         for x, y in operands:
             c = MulCounter()
-            got = K.mul_strassen(x, y, n, cutoff, c)
+            got = _plan_mm(GF(p), x, y, n, cutoff, c)
             _assert_same_residues(got, _gfp_schoolbook(x, y, n, n, p))
             assert c.scalar_mults == strassen_count(n, cutoff), (n, cutoff)

@@ -4,7 +4,7 @@ import random
 
 import pytest
 
-from leu import QQ, DenseMatrix, MulCounter, SingularError, mat_mul_classical
+from leu import GF, QQ, DenseMatrix, FieldMismatchError, MulCounter, SingularError, mat_mul_classical
 from leu.oracle import check_inverse, gauss_inverse, gauss_kernel, gauss_rank
 from helpers import FIELDS, GF7, planted_rank, rand_matrix
 
@@ -56,3 +56,32 @@ def test_rectangular_kernel():
     assert K.rows == 6
     assert K.cols == 6 - gauss_rank(A)
     assert mat_mul_classical(A, K, MulCounter()).is_zero()
+
+
+def test_check_inverse_does_not_use_the_product_kernel(monkeypatch):
+    # a product kernel that is wrong everywhere must not change the verdict
+    import leu.dense
+
+    F = GF(65521)
+    A = planted_rank(F, 6, 6, random.Random(7))
+    inv = gauss_inverse(A)
+    wrong = DenseMatrix._wrap(F, [row[:] for row in inv._d], 6, 6)
+    wrong._d[2][3] = (wrong._d[2][3] + 1) % 65521
+    monkeypatch.setattr(leu.dense, "_gfp_classical",
+                        lambda x, y, k, c, p: [[1] * c for _ in x])
+    assert check_inverse(A, inv)
+    assert not check_inverse(A, wrong)
+
+
+@pytest.mark.parametrize("field", FIELDS)
+def test_check_inverse_rejects(field):
+    A = DenseMatrix(field, [[2, 1], [1, 1]])
+    inv = gauss_inverse(A)
+    assert check_inverse(A, inv)
+    assert not check_inverse(A, DenseMatrix.identity(field, 2))
+    assert not check_inverse(A, DenseMatrix.identity(field, 3))  # another shape
+    assert not check_inverse(DenseMatrix(field, [[1, 0, 0], [0, 1, 0]]),
+                             DenseMatrix(field, [[1, 0], [0, 1], [0, 0]]))
+    other = QQ if field.kind == "gfp" else GF7
+    with pytest.raises(FieldMismatchError):
+        check_inverse(A, DenseMatrix(other, [[1, -1], [-1, 2]]))

@@ -2,10 +2,12 @@
 
 Each size decomposes one seeded full-rank integer matrix (a product of two
 random n x n integer matrices with entries in [-9, 9]), the input family of
-the rational cases of acceptance criterion 1.  Every size is timed REPEAT
-times after one untimed warm-up; the median and the quartiles are printed
-as one JSON object, together with the largest bit length of an entry of L
-and U, which the arithmetic backend must not change.
+the rational cases of acceptance criterion 1.  The ``sizes`` section times
+classical mode; the ``strassen`` section times ``method="strassen"`` on the
+same matrices at n = 32, 48, 64 and cutoffs 8 and 16.  Every case is timed
+REPEAT times after one untimed warm-up; the median and the quartiles are
+printed as one JSON object, together with the largest bit length of an
+entry of L and U, which the arithmetic backend must not change.
 
     python tools/bench_qq.py [--src DIR] [--repeat 5] [--seed 1]
 
@@ -24,11 +26,36 @@ import sys
 import time
 
 SIZES = (16, 32, 48, 64)
+STRASSEN_SIZES = (32, 48, 64)
+STRASSEN_CUTOFFS = (8, 16)
 
 
 def _quartiles(xs):
     q = statistics.quantiles(xs, n=4, method="inclusive")
     return q[0], q[2]
+
+
+def _timed(decompose, A, repeat, **kw):
+    res = decompose(A, **kw)  # warm-up
+    times = []
+    for _ in range(repeat):
+        t = time.perf_counter()
+        decompose(A, **kw)
+        times.append(time.perf_counter() - t)
+    q1, q3 = _quartiles(times)
+    bits = max(
+        max(abs(v.numerator).bit_length(), v.denominator.bit_length())
+        for M in (res.L, res.U)
+        for row in M._d
+        for v in row
+    )
+    return {
+        "rank": res.rank,
+        "median_s": round(statistics.median(times), 4),
+        "q1_s": round(q1, 4),
+        "q3_s": round(q3, 4),
+        "max_entry_bits": bits,
+    }
 
 
 def main(argv=None):
@@ -56,31 +83,19 @@ def main(argv=None):
         "repeat": args.repeat,
         "seed": args.seed,
         "sizes": {},
+        "strassen": {},
     }
+    inputs = {}
     for n in SIZES:
         P, Q = ([[rng.randint(-9, 9) for _ in range(n)] for _ in range(n)] for _ in range(2))
-        A = mat_mul_classical(DenseMatrix(QQ, P), DenseMatrix(QQ, Q), MulCounter())
-        res = leu_decompose(A)  # warm-up
-        times = []
-        for _ in range(args.repeat):
-            t = time.perf_counter()
-            leu_decompose(A)
-            times.append(time.perf_counter() - t)
-        q1, q3 = _quartiles(times)
-        bits = max(
-            max(abs(v.numerator).bit_length(), v.denominator.bit_length())
-            for M in (res.L, res.U)
-            for row in M._d
-            for v in row
-        )
-        out["sizes"][str(n)] = {
-            "rank": res.rank,
-            "median_s": round(statistics.median(times), 4),
-            "q1_s": round(q1, 4),
-            "q3_s": round(q3, 4),
-            "max_entry_bits": bits,
-        }
-        print(f"n={n}: median {statistics.median(times):.4f} s", file=sys.stderr)
+        A = inputs[n] = mat_mul_classical(DenseMatrix(QQ, P), DenseMatrix(QQ, Q), MulCounter())
+        rec = out["sizes"][str(n)] = _timed(leu_decompose, A, args.repeat)
+        print(f"n={n}: median {rec['median_s']:.4f} s", file=sys.stderr)
+    for n in STRASSEN_SIZES:
+        for cutoff in STRASSEN_CUTOFFS:
+            rec = _timed(leu_decompose, inputs[n], args.repeat, method="strassen", cutoff=cutoff)
+            out["strassen"][f"{n}/{cutoff}"] = rec
+            print(f"strassen n={n} cutoff={cutoff}: median {rec['median_s']:.4f} s", file=sys.stderr)
     print(json.dumps(out))
 
 
