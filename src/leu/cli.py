@@ -179,7 +179,7 @@ def _common(fn):
         click.option("--count-mults", is_flag=True,
                      help="Append scalar multiplication/inversion totals."),
         click.option("--cutoff", "strassen_cutoff", type=int, default=32, show_default=True,
-                     help="Strassen recursion cutoff."),
+                     help="Leaf size of the Strassen multiplication count."),
         click.option("--mul", "mul_mode", type=click.Choice(["classical", "strassen"]),
                      default="classical", show_default=True,
                      help="Dense multiplication algorithm."),

@@ -93,7 +93,7 @@ class VerifyReport:
 class _Plan:
     """Per-call context shared by every node of one decomposition."""
 
-    __slots__ = ("k", "cutoff", "debug", "skip_zero", "reverse", "rec", "_tree")
+    __slots__ = ("k", "cutoff", "debug", "reverse", "rec", "_tree")
 
     def __init__(self, field, method, cutoff, debug, reverse, log):
         # the classical count is Strassen's count of a product that never splits
@@ -107,8 +107,6 @@ class _Plan:
         self.cutoff = cutoff
         self.debug = debug
         self.reverse = reverse
-        # a logged run visits every node, zero blocks included
-        self.skip_zero = log is None
         self.rec = _leu_rec if log is None else _logged(log)
         self._tree = {1: 0}
 
@@ -159,6 +157,14 @@ def _debug_node(l, e, u, n, im, jm, one):
     _ensure(_unit_outside(u, n, jm, one, True), "U has a non-unit column outside the support")
 
 
+def _zero_log(n, cutoff):
+    # the log entries of a zero n x n block's subtree, in the order a visit
+    # of every node would append them
+    if n == 1:
+        return []
+    return 4 * _zero_log(n >> 1, cutoff) + [(n, 17 * strassen_count(n >> 1, cutoff))]
+
+
 def _logged(log):
     # the recursion, appending (size, own count) to log per internal node;
     # a node's own count leaves out what its four children count
@@ -169,8 +175,14 @@ def _logged(log):
         start = counter.scalar_mults
         out = _leu_rec(a, n, im, jm, plan, counter)
         total = counter.scalar_mults - start
-        if n > 1:
+        if kids[0]:
             log.append((n, total - kids[0]))
+        else:
+            # no child counted: a leaf (no entry), a 2 x 2 node (whose own
+            # count is the model's one entry) or a skipped zero block, whose
+            # subtree the model lists without running it; the entries sum to
+            # plan.tree_mults(n), what the skip counted
+            log.extend(_zero_log(n, plan.cutoff))
         kids[0] = outer + total
         return out
 
@@ -191,7 +203,7 @@ def _leu_rec(a, n, im, jm, plan, counter):
     if plan.debug and _outside_support(K.nums(a), n, im, jm):
         raise ShapeError("block has entries outside its (I, J) support")
 
-    if plan.skip_zero and K.is_zero(a):
+    if K.is_zero(a):
         # every node below sees zeros only: L = U = I, E = 0, counted in full
         counter.scalar_mults += plan.tree_mults(n)
         one = K.identity(n)

@@ -20,12 +20,12 @@ operand into one integer of fixed-width slots, wide enough that the sum of
 a row's products never carries from one slot into the next; an output row
 is then one multiply-accumulate of residues against the packed rows, cut
 back into its slots and reduced once per entry (see ``_gfp_classical``).
-Over the rationals products are fraction-free: the public products scale
-each row of the left operand and each column of the right one to integers
-over the lcm of its denominators, multiply the integer matrices and make
-each entry one integer over the product of its row and column scales.
-Inside the recursions, blocks stay in such a scaled integer form throughout
-(see the block kernels below).
+Over the rationals products are fraction-free: a block is integer rows with
+a scale per row and per column, the form the recursions keep throughout
+(see the block kernels below).  The public product loads each row of its
+left operand and each column of its right one over the lcm of its
+denominators, so the kernel multiplies the integer matrices and makes each
+entry one integer over the product of its row and column scales.
 """
 
 from __future__ import annotations
@@ -184,10 +184,8 @@ def is_upper_unitriangular(A: DenseMatrix) -> bool:
 # integer product kernels: exact over any ring of Python numbers
 
 
-def _raw_classical(x, y, inner, out_cols):
+def _raw_classical(x, y, out_cols):
     zrow = [0] * out_cols
-    if inner == 0:
-        return [zrow] * len(x)
     yt = list(zip(*y))
     return [[sum(map(_mul, r, c)) for c in yt] if any(r) else zrow for r in x]
 
@@ -250,12 +248,13 @@ def strassen_count(n: int, cutoff: int) -> int:
 #
 # The recursions (the decomposition and the triangular inverses) keep their
 # blocks in a field-specific form and go through a kernel for every block
-# operation.  Over GF(p) a block is a list of rows of residues.  Over the
-# rationals a block is fraction-free: integer rows with a scale per row and
-# per column (see _RationalBlocks), so products and sums are integer
-# arithmetic and canonical fractions are made once, when a block leaves the
-# recursion.  A product with an all-zero or an identity operand touches no
-# scalar; its caller counts it like any other.
+# operation, and the public product is one block product.  Over GF(p) a
+# block is a list of rows of residues.  Over the rationals a block is
+# fraction-free: integer rows with a scale per row and per column (see
+# _RationalBlocks), so products and sums are integer arithmetic and
+# canonical fractions are made once, when a block leaves the recursion.  A
+# product with an all-zero or an identity operand touches no scalar; its
+# caller counts it like any other.
 #
 # The row helpers below move or zero whole rows and columns and serve both
 # forms: over the rationals they act on the integer rows and, with a fill
@@ -336,6 +335,8 @@ class _PrimeBlocks(_Blocks):
 
     def load(self, rows):
         return rows
+
+    load_right = load
 
     def store(self, x):
         # fresh rows: inside the recursion blocks share rows freely
@@ -479,6 +480,12 @@ class _RationalBlocks(_Blocks):
         nums, r = _fraction_free(rows)
         return nums, r, [1] * (len(rows[0]) if rows else 0)
 
+    def load_right(self, rows):
+        # each column over the lcm of its denominators, as a product's right
+        # operand has them: the product then needs no scaling in the middle
+        cols, c = _fraction_free(zip(*rows))
+        return [list(r) for r in zip(*cols)], [1] * len(rows), c
+
     def store(self, x):
         q = _rational
         zero = self.field.zero_raw
@@ -572,31 +579,12 @@ class _RationalBlocks(_Blocks):
         big = lcm(*m)
         if big != 1:
             ny = [row if d == big else [v * (big // d) for v in row] for row, d in zip(ny, m)]
-        return _reduced(_raw_classical(nx, ny, k, c), [a * big for a in rx], cy)
+        return _reduced(_raw_classical(nx, ny, c), [a * big for a in rx], cy)
 
 
 def blocks(field: FieldSpec):
     """The block kernel of a field."""
     return _RationalBlocks(field) if field.kind == "rational" else _PrimeBlocks(field)
-
-
-def _rational_product(x, y, k, c, field):
-    """Canonical rows of x * y for canonical rational rows x (r x k) and y (k x c).
-
-    Each row of x is scaled to integers over the lcm of its denominators and
-    each column of y likewise; the scaling commutes with the product, so
-    each entry is one integer over dx_i * dy_j.
-    """
-    zero = field.zero_raw
-    if not k:
-        return [[zero] * c for _ in x]
-    xn, xd = _fraction_free(x)
-    ytn, yd = _fraction_free(zip(*y))
-    q = _rational
-    return [
-        [q(v, dx * dy) if v else zero for v, dy in zip(r, yd)]
-        for r, dx in zip(_raw_classical(xn, list(zip(*ytn)), k, c), xd)
-    ]
 
 
 # ---------------------------------------------------------------------------
@@ -613,10 +601,8 @@ def mat_mul_classical(A: DenseMatrix, B: DenseMatrix, counter: MulCounter | None
         counter = MulCounter()
     k, c = A.cols, B.cols
     counter.scalar_mults += A.rows * k * c
-    if A.field.kind == "gfp":
-        data = _gfp_classical(A._d, B._d, k, c, A.field.modulus)
-    else:
-        data = _rational_product(A._d, B._d, k, c, A.field)
+    K = blocks(A.field)
+    data = K.store(K.mul(K.load(A._d), K.load_right(B._d), k, c))
     return DenseMatrix._wrap(A.field, data, A.rows, c)
 
 

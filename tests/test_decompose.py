@@ -277,7 +277,7 @@ def test_parallel_matches_sequential():
 
 @pytest.mark.parametrize("field", FIELDS)
 def test_logged_run_matches_skipping_run(field):
-    # a _node_log run visits every node while a plain run skips zero blocks:
+    # a _node_log run lists a skipped zero block's subtree from the model:
     # the skipped work must be counted exactly as the work performed
     r = random.Random(0x106)
     for n, rank in ((8, 0), (16, 3), (16, 8), (12, 5)):
@@ -289,6 +289,35 @@ def test_logged_run_matches_skipping_run(field):
             assert (str(logged.L), logged.E, str(logged.U)) == (str(plain.L), plain.E, str(plain.U))
             assert c_log == c
             assert sum(own for _, own in log) == c.scalar_mults
+
+
+@pytest.mark.parametrize("field", FIELDS)
+def test_logged_run_does_the_work_of_a_plain_run(field, monkeypatch):
+    # keeping a _node_log must not change which block products run: a zero
+    # block is skipped whether or not a log is kept
+    from leu import dense
+
+    calls = {"mul": 0, "classical": 0}
+
+    def counting(name, fn):
+        def wrapped(*args):
+            calls[name] += 1
+            return fn(*args)
+        return wrapped
+
+    monkeypatch.setattr(dense._Blocks, "mul", counting("mul", dense._Blocks.mul))
+    for cls in (dense._PrimeBlocks, dense._RationalBlocks):
+        monkeypatch.setattr(cls, "_classical", counting("classical", cls._classical))
+    r = random.Random(0x107)
+    for n, rank in ((8, 0), (16, 3), (16, 8), (12, 5)):
+        A = planted_rank(field, n, rank, r)
+        for method, cutoff in (("classical", 32), ("strassen", 1)):
+            runs = []
+            for log in (None, []):
+                calls.update(mul=0, classical=0)
+                leu_decompose(A, method=method, cutoff=cutoff, _node_log=log)
+                runs.append(dict(calls))
+            assert runs[0] == runs[1], (n, rank, method)
 
 
 def test_padding_truncation_roundtrip():

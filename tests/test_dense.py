@@ -18,6 +18,7 @@ from leu import (
     leu_decompose,
     mat_mul_classical,
     pad_to_pow2,
+    tp_apply_left,
 )
 from helpers import FIELDS, GF7, mul, rand_matrix
 
@@ -274,6 +275,36 @@ def test_rational_classical_rectangular_matches_schoolbook(seed):
         assert c.scalar_mults == rows * inner * cols
 
 
+def _shared_denominators(rows, cols, r, down_columns):
+    """Entries that share one denominator per column (a U-type operand) or
+    per row (an L-type one), with some zero entries."""
+    dens = [r.choice([1, 3, 7, 2**40 + 15, 6 * 2**70]) for _ in range(cols if down_columns else rows)]
+    data = [
+        [QQ.canon(r.randint(-99, 99) if r.random() > 0.2 else 0) / dens[j if down_columns else i]
+         for j in range(cols)]
+        for i in range(rows)
+    ]
+    return DenseMatrix._wrap(QQ, data, rows, cols)
+
+
+@pytest.mark.parametrize("seed", range(4))
+def test_rational_u_times_l_matches_schoolbook(seed):
+    # the inverse's final product U * (E^T * L): the left operand shares its
+    # denominators down its columns, the right one along its rows
+    r = random.Random(150 + seed)
+    for rows, inner, cols in ((1, 1, 1), (4, 4, 4), (8, 8, 8), (5, 3, 6), (2, 7, 3)):
+        A = _shared_denominators(rows, inner, r, down_columns=True)
+        B = _shared_denominators(inner, cols, r, down_columns=False)
+        c = MulCounter()
+        _assert_same_bytes(mat_mul_classical(A, B, c), _schoolbook(A, B))
+        assert c.scalar_mults == rows * inner * cols
+    res = leu_decompose(_mixed_rational(8, 8, r))
+    for X, Y in ((res.U, tp_apply_left(res.E.transpose(), res.L)), (res.U, res.L)):
+        c = MulCounter()
+        _assert_same_bytes(mat_mul_classical(X, Y, c), _schoolbook(X, Y))
+        assert c.scalar_mults == 8**3
+
+
 @pytest.mark.parametrize("seed", range(6))
 def test_rational_strassen_matches_schoolbook(seed):
     r = random.Random(200 + seed)
@@ -388,6 +419,35 @@ def test_gfp_classical_rectangular_matches_schoolbook(p):
             assert got.shape == (rows, cols)
             _assert_same_residues(got._d, _gfp_schoolbook(x, y, k, cols, p))
             assert c.scalar_mults == rows * k * cols
+
+
+def _reference(A, B):
+    if A.field == QQ:
+        return _schoolbook(A, B)
+    data = _gfp_schoolbook(A._d, B._d, A.cols, B.cols, A.field.modulus)
+    return DenseMatrix._wrap(A.field, data, A.rows, B.cols)
+
+
+@pytest.mark.parametrize("field", [GF7, GF(65521), GF(2**64 - 59), QQ])
+def test_identity_and_zero_operands_match_schoolbook(field):
+    # a zero or identity operand takes the block kernel's shortcuts; the
+    # result must still be the schoolbook's canonical entries, counted r*k*c
+    r = random.Random(160)
+    shapes = ((3, 3, 3), (1, 4, 3), (5, 2, 1), (2, 9, 5), (3, 0, 4), (0, 3, 2), (4, 7, 0),
+              (4, 0, 0), (0, 0, 0))
+    want_type = type(field.zero_raw)
+    for rows, k, cols in shapes:
+        A = _mixed_rational(rows, k, r) if field == QQ else rand_matrix(field, rows, k, r)
+        B = _mixed_rational(k, cols, r) if field == QQ else rand_matrix(field, k, cols, r)
+        pairs = [(DenseMatrix.zeros(field, rows, k), B), (A, DenseMatrix.zeros(field, k, cols)),
+                 (DenseMatrix.identity(field, rows), A), (A, DenseMatrix.identity(field, k)),
+                 (DenseMatrix.identity(field, k), B), (B, DenseMatrix.identity(field, cols))]
+        for X, Y in pairs:
+            c = MulCounter()
+            got, want = mat_mul_classical(X, Y, c), _reference(X, Y)
+            assert got.shape == want.shape and got == want and str(got) == str(want)
+            assert all(type(v) is want_type for row in got._d for v in row)
+            assert c.scalar_mults == X.rows * X.cols * Y.cols
 
 
 # --- GF(p) Strassen-mode products -----------------------------------------------
