@@ -182,7 +182,7 @@ def _common(fn):
                      help="Leaf size of the Strassen multiplication count."),
         click.option("--mul", "mul_mode", type=click.Choice(["classical", "strassen"]),
                      default="classical", show_default=True,
-                     help="Dense multiplication algorithm."),
+                     help="Multiplication count of each product: n^3, or Strassen's at --cutoff."),
         click.option("--field", "field_override", default=None, metavar="SPEC",
                      help="Override the field declared in the file, e.g. 'gfp 7' or 'rational'."),
     ):

@@ -59,7 +59,7 @@ from .dense import (
     strassen_count,
 )
 from .errors import InvariantError, ShapeError
-from .perms import TruncPerm, _col_mask, _row_mask, tp_to_dense
+from .perms import TruncPerm, _col_mask, _integer, _row_mask, tp_to_dense
 
 
 @dataclass
@@ -101,7 +101,7 @@ class _Plan:
             cutoff = inf
         elif method != "strassen":
             raise ValueError(f"unknown multiplication method {method!r}")
-        elif cutoff < 1:
+        elif _integer(cutoff, "cutoffs") < 1:
             raise ValueError("cutoff must be >= 1")
         self.k = blocks(field)
         self.cutoff = cutoff
@@ -200,8 +200,9 @@ def _leu_rec(a, n, im, jm, plan, counter):
         one = K.identity(1)
         return one, [], one
 
-    if plan.debug and _outside_support(K.nums(a), n, im, jm):
-        raise ShapeError("block has entries outside its (I, J) support")
+    if plan.debug:
+        _ensure(not _outside_support(K.nums(a), n, im, jm),
+                "block has entries outside its (I, J) support")
 
     if K.is_zero(a):
         # every node below sees zeros only: L = U = I, E = 0, counted in full

@@ -336,7 +336,7 @@ class _PrimeBlocks(_Blocks):
     def load(self, rows):
         return rows
 
-    load_right = load
+    load_cols = load
 
     def store(self, x):
         # fresh rows: inside the recursion blocks share rows freely
@@ -480,9 +480,9 @@ class _RationalBlocks(_Blocks):
         nums, r = _fraction_free(rows)
         return nums, r, [1] * (len(rows[0]) if rows else 0)
 
-    def load_right(self, rows):
-        # each column over the lcm of its denominators, as a product's right
-        # operand has them: the product then needs no scaling in the middle
+    def load_cols(self, rows):
+        # each column over the lcm of its denominators: the form of a right
+        # operand, and of any operand whose columns share denominators (U)
         cols, c = _fraction_free(zip(*rows))
         return [list(r) for r in zip(*cols)], [1] * len(rows), c
 
@@ -602,7 +602,7 @@ def mat_mul_classical(A: DenseMatrix, B: DenseMatrix, counter: MulCounter | None
     k, c = A.cols, B.cols
     counter.scalar_mults += A.rows * k * c
     K = blocks(A.field)
-    data = K.store(K.mul(K.load(A._d), K.load_right(B._d), k, c))
+    data = K.store(K.mul(K.load(A._d), K.load_cols(B._d), k, c))
     return DenseMatrix._wrap(A.field, data, A.rows, c)
 
 

@@ -15,6 +15,7 @@ from .decompose import LeuResult, _ensure, _leu_padded, leu_decompose
 from .dense import (
     DenseMatrix,
     MulCounter,
+    blocks,
     invert_lower_triangular,
     invert_upper_unitriangular,
     mat_mul_classical,
@@ -118,7 +119,13 @@ def _inverse_from(A: DenseMatrix, res: LeuResult, counter: MulCounter | None) ->
     if r < n:
         raise SingularError(f"matrix of rank {r} < {n} has no inverse", rank=r)
     etl = tp_apply_left(res.E.transpose(), res.L)
-    return mat_mul_classical(res.U, etl, counter)
+    # U shares its denominators down its columns and E^T * L along its rows;
+    # loaded that way, neither is put over the lcms of its other direction
+    if counter is not None:
+        counter.scalar_mults += n * n * n
+    K = blocks(A.field)
+    data = K.store(K.mul(K.load_cols(res.U._d), K.load(etl._d), n, n))
+    return DenseMatrix._wrap(A.field, data, n, n)
 
 
 def mat_rank(
@@ -182,7 +189,7 @@ def largest_nonsingular_block(
     returned, each ascending.  With ``verify`` the submatrix is
     cross-checked nonsingular by the elimination oracle.
     """
-    res = leu_decompose(A, counter, method=method, cutoff=cutoff)
+    res = leu_decompose(A, counter, method=method, cutoff=cutoff, debug_checks=verify)
     rows = tuple(res.E.row_support().indices())
     cols = tuple(res.E.col_support().indices())
     if verify:

@@ -249,9 +249,10 @@ def test_verify_decomposes_once(tmp_path, monkeypatch, capsys, data, want, flags
 
 
 def test_debug_checks_reach_the_node_checks(monkeypatch, capsys):
-    # with debug_checks the rank and the kernel run the per-node contract
-    # checks of the decomposition they rest on; without it they do not
-    from leu import kernel_basis, mat_rank
+    # with debug_checks the rank, the kernel and the block (verify=True) run
+    # the per-node contract checks of the decomposition they rest on;
+    # without it they do not
+    from leu import kernel_basis, largest_nonsingular_block, mat_rank
     from leu.textio import parse_matrix
 
     calls = _count_calls(monkeypatch, ["leu.decompose"], "_debug_node")
@@ -266,9 +267,16 @@ def test_debug_checks_reach_the_node_checks(monkeypatch, capsys):
         assert mat_rank(B, debug_checks=True) == plain[1]
         assert calls
         calls.clear()
-    assert main(["rank", str(DATA / "gf7_worked.txt")]) == 0
-    out = capsys.readouterr().out
+    plain = largest_nonsingular_block(A)
     assert not calls
-    assert main(["rank", str(DATA / "gf7_worked.txt"), "--debug-checks"]) == 0
+    assert largest_nonsingular_block(A, verify=True) == plain
     assert calls
-    assert capsys.readouterr().out == out
+    calls.clear()
+    for command in ("rank", "block"):
+        assert main([command, str(DATA / "gf7_worked.txt")]) == 0
+        out = capsys.readouterr().out
+        assert not calls
+        assert main([command, str(DATA / "gf7_worked.txt"), "--debug-checks"]) == 0
+        assert calls
+        calls.clear()
+        assert capsys.readouterr().out == out

@@ -400,13 +400,23 @@ def test_classical_ignores_cutoff():
         assert c == c_ref
 
 
-@pytest.mark.parametrize("kw", [dict(method="bogus"), dict(method="strassen", cutoff=0)],
-                         ids=["unknown-method", "strassen-cutoff-0"])
-def test_bad_method_or_cutoff_rejected(kw):
+@pytest.mark.parametrize(
+    "kw, exc",
+    [
+        (dict(method="bogus"), ValueError),
+        (dict(method="strassen", cutoff=0), ValueError),
+        (dict(method="strassen", cutoff=True), TypeError),
+        (dict(method="strassen", cutoff=1.5), TypeError),
+        (dict(method="strassen", cutoff="8"), TypeError),
+    ],
+    ids=["unknown-method", "strassen-cutoff-0", "strassen-cutoff-bool",
+         "strassen-cutoff-float", "strassen-cutoff-str"],
+)
+def test_bad_method_or_cutoff_rejected(kw, exc):
     A = rand_matrix(GF7, 4, 4, rng)
-    with pytest.raises(ValueError):
+    with pytest.raises(exc):
         leu_decompose(A, **kw)
-    with pytest.raises(ValueError):
+    with pytest.raises(exc):
         mat_rank(rand_matrix(GF7, 2, 3, rng), **kw)
 
 
@@ -454,14 +464,20 @@ def test_debug_node_rejects_corrupted_nodes(l, e, u, im, jm, what):
 
 _O_SCRIPT = textwrap.dedent("""
     import sys
-    from leu import GF, DenseMatrix, InvariantError
+    from leu import GF, DenseMatrix, InvariantError, MulCounter
     import leu.derived
-    from leu.decompose import _debug_node
+    from leu.decompose import _debug_node, _leu_rec, _Plan
 
     assert sys.flags.optimize and not __debug__
     caught = []
     try:
         _debug_node([[1, 0], [0, 1]], [(1, 0)], [[1, 0], [0, 1]], 2, 0b01, 0b11, 1)
+    except InvariantError as exc:
+        caught.append(str(exc))
+    # a node entered with an entry outside its column support
+    try:
+        plan = _Plan(GF(7), "classical", 32, True, False, None)
+        _leu_rec([[0, 1], [0, 0]], 2, 0b11, 0b01, plan, MulCounter())
     except InvariantError as exc:
         caught.append(str(exc))
 
@@ -492,7 +508,8 @@ def test_contract_checks_hold_under_python_O():
                          capture_output=True, text=True, timeout=120)
     assert out.returncode == 0, out.stderr
     assert out.stdout.strip() == (
-        "['row support escapes its contract', 'kernel candidate fails to annihilate']"
+        "['row support escapes its contract', 'block has entries outside its (I, J) support',"
+        " 'kernel candidate fails to annihilate']"
     )
 
 

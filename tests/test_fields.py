@@ -105,6 +105,17 @@ def test_is_prime_small():
         assert is_prime(p)
 
 
+def test_is_prime_rejects_strong_pseudoprimes():
+    # composites with no factor among the witnesses, so only the witness
+    # loop can reject them: 3825123056546413051 passes every base up to 31
+    # and 3215031751 = 151 * 751 * 28351 passes the bases 2, 3, 5 and 7
+    for n in (3825123056546413051, 3215031751, 1000003 * 1000033):
+        assert not is_prime(n), n
+    with pytest.raises(ValueError):
+        GF(3215031751)
+    assert is_prime(2**61 - 1)
+
+
 def test_field_equality_across_instances():
     assert GF(7) == GF(7)
     assert GF(7) != GF(5)
