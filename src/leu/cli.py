@@ -157,7 +157,7 @@ def _load(path: str, field_spec: str | None) -> DenseMatrix:
     try:
         with open(path, "r", encoding="utf-8") as fh:
             text = fh.read()
-    except OSError as exc:
+    except (OSError, UnicodeDecodeError) as exc:
         raise ParseError(f"cannot read {path}: {exc}") from None
     return parse_matrix(text, override)
 

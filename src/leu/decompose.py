@@ -91,11 +91,12 @@ class VerifyReport:
 
 
 class _Plan:
-    """Per-call context shared by every node of one decomposition."""
+    """Per-call context shared by every node of one decomposition: the block
+    kernel, the count model, the counter and, if one is kept, the node log."""
 
-    __slots__ = ("k", "cutoff", "debug", "reverse", "rec", "_tree")
+    __slots__ = ("k", "cutoff", "debug", "reverse", "counter", "log", "own", "_tree")
 
-    def __init__(self, field, method, cutoff, debug, reverse, log):
+    def __init__(self, field, method, cutoff, debug, reverse, counter, log):
         # the classical count is Strassen's count of a product that never splits
         if method == "classical":
             cutoff = inf
@@ -107,12 +108,16 @@ class _Plan:
         self.cutoff = cutoff
         self.debug = debug
         self.reverse = reverse
-        self.rec = _leu_rec if log is None else _logged(log)
+        self.counter = counter
+        self.log = log
+        self.own = 0  # counted by the products of the node now running
         self._tree = {1: 0}
 
-    def mm(self, x, y, h, counter):
+    def mm(self, x, y, h):
         """The product of two h x h blocks, counted as ``strassen_count(h, cutoff)``."""
-        counter.scalar_mults += strassen_count(h, self.cutoff)
+        c = strassen_count(h, self.cutoff)
+        self.counter.scalar_mults += c
+        self.own += c
         return self.k.mul(x, y, h, h)
 
     def tree_mults(self, n):
@@ -165,37 +170,13 @@ def _zero_log(n, cutoff):
     return 4 * _zero_log(n >> 1, cutoff) + [(n, 17 * strassen_count(n >> 1, cutoff))]
 
 
-def _logged(log):
-    # the recursion, appending (size, own count) to log per internal node;
-    # a node's own count leaves out what its four children count
-    kids = [0]  # counted by the children of the node now running
-
-    def rec(a, n, im, jm, plan, counter):
-        outer, kids[0] = kids[0], 0
-        start = counter.scalar_mults
-        out = _leu_rec(a, n, im, jm, plan, counter)
-        total = counter.scalar_mults - start
-        if kids[0]:
-            log.append((n, total - kids[0]))
-        else:
-            # no child counted: a leaf (no entry), a 2 x 2 node (whose own
-            # count is the model's one entry) or a skipped zero block, whose
-            # subtree the model lists without running it; the entries sum to
-            # plan.tree_mults(n), what the skip counted
-            log.extend(_zero_log(n, plan.cutoff))
-        kids[0] = outer + total
-        return out
-
-    return rec
-
-
-def _leu_rec(a, n, im, jm, plan, counter):
+def _leu_rec(a, n, im, jm, plan):
     # a is a block in the form of plan.k; so are the returned L and U
     K = plan.k
     if n == 1:
         inv = K.inverse1(a)
         if inv is not None:
-            counter.scalar_invs += 1
+            plan.counter.scalar_invs += 1
             return inv, [(0, 0)], K.identity(1)
         one = K.identity(1)
         return one, [], one
@@ -205,8 +186,10 @@ def _leu_rec(a, n, im, jm, plan, counter):
                 "block has entries outside its (I, J) support")
 
     if K.is_zero(a):
-        # every node below sees zeros only: L = U = I, E = 0, counted in full
-        counter.scalar_mults += plan.tree_mults(n)
+        # every node below sees zeros only: L = U = I, E = 0, counted and logged in full
+        plan.counter.scalar_mults += plan.tree_mults(n)
+        if plan.log is not None:
+            plan.log.extend(_zero_log(n, plan.cutoff))
         one = K.identity(n)
         return one, [], one
 
@@ -216,12 +199,13 @@ def _leu_rec(a, n, im, jm, plan, counter):
     j1, j2 = jm & hm, jm >> h
     a11, a12, a21, a22 = K.split(a, h)
     mm = plan.mm
-    rec = plan.rec
+    # this node's own count leaves out what its four children count
+    outer, plan.own = plan.own, 0
 
-    l11, e11, u11 = rec(a11, h, i1, j1, plan, counter)
+    l11, e11, u11 = _leu_rec(a11, h, i1, j1, plan)
 
-    q = mm(l11, a12, h, counter)
-    b = mm(a21, u11, h, counter)
+    q = mm(l11, a12, h)
+    b = mm(a21, u11, h)
 
     i11 = _row_mask(e11)
     j11 = _col_mask(e11)
@@ -230,17 +214,17 @@ def _leu_rec(a, n, im, jm, plan, counter):
     a1_12 = K.keep_rows(q, ib11, h)
     a1_21 = K.keep_cols(b, jb11, h)
     t = K.perm_cols(b, e11, h)
-    a1_22 = K.sub(a22, mm(t, q, h, counter))
+    a1_22 = K.sub(a22, mm(t, q, h))
 
     # the two middle recursions are independent: either order gives the same
     if plan.reverse:
-        l21, e21, u21 = rec(a1_21, h, i2, jb11 & j1, plan, counter)
-        l12, e12, u12 = rec(a1_12, h, ib11 & i1, j2, plan, counter)
+        l21, e21, u21 = _leu_rec(a1_21, h, i2, jb11 & j1, plan)
+        l12, e12, u12 = _leu_rec(a1_12, h, ib11 & i1, j2, plan)
     else:
-        l12, e12, u12 = rec(a1_12, h, ib11 & i1, j2, plan, counter)
-        l21, e21, u21 = rec(a1_21, h, i2, jb11 & j1, plan, counter)
+        l12, e12, u12 = _leu_rec(a1_12, h, ib11 & i1, j2, plan)
+        l21, e21, u21 = _leu_rec(a1_21, h, i2, jb11 & j1, plan)
 
-    g = mm(mm(l21, a1_22, h, counter), u12, h, counter)
+    g = mm(mm(l21, a1_22, h), u12, h)
     i21 = _row_mask(e21)
     j12 = _col_mask(e12)
     ib21 = i21 ^ hm
@@ -248,20 +232,20 @@ def _leu_rec(a, n, im, jm, plan, counter):
     gj = K.keep_cols(g, jb12, h)
     a2_22 = K.keep_rows(gj, ib21, h)
 
-    l22, e22, u22 = rec(a2_22, h, ib21 & i2, jb12 & j2, plan, counter)
+    l22, e22, u22 = _leu_rec(a2_22, h, ib21 & i2, jb12 & j2, plan)
 
     ge = K.perm_cols(g, e12, h)
-    w = K.add(mm(ge, l12, h, counter), mm(l21, t, h, counter))
+    w = K.add(mm(ge, l12, h), mm(l21, t, h))
     eg = K.perm_rows(e21, gj, h)
     eq = K.perm_rows(e11, q, h)
-    v = K.add(mm(u21, eg, h, counter), mm(eq, u12, h, counter))
+    v = K.add(mm(u21, eg, h), mm(eq, u12, h))
 
-    l_tl = mm(l12, l11, h, counter)
-    l_bl = K.neg(mm(mm(l22, w, h, counter), l11, h, counter))
-    l_br = mm(l22, l21, h, counter)
-    u_tl = mm(u11, u21, h, counter)
-    u_tr = K.neg(mm(mm(u11, v, h, counter), u22, h, counter))
-    u_br = mm(u12, u22, h, counter)
+    l_tl = mm(l12, l11, h)
+    l_bl = K.neg(mm(mm(l22, w, h), l11, h))
+    l_br = mm(l22, l21, h)
+    u_tl = mm(u11, u21, h)
+    u_tr = K.neg(mm(mm(u11, v, h), u22, h))
+    u_br = mm(u12, u22, h)
 
     zero = K.zeros(h, h)
     l = K.join(l_tl, zero, l_bl, l_br)
@@ -273,6 +257,9 @@ def _leu_rec(a, n, im, jm, plan, counter):
 
     if plan.debug:
         _debug_node(K.store(l), e, K.store(u), n, im, jm, K.field.one_raw)
+    if plan.log is not None:
+        plan.log.append((n, plan.own))
+    plan.own = outer
     return l, e, u
 
 
@@ -312,10 +299,10 @@ def _leu_padded(A, counter, method, cutoff, debug_checks, parallel=False, node_l
     m = P.rows
     if counter is None:
         counter = MulCounter()
-    plan = _Plan(field, method, cutoff, debug_checks, parallel, node_log)
+    plan = _Plan(field, method, cutoff, debug_checks, parallel, counter, node_log)
     K = plan.k
     full = (1 << m) - 1
-    l, e, u = plan.rec(K.load(P._d), m, full, full, plan, counter)
+    l, e, u = _leu_rec(K.load(P._d), m, full, full, plan)
     l, u = K.store(l), K.store(u)
     if m != s:
         if debug_checks:

@@ -132,7 +132,10 @@ class PrimeField(FieldSpec):
     def parse(self, token: str):
         if not _GFP_TOKEN.match(token):
             raise ParseError(f"invalid GF({self.modulus}) scalar {token!r}")
-        v = int(token)
+        try:
+            v = int(token)
+        except ValueError:  # more digits than int() converts
+            raise ParseError(f"residue of {len(token)} digits is too long to parse") from None
         if v >= self.modulus:
             raise ParseError(f"residue {v} out of range for GF({self.modulus})")
         return v
@@ -192,6 +195,8 @@ class RationalField(FieldSpec):
             return _rational(token)
         except ZeroDivisionError:
             raise ParseError(f"zero denominator in {token!r}") from None
+        except ValueError:  # more digits than int() converts
+            raise ParseError(f"rational of {len(token)} characters is too long to parse") from None
 
     def fmt(self, v) -> str:
         return str(v)

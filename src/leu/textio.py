@@ -63,7 +63,10 @@ def _expect_count(line: str, key: str, lineno: int) -> int:
     parts = line.split()
     if len(parts) != 2 or parts[0] != key or not _COUNT.match(parts[1]):
         raise ParseError(f"line {lineno}: expected '{key} <count>', got {line!r}")
-    return int(parts[1])
+    try:
+        return int(parts[1])
+    except ValueError:  # more digits than int() converts
+        raise ParseError(f"line {lineno}: {key} count has {len(parts[1])} digits") from None
 
 
 def read_matrix(lines, start: int = 0, field: FieldSpec | None = None):

@@ -60,8 +60,12 @@ def test_invert_singular_exit2(capsys):
     assert captured.out == ""
 
 
-def test_parse_error_exit1(capsys):
+def test_parse_error_exit1(tmp_path, capsys):
     assert main(["leu", str(DATA / "bad_truncated.txt")]) == 1
+    assert "error:" in capsys.readouterr().err
+    latin1 = tmp_path / "latin1.txt"
+    latin1.write_bytes(b"field gfp 7\nrows 1\ncols 1\n\xff\n")  # not UTF-8
+    assert main(["leu", str(latin1)]) == 1
     assert "error:" in capsys.readouterr().err
 
 

@@ -173,6 +173,34 @@ def test_exact_17_products_per_node():
     assert c.scalar_mults == sum(own for _, own in log)
 
 
+@pytest.mark.parametrize("field", FIELDS)
+def test_2x2_entries_are_measured(field, monkeypatch):
+    # a 2 x 2 node that runs logs what its products counted, not the model's
+    # 17: count each of its 1 x 1 products twice and its entry must read 34
+    from leu.decompose import _Plan
+
+    real = _Plan.mm
+    runs = [0]  # 1 x 1 products performed
+
+    def twice(self, x, y, h):
+        if h == 1:
+            runs[0] += 1
+            real(self, x, y, h)
+        return real(self, x, y, h)
+
+    monkeypatch.setattr(_Plan, "mm", twice)
+    r = random.Random(0x2B2)
+    for A in (planted_rank(field, 16, 5, r), planted_rank(field, 12, 12, r)):
+        runs[0] = 0
+        log, c = [], MulCounter()
+        leu_decompose(A, c, _node_log=log)
+        assert runs[0] and runs[0] % 17 == 0
+        owns = [own for size, own in log if size == 2]
+        assert owns.count(34) == runs[0] // 17
+        assert owns.count(17) == len(owns) - runs[0] // 17  # zero blocks, from the model
+        assert sum(own for _, own in log) == c.scalar_mults
+
+
 def test_total_count_closed_form():
     # classical multiplication: 17 * (n^3 - n^2) / 4 for power-of-two n
     for n in (2, 4, 8, 16, 32):
@@ -260,7 +288,8 @@ def _zero_top_left(field, n, r):
 
 def test_parallel_matches_sequential():
     # parallel=True evaluates each node's two middle recursions in the
-    # opposite order; L, E, U and the counts must not notice
+    # opposite order; L, E, U, the counts and the node log's entries must
+    # not notice
     r = random.Random(0x0DD)
     inputs = []
     for field in FIELDS:
@@ -268,11 +297,15 @@ def test_parallel_matches_sequential():
         inputs += [_zero_top_left(field, n, r) for n in (4, 8, 16, 12)]
     for A in inputs:
         for method, cutoff in (("classical", 32), ("strassen", 1)):
-            c_seq, c_rev = MulCounter(), MulCounter()
-            seq = leu_decompose(A, c_seq, method=method, cutoff=cutoff)
-            rev = leu_decompose(A, c_rev, method=method, cutoff=cutoff, parallel=True)
+            c_seq, c_rev, log_seq, log_rev = MulCounter(), MulCounter(), [], []
+            seq = leu_decompose(A, c_seq, method=method, cutoff=cutoff, _node_log=log_seq)
+            rev = leu_decompose(A, c_rev, method=method, cutoff=cutoff, parallel=True,
+                                _node_log=log_rev)
             assert (str(seq.L), seq.E, str(seq.U)) == (str(rev.L), rev.E, str(rev.U))
             assert c_seq == c_rev
+            assert sorted(log_seq) == sorted(log_rev)
+            assert sum(own for _, own in log_rev) == c_rev.scalar_mults
+            assert sum(own for _, own in log_seq) == c_seq.scalar_mults
 
 
 @pytest.mark.parametrize("field", FIELDS)
@@ -476,8 +509,8 @@ _O_SCRIPT = textwrap.dedent("""
         caught.append(str(exc))
     # a node entered with an entry outside its column support
     try:
-        plan = _Plan(GF(7), "classical", 32, True, False, None)
-        _leu_rec([[0, 1], [0, 0]], 2, 0b11, 0b01, plan, MulCounter())
+        plan = _Plan(GF(7), "classical", 32, True, False, MulCounter(), None)
+        _leu_rec([[0, 1], [0, 0]], 2, 0b11, 0b01, plan)
     except InvariantError as exc:
         caught.append(str(exc))
 

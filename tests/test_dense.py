@@ -59,9 +59,9 @@ def _plan_mm(field, x, y, n, cutoff, counter):
     the decomposition's one counting path: a plan's ``mm`` on loaded blocks."""
     from leu.decompose import _Plan
 
-    plan = _Plan(field, "strassen", cutoff, False, False, None)
+    plan = _Plan(field, "strassen", cutoff, False, False, counter, None)
     K = plan.k
-    return K.store(plan.mm(K.load(x), K.load(y), n, counter))
+    return K.store(plan.mm(K.load(x), K.load(y), n))
 
 
 def _strassen(A, B, cutoff, counter=None):

@@ -66,6 +66,11 @@ def test_trailing_garbage_rejected():
         "field gfp 7\nrows -1\ncols 1\n",          # negative count
         "field rational\nrows 1\ncols 1\n1/0\n",   # zero denominator
         "field rational\nrows 1\ncols 1\n1.5\n",   # not a fraction
+        # more digits than int() converts (sys.get_int_max_str_digits(), 4,300)
+        pytest.param("field gfp 7\nrows 1\ncols 1\n" + "0" * 4400 + "3\n", id="long-residue"),
+        # the zero denominator makes gmpy2's mpq, which has no digit limit, reject it too
+        pytest.param("field rational\nrows 1\ncols 1\n" + "1" * 4400 + "/0\n", id="long-rational"),
+        pytest.param("field gfp 7\nrows " + "1" * 4400 + "\ncols 1\n3\n", id="long-count"),
     ],
 )
 def test_strict_errors(text):
