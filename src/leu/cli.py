@@ -10,9 +10,8 @@ Exit codes: 0 success, 1 parse/usage error (also a failed ``verify``),
 
 from __future__ import annotations
 
+import argparse
 import sys
-
-import click
 
 from .decompose import VerifyReport, leu_decompose, leu_verify
 from .dense import DenseMatrix, MulCounter, mat_mul_classical
@@ -144,12 +143,63 @@ def _verify(A, counter, kw):
 
 
 # ---------------------------------------------------------------------------
-# click wiring
+# argument parsing: one parser, built once at import
 
 
-def _check_cutoff(cutoff: int) -> None:
-    if cutoff < 1:
-        raise ParseError("cutoff must be >= 1")
+class _Parser(argparse.ArgumentParser):
+    """Reports a usage error as a ParseError, so it exits 1 like bad input."""
+
+    def error(self, message):
+        raise ParseError(message)
+
+
+_COMMANDS = (  # bench has no body: it reads no matrix file
+    ("leu", "Decompose A into L, E, U with L*A*U = E; prints L, E, U and the rank.", _leu),
+    ("bruhat", "Generalized Bruhat decomposition A = V1*w*V2.", _bruhat),
+    ("invert", "Exact inverse; exits 2 with 'singular rank=<r>' if singular.", _invert),
+    ("rank", "Rank of the matrix.", _rank),
+    ("kernel", "Basis of the right kernel, one column per vector.", _kernel),
+    ("block", "Row/column indices of a nonsingular block of maximal size.", _block),
+    ("verify", "Run the decomposition and print PASS/FAIL per structural check.", _verify),
+    ("bench", "Multiplication-count benchmark over seeded matrices; emits CSV.", None),
+)
+_HELP = "Show this message and exit."
+
+
+def _build_parser() -> _Parser:
+    # no -h and no option prefixes: the accepted arguments are exactly --help
+    # and the options below, spelled out
+    flags = dict(add_help=False, allow_abbrev=False)
+    parser = _Parser(prog="leu", **flags,
+                     description="Exact pivot-free matrix decomposition over GF(p) and the rationals.")
+    parser.add_argument("--help", action="help", help=_HELP)
+    commands = parser.add_subparsers(required=True, metavar="COMMAND")
+    for name, help_text, body in _COMMANDS:
+        sub = commands.add_parser(name, help=help_text, description=help_text, **flags)
+        sub.set_defaults(body=body)
+        if body is None:
+            sub.add_argument("--seed", type=int, default=0, metavar="N",
+                             help="Seed of the deterministic matrix generator (default: %(default)s).")
+        else:
+            sub.add_argument("matrix_file", metavar="MATRIX_FILE")
+            sub.add_argument("--field", metavar="SPEC",
+                             help="Override the field declared in the file, e.g. 'gfp 7' or 'rational'.")
+            sub.add_argument("--mul", choices=("classical", "strassen"), default="classical",
+                             help="Multiplication count of each product: n^3, or Strassen's at "
+                                  "--cutoff (default: %(default)s).")
+            sub.add_argument("--count-mults", action="store_true",
+                             help="Append scalar multiplication/inversion totals.")
+            sub.add_argument("--debug-checks", action="store_true",
+                             help="Assert internal contracts at every recursion step.")
+        sub.add_argument("--cutoff", type=int, default=32, metavar="N",
+                         help="Leaf size of the Strassen multiplication count (default: %(default)s).")
+        sub.add_argument("--output", metavar="PATH",
+                         help="Write the result to PATH instead of standard output.")
+        sub.add_argument("--help", action="help", help=_HELP)
+    return parser
+
+
+_PARSER = _build_parser()
 
 
 def _load(path: str, field_spec: str | None) -> DenseMatrix:
@@ -162,101 +212,46 @@ def _load(path: str, field_spec: str | None) -> DenseMatrix:
     return parse_matrix(text, override)
 
 
-def _emit(output_path: str | None, text: str) -> None:
-    if output_path:
-        with open(output_path, "w", encoding="utf-8") as fh:
+def _run(args) -> int:
+    # checked before the input is read, even where the products are classical
+    if args.cutoff < 1:
+        raise ParseError("cutoff must be >= 1")
+    if args.body is None:
+        lines = ["n,mode,mults,invs"]
+        for n in BENCH_SIZES:
+            A = bench_matrix(n, args.seed)
+            for mode in ("classical", "strassen"):
+                c = MulCounter()
+                leu_decompose(A, c, method=mode, cutoff=args.cutoff)
+                lines.append(f"{n},{mode},{c.scalar_mults},{c.scalar_invs}")
+        text, code = "\n".join(lines) + "\n", 0
+    else:
+        A = _load(args.matrix_file, args.field)
+        counter = MulCounter()
+        kw = dict(method=args.mul, cutoff=args.cutoff, debug_checks=args.debug_checks)
+        text, code = args.body(A, counter, kw)
+        # every line of verify is a check, so it never carries the totals
+        if args.count_mults and args.body is not _verify:
+            text += f"mults {counter.scalar_mults}\ninvs {counter.scalar_invs}\n"
+    if args.output:
+        with open(args.output, "w", encoding="utf-8") as fh:
             fh.write(text)
     else:
         sys.stdout.write(text)
-
-
-def _common(fn):
-    for opt in (
-        click.option("--output", "output_path", default=None, metavar="PATH",
-                     help="Write the result to PATH instead of standard output."),
-        click.option("--debug-checks", is_flag=True,
-                     help="Assert internal contracts at every recursion step."),
-        click.option("--count-mults", is_flag=True,
-                     help="Append scalar multiplication/inversion totals."),
-        click.option("--cutoff", "strassen_cutoff", type=int, default=32, show_default=True,
-                     help="Leaf size of the Strassen multiplication count."),
-        click.option("--mul", "mul_mode", type=click.Choice(["classical", "strassen"]),
-                     default="classical", show_default=True,
-                     help="Multiplication count of each product: n^3, or Strassen's at --cutoff."),
-        click.option("--field", "field_override", default=None, metavar="SPEC",
-                     help="Override the field declared in the file, e.g. 'gfp 7' or 'rational'."),
-    ):
-        fn = opt(fn)
-    return fn
-
-
-@click.group(name="leu")
-def cli() -> None:
-    """Exact pivot-free matrix decomposition over GF(p) and the rationals."""
-
-
-def _register(name: str, help_text: str, body, counts: bool = True) -> None:
-    @cli.command(name=name, help=help_text)
-    @click.argument("input_path", metavar="MATRIX_FILE")
-    @_common
-    def _cmd(input_path, output_path, debug_checks, count_mults,
-             strassen_cutoff, mul_mode, field_override):
-        _check_cutoff(strassen_cutoff)
-        A = _load(input_path, field_override)
-        counter = MulCounter()
-        kw = dict(method=mul_mode, cutoff=strassen_cutoff, debug_checks=debug_checks)
-        text, code = body(A, counter, kw)
-        if count_mults and counts:
-            text += f"mults {counter.scalar_mults}\ninvs {counter.scalar_invs}\n"
-        _emit(output_path, text)
-        return code
-
-
-_register("leu", "Decompose A into L, E, U with L*A*U = E; prints L, E, U and the rank.", _leu)
-_register("bruhat", "Generalized Bruhat decomposition A = V1*w*V2.", _bruhat)
-_register("invert", "Exact inverse; exits 2 with 'singular rank=<r>' if singular.", _invert)
-_register("rank", "Rank of the matrix.", _rank)
-_register("kernel", "Basis of the right kernel, one column per vector.", _kernel)
-_register("block", "Row/column indices of a nonsingular block of maximal size.", _block)
-# every line of verify is a check, so it never carries the totals
-_register("verify", "Run the decomposition and print PASS/FAIL per structural check.", _verify,
-          counts=False)
-
-
-@cli.command(name="bench", help="Multiplication-count benchmark over seeded matrices; emits CSV.")
-@click.option("--seed", type=int, default=0, show_default=True,
-              help="Seed of the deterministic matrix generator.")
-@click.option("--cutoff", "strassen_cutoff", type=int, default=32, show_default=True)
-@click.option("--output", "output_path", default=None, metavar="PATH")
-def _bench(seed, strassen_cutoff, output_path):
-    _check_cutoff(strassen_cutoff)
-    lines = ["n,mode,mults,invs"]
-    for n in BENCH_SIZES:
-        A = bench_matrix(n, seed)
-        for mode in ("classical", "strassen"):
-            c = MulCounter()
-            leu_decompose(A, c, method=mode, cutoff=strassen_cutoff)
-            lines.append(f"{n},{mode},{c.scalar_mults},{c.scalar_invs}")
-    _emit(output_path, "\n".join(lines) + "\n")
+    return code
 
 
 def main(argv=None) -> int:
     try:
-        rv = cli.main(args=argv, standalone_mode=False)
-    except click.exceptions.Exit as exc:
-        return int(exc.exit_code)
-    except click.ClickException as exc:
-        exc.show()
-        return 1
-    except click.Abort:
-        return 1
+        return _run(_PARSER.parse_args(argv))
+    except SystemExit as exc:  # only --help exits, after printing the help
+        return exc.code
     except (ParseError, ShapeError, OSError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 1
     except SingularError as exc:
         print(f"singular rank={exc.rank}", file=sys.stderr)
         return 2
-    return int(rv or 0)
 
 
 if __name__ == "__main__":

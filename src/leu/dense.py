@@ -30,6 +30,7 @@ entry one integer over the product of its row and column scales.
 
 from __future__ import annotations
 
+from dataclasses import dataclass
 from math import gcd, lcm
 from operator import add as _add, mul as _mul, sub as _sub
 from struct import Struct
@@ -38,27 +39,15 @@ from .errors import FieldMismatchError, ShapeError, SingularError
 from .fields import FieldSpec, Scalar, _rational
 
 
+@dataclass(slots=True)
 class MulCounter:
     """Running totals of scalar multiplications and scalar inversions."""
 
-    __slots__ = ("scalar_mults", "scalar_invs")
-
-    def __init__(self, scalar_mults: int = 0, scalar_invs: int = 0):
-        self.scalar_mults = scalar_mults
-        self.scalar_invs = scalar_invs
+    scalar_mults: int = 0
+    scalar_invs: int = 0
 
     def copy(self) -> "MulCounter":
         return MulCounter(self.scalar_mults, self.scalar_invs)
-
-    def __eq__(self, other):
-        return (
-            isinstance(other, MulCounter)
-            and other.scalar_mults == self.scalar_mults
-            and other.scalar_invs == self.scalar_invs
-        )
-
-    def __repr__(self):
-        return f"MulCounter(scalar_mults={self.scalar_mults}, scalar_invs={self.scalar_invs})"
 
 
 _TEXT = (str, bytes, bytearray)

@@ -4,11 +4,11 @@ Gaussian elimination with pivoting, the classic algorithm family the
 decomposition core deliberately avoids: the rank and the kernel read one
 row echelon form, the inverse runs its own Gauss-Jordan elimination.
 Agreement between the two routes is therefore meaningful.  Nothing in
-the decomposition path calls into this module; it backs the test-suite
-and the CLI ``verify`` command only.  It is on the ``verify`` path, so
-its row operations are whole-row list expressions in plain integer or
-rational arithmetic, reduced mod p over GF(p), rather than the
-decomposition's kernels.
+the decomposition path calls into this module; it backs the test-suite,
+the CLI ``verify`` command and ``largest_nonsingular_block(verify=True)``
+only.  It is on the ``verify`` path, so its row operations are whole-row
+list expressions in plain integer or rational arithmetic, reduced mod p
+over GF(p), rather than the decomposition's kernels.
 """
 
 from __future__ import annotations

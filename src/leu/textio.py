@@ -40,7 +40,11 @@ def parse_field(tokens) -> FieldSpec:
         if not _COUNT.match(tokens[1]):
             raise ParseError(f"invalid modulus {tokens[1]!r}")
         try:
-            return GF(int(tokens[1]))
+            p = int(tokens[1])
+        except ValueError:  # more digits than int() converts
+            raise ParseError(f"modulus of {len(tokens[1])} digits is too long to parse") from None
+        try:
+            return GF(p)
         except ValueError as exc:
             raise ParseError(str(exc)) from None
     raise ParseError(f"unknown field {' '.join(tokens)!r}")

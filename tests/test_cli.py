@@ -1,5 +1,6 @@
 """Command-line contract: golden outputs, exit codes, bench reproducibility."""
 
+import re
 import subprocess
 import sys
 from pathlib import Path
@@ -88,6 +89,48 @@ def test_rectangular_input_to_square_command_exit1(tmp_path, capsys):
 def test_usage_error_exit1(capsys):
     assert main(["--bogus"]) == 1
     assert main(["leu"]) == 1  # missing argument
+
+
+@pytest.mark.parametrize(
+    "argv,code",
+    [
+        (["--help"], 0),
+        (["leu", "--help"], 0),
+        (["bench", "--help"], 0),
+        ([], 1),
+        (["--bogus"], 1),
+        (["nope", str(DATA / "gf7_worked.txt")], 1),
+        (["leu"], 1),  # missing MATRIX_FILE
+        (["leu", str(DATA / "gf7_worked.txt"), "--count"], 1),  # no option prefixes
+        (["-h"], 1),  # --help only
+        (["leu", str(DATA / "gf7_worked.txt"), "--mul", "fast"], 1),
+        (["leu", str(DATA / "gf7_worked.txt"), "--cutoff", "x"], 1),
+        (["bench", "extra"], 1),
+    ],
+    ids=["help", "leu-help", "bench-help", "no-argument", "bogus", "unknown-command",
+         "missing-file", "abbreviation", "short-help", "bad-mul", "bad-cutoff", "bench-extra"],
+)
+def test_argv_surface(capsys, argv, code):
+    assert main(argv) == code
+    out = capsys.readouterr().out
+    if code == 1:
+        assert out == ""
+        return
+    assert out.lower().startswith("usage:")
+    if argv == ["--help"]:
+        for cmd in MATRIX_COMMANDS + ("bench",):
+            assert re.search(rf"^ +{cmd}\b", out, re.M), cmd
+
+
+def test_long_modulus_exit1(tmp_path, capsys):
+    # more digits than int() converts (sys.get_int_max_str_digits(), 4,300)
+    modulus = "1" * 4400
+    path = tmp_path / "long.txt"
+    path.write_text(f"field gfp {modulus}\nrows 1\ncols 1\n1\n")
+    for argv in (["rank", str(path)],
+                 ["rank", str(DATA / "gf7_worked.txt"), "--field", f"gfp {modulus}"]):
+        assert main(argv) == 1
+        assert capsys.readouterr().err == "error: modulus of 4400 digits is too long to parse\n"
 
 
 def test_bad_cutoff_exit1(capsys):
@@ -200,6 +243,14 @@ def test_module_entrypoint_subprocess():
     )
     assert proc.returncode == 0
     assert proc.stdout == golden("leu_gf7_worked.txt")
+
+
+def test_cli_imports_no_third_party_module():
+    code = ("import sys; sys.modules['click'] = None; from leu.cli import main; "
+            f"sys.exit(main(['rank', {str(DATA / 'gf7_worked.txt')!r}]))")
+    proc = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True)
+    assert proc.returncode == 0, proc.stderr
+    assert proc.stdout == "rank 2\n"
 
 
 VERIFY_SINGULAR = "".join(

@@ -47,6 +47,7 @@ def test_classical_count():
     c2 = MulCounter()
     mat_mul_classical(rand_matrix(GF7, 3, 5, rng), rand_matrix(GF7, 5, 2, rng), c2)
     assert c2.scalar_mults == 3 * 5 * 2
+    assert repr(c2) == "MulCounter(scalar_mults=30, scalar_invs=0)"
 
 
 def test_classical_shape_error():
