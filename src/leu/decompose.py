@@ -182,7 +182,7 @@ def _leu_rec(a, n, im, jm, plan):
         return one, [], one
 
     if plan.debug:
-        _ensure(not _outside_support(K.nums(a), n, im, jm),
+        _ensure(not _outside_support(K.store(a), n, im, jm),
                 "block has entries outside its (I, J) support")
 
     if K.is_zero(a):

@@ -331,7 +331,6 @@ class _PrimeBlocks(_Blocks):
         # fresh rows: inside the recursion blocks share rows freely
         return [r[:] for r in x]
 
-    nums = load
     height = staticmethod(len)
     split = staticmethod(_quarters)
     keep_cols = staticmethod(_keep_cols)
@@ -378,12 +377,12 @@ def _fraction_free(rows):
     # over the lcm of its entries' denominators
     nums, dens = [], []
     for r in rows:
-        ds = [int(v.denominator) for v in r]
+        ds = [v.denominator for v in r]
         d = lcm(*ds)
         if d == 1:
-            nums.append([int(v.numerator) for v in r])
+            nums.append([v.numerator for v in r])
         else:
-            nums.append([int(v.numerator) * (d // dv) for v, dv in zip(r, ds)])
+            nums.append([v.numerator * (d // dv) for v, dv in zip(r, ds)])
         dens.append(d)
     return nums, dens
 
@@ -486,9 +485,6 @@ class _RationalBlocks(_Blocks):
             [q(v) if v else zero for v in row] if a == 1 else [q(v, a) if v else zero for v in row]
             for row, a in zip(rows, r)
         ]
-
-    def nums(self, x):
-        return x[0]
 
     def height(self, x):
         return len(x[0])

@@ -20,8 +20,8 @@ from .dense import (
     invert_upper_unitriangular,
     mat_mul_classical,
 )
-from .errors import ShapeError, SingularError
-from .perms import TruncPerm, reversal_perm, tp_apply_left
+from .errors import SingularError
+from .perms import TruncPerm, _col_mask, _row_mask
 
 
 @dataclass
@@ -73,20 +73,13 @@ def bruhat_decompose(
     and V2 is U^-1 minus its off-support unit diagonal.
     """
     s = M.rows
-    if M.cols != s:
-        raise ShapeError(f"expected a square matrix, got {M.shape}")
-    if s == 0:
-        raise ShapeError("empty matrix")
-    rev = reversal_perm(s)
-    res = leu_decompose(
-        tp_apply_left(rev, M), counter, method=method, cutoff=cutoff, debug_checks=debug_checks
-    )
+    # leu_decompose rejects a non-square or empty M with its own messages
+    rev = DenseMatrix._wrap(M.field, M._d[::-1], s, M.cols)
+    res = leu_decompose(rev, counter, method=method, cutoff=cutoff, debug_checks=debug_checks)
     l_inv = invert_lower_triangular(res.L, counter)
     u_inv = invert_upper_unitriangular(res.U, counter)
-    i_e = res.E.row_support()
-    j_e = res.E.col_support()
-    v1 = _reverse_both(_sub_unit_diag_outside(l_inv, i_e.mask))
-    v2 = _sub_unit_diag_outside(u_inv, j_e.mask)
+    v1 = _reverse_both(_sub_unit_diag_outside(l_inv, _row_mask(res.E.ones)))
+    v2 = _sub_unit_diag_outside(u_inv, _col_mask(res.E.ones))
     full = res.E.union(res.E.complement())
     w = TruncPerm(s, [(s - 1 - i, j) for i, j in full.ones])
     return BruhatResult(v1, w, v2)
@@ -118,13 +111,13 @@ def _inverse_from(A: DenseMatrix, res: LeuResult, counter: MulCounter | None) ->
     r = res.rank
     if r < n:
         raise SingularError(f"matrix of rank {r} < {n} has no inverse", rank=r)
-    etl = tp_apply_left(res.E.transpose(), res.L)
     # U shares its denominators down its columns and E^T * L along its rows;
     # loaded that way, neither is put over the lcms of its other direction
     if counter is not None:
         counter.scalar_mults += n * n * n
     K = blocks(A.field)
-    data = K.store(K.mul(K.load_cols(res.U._d), K.load(etl._d), n, n))
+    etl = K.perm_rows(res.E.ones, K.load(res.L._d), n)
+    data = K.store(K.mul(K.load_cols(res.U._d), etl, n, n))
     return DenseMatrix._wrap(A.field, data, n, n)
 
 

@@ -6,25 +6,20 @@ Equal elements therefore compare equal with ``==`` and format to identical
 text, which the matrix layer relies on for exact comparisons.  There is no
 epsilon anywhere; zero tests are exact.
 
-Internally matrices store raw values: machine ints for GF(p), and for the
-rationals gmpy2's ``mpq`` when gmpy2 is installed, ``fractions.Fraction``
-otherwise; both are exact and kept canonical.  The matrix layer works on
-rationals fraction-free (see :mod:`leu.dense`), so the backend sets only the
-speed of scalar operations.  The :class:`Scalar` wrapper is the element type
-seen at the public API.
+Internally matrices store raw values: machine ints for GF(p) and
+``fractions.Fraction`` for the rationals, both exact and kept canonical.
+The matrix layer works on rationals fraction-free (see :mod:`leu.dense`), so
+its hot loops run on Python ints.  The :class:`Scalar` wrapper is the
+element type seen at the public API.
 """
 
 from __future__ import annotations
 
 import re
+from fractions import Fraction as _rational
 from operator import index as _index
 
 from .errors import FieldMismatchError, ParseError
-
-try:
-    from gmpy2 import mpq as _rational
-except ImportError:
-    from fractions import Fraction as _rational
 
 _WORD_MAX = 1 << 64
 
@@ -64,8 +59,8 @@ def is_prime(n: int) -> bool:
 class FieldSpec:
     """A field an element can belong to.  Subclasses implement the raw ops.
 
-    Raw values are plain Python objects (int residues, ``mpq``); the methods
-    here never allocate wrappers, so the matrix kernels stay fast.
+    Raw values are plain Python objects (int residues, ``Fraction``); the
+    methods here never allocate wrappers, so the matrix kernels stay fast.
     """
 
     kind = ""

@@ -77,8 +77,9 @@ def test_missing_file_exit1(capsys):
 def test_rectangular_input_to_square_command_exit1(tmp_path, capsys):
     rect = tmp_path / "rect.txt"
     rect.write_text("field gfp 7\nrows 1\ncols 2\n3 5\n")
-    assert main(["leu", str(rect)]) == 1
-    assert "error:" in capsys.readouterr().err
+    for cmd in ("leu", "block"):
+        assert main([cmd, str(rect)]) == 1
+        assert capsys.readouterr().err == "error: expected a square matrix, got (1, 2)\n"
     # rank and kernel accept rectangular input
     assert main(["rank", str(rect)]) == 0
     assert capsys.readouterr().out == "rank 1\n"
@@ -106,9 +107,14 @@ def test_usage_error_exit1(capsys):
         (["leu", str(DATA / "gf7_worked.txt"), "--mul", "fast"], 1),
         (["leu", str(DATA / "gf7_worked.txt"), "--cutoff", "x"], 1),
         (["bench", "extra"], 1),
+        # --help is acted on where it stands: after an unknown option it still
+        # prints the help, after a bad value the parse has already stopped
+        (["rank", "--bogus", "--help"], 0),
+        (["rank", "--mul", "fast", "--help"], 1),
     ],
     ids=["help", "leu-help", "bench-help", "no-argument", "bogus", "unknown-command",
-         "missing-file", "abbreviation", "short-help", "bad-mul", "bad-cutoff", "bench-extra"],
+         "missing-file", "abbreviation", "short-help", "bad-mul", "bad-cutoff", "bench-extra",
+         "help-after-unknown", "bad-value-before-help"],
 )
 def test_argv_surface(capsys, argv, code):
     assert main(argv) == code

@@ -20,6 +20,7 @@ from leu import (
     pad_to_pow2,
     tp_apply_left,
 )
+from leu.dense import is_upper_unitriangular
 from helpers import FIELDS, GF7, mul, rand_matrix
 
 rng = random.Random(0xD15EA5E)
@@ -53,6 +54,11 @@ def test_classical_count():
 def test_classical_shape_error():
     with pytest.raises(ShapeError):
         mat_mul_classical(rand_matrix(GF7, 2, 3, rng), rand_matrix(GF7, 2, 3, rng))
+
+
+def test_classical_field_mismatch():
+    with pytest.raises(FieldMismatchError, match=r"^mixed fields GF\(7\) and QQ$"):
+        mat_mul_classical(rand_matrix(GF7, 2, 2, rng), rand_matrix(QQ, 2, 2, rng))
 
 
 def _plan_mm(field, x, y, n, cutoff, counter):
@@ -147,6 +153,23 @@ def test_invert_upper_unitriangular():
     assert invert_upper_unitriangular(I) == I
     with pytest.raises(ValueError):
         invert_upper_unitriangular(DenseMatrix(QQ, [[2, 1], [0, 1]]))
+    with pytest.raises(ShapeError, match="^matrix is not upper triangular$"):
+        invert_upper_unitriangular(DenseMatrix(QQ, [[1, 0], [1, 1]]))
+
+
+def test_unitriangular_needs_a_square():
+    assert is_upper_unitriangular(DenseMatrix.identity(GF7, 3))
+    assert not is_upper_unitriangular(DenseMatrix(GF7, [[1, 0, 0], [0, 1, 0]]))
+
+
+@pytest.mark.parametrize("invert", [invert_lower_triangular, invert_upper_unitriangular])
+def test_triangular_inverse_shapes(invert):
+    with pytest.raises(ShapeError, match=r"^expected a square matrix, got \(2, 3\)$"):
+        invert(DenseMatrix(GF7, [[1, 0, 0], [0, 1, 0]]))
+    # the 0 x 0 matrix is its own inverse; the recursion never sees it
+    c = MulCounter()
+    assert invert(DenseMatrix(GF7, []), c) == DenseMatrix(GF7, [])
+    assert c == MulCounter()
 
 
 @pytest.mark.parametrize("field", FIELDS)

@@ -14,6 +14,7 @@ from leu import (
     bruhat_decompose,
     kernel_basis,
     largest_nonsingular_block,
+    leu_decompose,
     mat_inverse,
     mat_rank,
     reversal_perm,
@@ -202,7 +203,14 @@ def test_counters_accumulate():
 
 
 def test_non_square_bruhat_rejected():
-    with pytest.raises(ShapeError):
+    with pytest.raises(ShapeError, match=r"^expected a square matrix, got \(2, 3\)$"):
         bruhat_decompose(rand_matrix(GF7, 2, 3, rng))
     with pytest.raises(ShapeError):
         mat_inverse(rand_matrix(GF7, 2, 3, rng))
+
+
+@pytest.mark.parametrize("op", [leu_decompose, bruhat_decompose, mat_inverse, mat_rank,
+                                kernel_basis, largest_nonsingular_block])
+def test_empty_matrix_rejected(op):
+    with pytest.raises(ShapeError, match="^empty matrix$"):
+        op(DenseMatrix(GF7, []))

@@ -89,6 +89,8 @@ def test_rational_rejects_floats():
             QQ.canon(bad)
     with pytest.raises(TypeError):
         DenseMatrix(QQ, [[0.1]])
+    with pytest.raises(TypeError, match="^cannot interpret object as a rational$"):
+        QQ.canon(object())
     # exact inputs keep working
     third = QQ.canon(Fraction(1, 3))
     assert QQ.canon("2/6") == third

@@ -4,7 +4,16 @@ import random
 
 import pytest
 
-from leu import GF, QQ, DenseMatrix, FieldMismatchError, MulCounter, SingularError, mat_mul_classical
+from leu import (
+    GF,
+    QQ,
+    DenseMatrix,
+    FieldMismatchError,
+    MulCounter,
+    ShapeError,
+    SingularError,
+    mat_mul_classical,
+)
 from leu.oracle import check_inverse, gauss_inverse, gauss_kernel, gauss_rank
 from helpers import FIELDS, GF7, planted_rank, rand_matrix
 
@@ -30,6 +39,8 @@ def test_inverse_examples():
     with pytest.raises(SingularError) as exc:
         gauss_inverse(DenseMatrix(GF7, [[0, 1], [0, 0]]))
     assert exc.value.rank == 1
+    with pytest.raises(ShapeError, match=r"^expected a square matrix, got \(2, 3\)$"):
+        gauss_inverse(DenseMatrix(GF7, [[1, 0, 0], [0, 1, 0]]))
 
 
 @pytest.mark.parametrize("field", FIELDS)

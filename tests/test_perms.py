@@ -10,6 +10,7 @@ from leu import (
     DenseMatrix,
     DiagIdem,
     MulCounter,
+    ShapeError,
     TruncPerm,
     mat_mul_classical,
     reversal_perm,
@@ -121,6 +122,8 @@ def test_complement_examples():
     assert I.complement() == TruncPerm(3)
     Z = TruncPerm(3)
     assert Z.complement() == TruncPerm(3, [(i, i) for i in range(3)])
+    with pytest.raises(ShapeError, match="^size mismatch$"):
+        E.union(Z)
 
 
 def test_supports_example():
@@ -146,6 +149,8 @@ def test_diag_ops():
 
 def test_reversal():
     assert reversal_perm(2) == TruncPerm(2, [(0, 1), (1, 0)])
+    with pytest.raises(ValueError, match="^n must be >= 1$"):
+        reversal_perm(0)
     for n in range(1, 17):
         r = tp_to_dense(reversal_perm(n), GF7)
         assert mul(r, r) == DenseMatrix.identity(GF7, n)
@@ -209,6 +214,8 @@ def test_apply_examples():
     A = DenseMatrix(QQ, [[1, 2], [3, 4]])
     assert tp_apply_left(TruncPerm(2, [(0, 0)]), A) == DenseMatrix(QQ, [[1, 2], [0, 0]])
     assert tp_apply_left(reversal_perm(2), A) == DenseMatrix(QQ, [[3, 4], [1, 2]])
+    with pytest.raises(ShapeError, match=r"^cannot apply 3-permutation to \(2, 2\)$"):
+        tp_apply_left(reversal_perm(3), A)
 
 
 def test_to_dense_roundtrip():

@@ -39,6 +39,11 @@ def test_parse_example():
     assert A == DenseMatrix(GF7, [[3, 1], [2, 5]])
 
 
+def test_missing_header_rejected():
+    with pytest.raises(ParseError, match="^truncated input: missing header$"):
+        parse_matrix("field gfp 7\nrows 1\n")
+
+
 def test_zero_width_matrix():
     A = DenseMatrix.zeros(QQ, 2, 0)
     assert parse_matrix(format_matrix(A)) == A
@@ -68,7 +73,7 @@ def test_trailing_garbage_rejected():
         "field rational\nrows 1\ncols 1\n1.5\n",   # not a fraction
         # more digits than int() converts (sys.get_int_max_str_digits(), 4,300)
         pytest.param("field gfp 7\nrows 1\ncols 1\n" + "0" * 4400 + "3\n", id="long-residue"),
-        # the zero denominator makes gmpy2's mpq, which has no digit limit, reject it too
+        # the zero denominator keeps it an error where int() has no digit limit (before 3.10.7)
         pytest.param("field rational\nrows 1\ncols 1\n" + "1" * 4400 + "/0\n", id="long-rational"),
         pytest.param("field gfp 7\nrows " + "1" * 4400 + "\ncols 1\n3\n", id="long-count"),
     ],
@@ -93,6 +98,8 @@ def test_parse_field_spec():
         parse_field("gfp")
     with pytest.raises(ParseError):
         parse_field("gfp 10")
+    with pytest.raises(ParseError, match="^invalid modulus '7x'$"):
+        parse_field("gfp 7x")
 
 
 def test_perm_format():
