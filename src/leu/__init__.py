@@ -22,7 +22,6 @@ from .dense import (
     invert_lower_triangular,
     invert_upper_unitriangular,
     mat_mul_classical,
-    pad_to_pow2,
 )
 from .derived import (
     BruhatResult,
@@ -38,7 +37,6 @@ from .perms import (
     DiagIdem,
     TruncPerm,
     reversal_perm,
-    tp_apply_left,
     tp_to_dense,
 )
 from .textio import format_matrix, format_perm, parse_matrix
@@ -74,9 +72,7 @@ __all__ = [
     "mat_inverse",
     "mat_mul_classical",
     "mat_rank",
-    "pad_to_pow2",
     "parse_matrix",
     "reversal_perm",
-    "tp_apply_left",
     "tp_to_dense",
 ]

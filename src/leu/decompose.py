@@ -32,11 +32,13 @@ cuts the factors back; the rank and the kernel of a rectangular matrix go
 through the same body, padded straight from their own shape.
 
 The support masks (i, j) threaded through the recursion express which rows
-and columns of a block may be nonzero.  They start full at the root and are
-narrowed below it by the ones of E that the earlier sub-blocks found.  They
-never influence the computed values; they exist so that each sub-result can
-be checked against its support contract when ``debug_checks`` is on, and
-they document where the algorithm is allowed to place nonzero entries.
+and columns of a block may be nonzero.  At the root they are the rows and
+columns of the unpadded input, so the root's own checks cover the padding;
+below it they are narrowed by the ones of E that the earlier sub-blocks
+found.  They never influence the computed values; they exist so that each
+sub-result can be checked against its support contract when
+``debug_checks`` is on, and they document where the algorithm is allowed to
+place nonzero entries.
 """
 
 from __future__ import annotations
@@ -55,7 +57,6 @@ from .dense import (
     is_lower_triangular,
     is_upper_unitriangular,
     mat_mul_classical,
-    pad_to_pow2,
     strassen_count,
 )
 from .errors import InvariantError, ShapeError
@@ -289,27 +290,24 @@ def leu_decompose(
 def _leu_padded(A, counter, method, cutoff, debug_checks, parallel=False, node_log=None):
     # the body of leu_decompose for any shape: A is padded with zeros once,
     # straight to the power-of-two square, and the factors are cut back to
-    # s = max(rows, cols); E never leaves the rows and columns of A
+    # s = max(rows, cols).  The root's masks are A's own rows and columns, so
+    # its node checks cover the padding; E never leaves them.
     r, c = A.shape
     s = max(r, c)
     if s == 0:
         raise ShapeError("empty matrix")
     field = A.field
-    P = pad_to_pow2(A)
-    m = P.rows
+    m = 1 << (s - 1).bit_length()
     if counter is None:
         counter = MulCounter()
     plan = _Plan(field, method, cutoff, debug_checks, parallel, counter, node_log)
     K = plan.k
-    full = (1 << m) - 1
-    l, e, u = _leu_rec(K.load(P._d), m, full, full, plan)
+    z = field.zero_raw
+    pad = [z] * (m - c)
+    padded = [row + pad for row in A._d] + [[z] * m] * (m - r)
+    l, e, u = _leu_rec(K.load(padded), m, (1 << r) - 1, (1 << c) - 1, plan)
     l, u = K.store(l), K.store(u)
     if m != s:
-        if debug_checks:
-            one, cut = field.one_raw, (1 << s) - 1
-            for x, name in ((l, "L"), (u, "U")):
-                unit = _unit_outside(x, m, cut, one, False) and _unit_outside(x, m, cut, one, True)
-                _ensure(unit, f"{name} is not the identity on the padded region")
         l = [row[:s] for row in l[:s]]
         u = [row[:s] for row in u[:s]]
     if m != r or m != c:

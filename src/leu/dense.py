@@ -148,8 +148,7 @@ class DenseMatrix:
         return f"<DenseMatrix {self.rows}x{self.cols} over {self.field!r}>"
 
     def __str__(self):
-        fmt = self.field.fmt
-        return "\n".join(" ".join(fmt(v) for v in row) for row in self._d)
+        return "\n".join(" ".join(map(str, row)) for row in self._d)
 
 
 def is_lower_triangular(A: DenseMatrix) -> bool:
@@ -325,11 +324,7 @@ class _PrimeBlocks(_Blocks):
     def load(self, rows):
         return rows
 
-    load_cols = load
-
-    def store(self, x):
-        # fresh rows: inside the recursion blocks share rows freely
-        return [r[:] for r in x]
+    load_cols = store = load
 
     height = staticmethod(len)
     split = staticmethod(_quarters)
@@ -589,20 +584,6 @@ def mat_mul_classical(A: DenseMatrix, B: DenseMatrix, counter: MulCounter | None
     K = blocks(A.field)
     data = K.store(K.mul(K.load(A._d), K.load_cols(B._d), k, c))
     return DenseMatrix._wrap(A.field, data, A.rows, c)
-
-
-def pad_to_pow2(A: DenseMatrix) -> DenseMatrix:
-    """Embed A in the top-left corner of the next power-of-two square."""
-    s = max(A.rows, A.cols, 1)
-    m = 1 if s <= 1 else 1 << (s - 1).bit_length()
-    if A.rows == m and A.cols == m:
-        return A
-    z = A.field.zero_raw
-    pad = [z] * (m - A.cols)
-    data = [row + pad for row in A._d]
-    zrow = [z] * m
-    data += [zrow[:] for _ in range(m - A.rows)]
-    return DenseMatrix._wrap(A.field, data, m, m)
 
 
 def _inv_lower(K, x, n, counter, unit=False):

@@ -11,7 +11,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 
-from .decompose import LeuResult, _ensure, _leu_padded, leu_decompose
+from .decompose import LeuResult, _Plan, _ensure, _leu_padded, leu_decompose
 from .dense import (
     DenseMatrix,
     MulCounter,
@@ -129,8 +129,18 @@ def mat_rank(
     cutoff: int = 32,
     debug_checks: bool = False,
 ) -> int:
-    """Rank of a matrix; rectangular input is padded square with zeros."""
-    return _leu_padded(A, counter, method, cutoff, debug_checks).rank
+    """Rank of a matrix; rectangular input is padded square with zeros.
+
+    A matrix with one empty dimension has rank 0 and is not padded; the
+    counter gets what the recursion counts on the padded zero block.
+    """
+    s = max(A.shape)
+    if min(A.shape) or not s:
+        return _leu_padded(A, counter, method, cutoff, debug_checks).rank
+    plan = _Plan(A.field, method, cutoff, debug_checks, False, counter, None)
+    if counter is not None:
+        counter.scalar_mults += plan.tree_mults(1 << (s - 1).bit_length())
+    return 0
 
 
 def kernel_basis(

@@ -68,7 +68,7 @@ class FieldSpec:
     def __call__(self, value) -> "Scalar":
         return Scalar(self, value)
 
-    # subclasses: zero_raw, one_raw, canon, add, sub, neg, mul, inv, parse, fmt
+    # subclasses: zero_raw, one_raw, canon, add, sub, neg, mul, inv, parse
 
 
 class PrimeField(FieldSpec):
@@ -135,9 +135,6 @@ class PrimeField(FieldSpec):
             raise ParseError(f"residue {v} out of range for GF({self.modulus})")
         return v
 
-    def fmt(self, v) -> str:
-        return str(v)
-
 
 class RationalField(FieldSpec):
     """Arbitrary-precision rationals.  Raw values are reduced fractions."""
@@ -192,9 +189,6 @@ class RationalField(FieldSpec):
             raise ParseError(f"zero denominator in {token!r}") from None
         except ValueError:  # more digits than int() converts
             raise ParseError(f"rational of {len(token)} characters is too long to parse") from None
-
-    def fmt(self, v) -> str:
-        return str(v)
 
 
 QQ = RationalField()
@@ -268,7 +262,7 @@ class Scalar:
         return hash((self.field, self.value))
 
     def __str__(self):
-        return self.field.fmt(self.value)
+        return str(self.value)
 
     def __repr__(self):
         return f"{self.field!r}({self})"

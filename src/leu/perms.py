@@ -1,9 +1,11 @@
-"""Truncated permutations and diagonal 0/1 matrices, applied sparsely.
+"""Truncated permutations and diagonal 0/1 matrices.
 
 A truncated permutation is a 0/1 matrix with at most one 1 per row and per
 column; full permutations are the rank-n case.  Its row and column supports
-are diagonal 0/1 matrices, kept as bitmasks.  It multiplies a dense matrix
-by pure row selection, which never touches the multiplication counter.
+are diagonal 0/1 matrices, kept as bitmasks.  The recursion and the inverse
+apply one to a block by row or column selection in the block kernel
+(``perm_rows`` and ``perm_cols`` in :mod:`leu.dense`), which never touches
+the multiplication counter.
 """
 
 from __future__ import annotations
@@ -50,9 +52,6 @@ class TruncPerm:
 
     def __repr__(self):
         return f"TruncPerm({self.n}, {list(self.ones)})"
-
-    def transpose(self) -> "TruncPerm":
-        return TruncPerm(self.n, [(j, i) for i, j in self.ones])
 
     def row_support(self) -> "DiagIdem":
         return DiagIdem(self.n, _row_mask(self.ones))
@@ -149,19 +148,3 @@ def tp_to_dense(E: TruncPerm, field: FieldSpec) -> DenseMatrix:
     for i, j in E.ones:
         data[i][j] = o
     return DenseMatrix._wrap(field, data, E.n, E.n)
-
-
-# ---------------------------------------------------------------------------
-# sparse application to dense matrices: row selection, never counted
-
-
-def tp_apply_left(E: TruncPerm, A: DenseMatrix) -> DenseMatrix:
-    """E * A: row i of the result is row j of A for each one (i, j)."""
-    if E.n != A.rows:
-        raise ShapeError(f"cannot apply {E.n}-permutation to {A.shape}")
-    z = [A.field.zero_raw] * A.cols
-    d = A._d
-    out = [z] * E.n
-    for i, j in E.ones:
-        out[i] = d[j]
-    return DenseMatrix._wrap(A.field, list(out), E.n, A.cols)

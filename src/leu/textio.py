@@ -57,9 +57,8 @@ def format_field(field: FieldSpec) -> str:
 
 
 def format_matrix(A: DenseMatrix) -> str:
-    fmt = A.field.fmt
     lines = [f"field {format_field(A.field)}", f"rows {A.rows}", f"cols {A.cols}"]
-    lines += [" ".join(fmt(v) for v in row) for row in A._d]
+    lines += [" ".join(map(str, row)) for row in A._d]
     return "\n".join(lines) + "\n"
 
 

@@ -54,6 +54,15 @@ def test_rank_command(capsys):
     assert capsys.readouterr().out == "rank 1\n"
 
 
+def test_rank_of_an_empty_dimension_pads_nothing(tmp_path, capsys):
+    # a three-line file once asked rank for a 2^27 x 2^27 zero block; the
+    # count is still that block's, 17(m^3 - m^2)/4 with m = 2^27
+    path = tmp_path / "wide.txt"
+    path.write_text("field gfp 7\nrows 0\ncols 100000000\n")
+    assert main(["rank", str(path), "--count-mults"]) == 0
+    assert capsys.readouterr().out == "rank 0\nmults 10275869390163154319704064\ninvs 0\n"
+
+
 def test_invert_singular_exit2(capsys):
     assert main(["invert", str(DATA / "gf7_nilpotent.txt")]) == 2
     captured = capsys.readouterr()
@@ -341,3 +350,16 @@ def test_debug_checks_reach_the_node_checks(monkeypatch, capsys):
         assert calls
         calls.clear()
         assert capsys.readouterr().out == out
+
+
+def test_the_root_node_checks_the_padding(monkeypatch):
+    # a 3 x 5 input pads to 8 x 8; the root is entered with the masks of its
+    # own rows and columns, so its node checks cover the padded region
+    from leu import kernel_basis
+    from leu.textio import parse_matrix
+
+    calls = _count_calls(monkeypatch, ["leu.decompose"], "_debug_node")
+    A = parse_matrix("field gfp 7\nrows 3\ncols 5\n3 1 4 1 5\n2 6 5 3 5\n0 0 1 2 3\n")
+    kernel_basis(A, debug_checks=True)
+    roots = [args[4:6] for args in calls if args[3] == 8]
+    assert roots == [(0b111, 0b11111)]

@@ -17,8 +17,7 @@ from leu import (
     invert_upper_unitriangular,
     leu_decompose,
     mat_mul_classical,
-    pad_to_pow2,
-    tp_apply_left,
+    tp_to_dense,
 )
 from leu.dense import is_upper_unitriangular
 from helpers import FIELDS, GF7, mul, rand_matrix
@@ -110,20 +109,6 @@ def test_strassen_validation():
     B = rand_matrix(GF7, 4, 4, rng)
     with pytest.raises(ValueError):
         leu_decompose(B, method="strassen", cutoff=0)
-
-
-def test_pad_to_pow2():
-    A = rand_matrix(GF7, 3, 3, rng)
-    P = pad_to_pow2(A)
-    assert P.shape == (4, 4)
-    assert P.select(range(3), range(3)) == A
-    assert all(not v for v in P._d[3])
-    B = rand_matrix(GF7, 4, 4, rng)
-    assert pad_to_pow2(B) is B
-    C = rand_matrix(GF7, 1, 1, rng)
-    assert pad_to_pow2(C) is C
-    R = rand_matrix(GF7, 2, 5, rng)
-    assert pad_to_pow2(R).shape == (8, 8)
 
 
 def test_invert_lower_identity():
@@ -323,7 +308,7 @@ def test_rational_u_times_l_matches_schoolbook(seed):
         _assert_same_bytes(mat_mul_classical(A, B, c), _schoolbook(A, B))
         assert c.scalar_mults == rows * inner * cols
     res = leu_decompose(_mixed_rational(8, 8, r))
-    for X, Y in ((res.U, tp_apply_left(res.E.transpose(), res.L)), (res.U, res.L)):
+    for X, Y in ((res.U, mul(tp_to_dense(res.E, QQ).transpose(), res.L)), (res.U, res.L)):
         c = MulCounter()
         _assert_same_bytes(mat_mul_classical(X, Y, c), _schoolbook(X, Y))
         assert c.scalar_mults == 8**3

@@ -117,6 +117,40 @@ def test_rank_rectangular():
         assert mat_rank(A) == oracle.gauss_rank(A)
 
 
+_STRASSEN = ({}, {"method": "strassen", "cutoff": 1}, {"method": "strassen", "cutoff": 2})
+
+
+@pytest.mark.parametrize("field", [GF7, QQ], ids=["gf7", "qq"])
+@pytest.mark.parametrize("shape,counts", [
+    ((0, 5), (1904, 1581, 1768)),
+    ((5, 0), (1904, 1581, 1768)),
+    ((0, 1), (0, 0, 0)),
+    ((3, 0), (204, 187, 204)),
+])
+def test_rank_of_an_empty_dimension(field, shape, counts):
+    # rank 0 without padding; the count stays that of the recursion on the
+    # zero square the input pads to, as it was when that recursion ran
+    A = DenseMatrix.zeros(field, *shape)
+    m = 1 << (max(shape) - 1).bit_length()
+    for kw, want in zip(_STRASSEN, counts):
+        c = MulCounter()
+        assert mat_rank(A, c, **kw) == 0
+        assert c == MulCounter(want, 0)
+        assert leu_decompose(DenseMatrix.zeros(field, m, m), **kw).counter == c
+        assert mat_rank(A, debug_checks=True, **kw) == 0
+    with pytest.raises(ValueError, match="unknown multiplication method"):
+        mat_rank(A, method="fast")
+    with pytest.raises(ValueError, match="^cutoff must be >= 1$"):
+        mat_rank(A, method="strassen", cutoff=0)
+
+
+def test_rank_of_an_empty_dimension_allocates_nothing():
+    m = 1 << 27
+    c = MulCounter()
+    assert mat_rank(DenseMatrix.zeros(GF7, 0, m), c) == 0
+    assert c == MulCounter(17 * (m**3 - m**2) // 4, 0)
+
+
 def test_kernel_worked_example():
     K = kernel_basis(DenseMatrix(GF7, [[0, 1], [0, 0]]))
     assert K == DenseMatrix(GF7, [[1], [0]])

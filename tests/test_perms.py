@@ -1,4 +1,4 @@
-"""Truncated permutations and diagonal masks: structure and sparse application."""
+"""Truncated permutations and diagonal masks: structure, supports and dense form."""
 
 import random
 
@@ -6,15 +6,11 @@ import pytest
 from hypothesis import given, strategies as st
 
 from leu import (
-    QQ,
     DenseMatrix,
     DiagIdem,
-    MulCounter,
     ShapeError,
     TruncPerm,
-    mat_mul_classical,
     reversal_perm,
-    tp_apply_left,
     tp_to_dense,
 )
 from helpers import GF7, diag, mul, rand_matrix
@@ -135,10 +131,6 @@ def test_supports_example():
     assert F.col_support() == DiagIdem(3, 0b111)
 
 
-def test_transpose():
-    assert TruncPerm(2, [(0, 1)]).transpose() == TruncPerm(2, [(1, 0)])
-
-
 def test_diag_ops():
     assert DiagIdem(3, 0b011).indices() == [0, 1]
     assert DiagIdem(3, 0).indices() == []
@@ -162,7 +154,8 @@ def test_reversal_conjugation_swaps_triangularity():
           for i in range(n)]
     L = DenseMatrix(GF7, lo)
     r = reversal_perm(n)
-    M = mul(tp_apply_left(r, L), tp_to_dense(r, GF7))
+    R = tp_to_dense(r, GF7)
+    M = mul(mul(R, L), R)
     assert all(not M._d[i][j] for i in range(n) for j in range(i))
 
 
@@ -179,7 +172,7 @@ def test_zero_identities(E):
     # E^T annihilates the complement of the row support, and symmetrically
     f = GF7
     d = tp_to_dense(E, f)
-    dt = tp_to_dense(E.transpose(), f)
+    dt = d.transpose()
     full = (1 << E.n) - 1
     ibar = diag(f, E.n, E.row_support().mask ^ full)
     jbar = diag(f, E.n, E.col_support().mask ^ full)
@@ -194,28 +187,9 @@ def test_zero_identities(E):
 def test_supports_match_dense_products(E):
     f = GF7
     d = tp_to_dense(E, f)
-    dt = tp_to_dense(E.transpose(), f)
+    dt = d.transpose()
     assert mul(d, dt) == diag(f, E.n, E.row_support().mask)
     assert mul(dt, d) == diag(f, E.n, E.col_support().mask)
-
-
-def test_sparse_apply_matches_dense_oracle():
-    c = MulCounter()
-    for _ in range(60):
-        n = rng.randint(1, 7)
-        E = rand_tp(n)
-        A = rand_matrix(GF7, n, rng.randint(1, 7), rng)
-        left = tp_apply_left(E, A)
-        assert left == mat_mul_classical(tp_to_dense(E, GF7), A, MulCounter())
-    assert c == MulCounter()  # sparse application never counts
-
-
-def test_apply_examples():
-    A = DenseMatrix(QQ, [[1, 2], [3, 4]])
-    assert tp_apply_left(TruncPerm(2, [(0, 0)]), A) == DenseMatrix(QQ, [[1, 2], [0, 0]])
-    assert tp_apply_left(reversal_perm(2), A) == DenseMatrix(QQ, [[3, 4], [1, 2]])
-    with pytest.raises(ShapeError, match=r"^cannot apply 3-permutation to \(2, 2\)$"):
-        tp_apply_left(reversal_perm(3), A)
 
 
 def test_to_dense_roundtrip():
