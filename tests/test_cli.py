@@ -318,6 +318,22 @@ def test_verify_decomposes_once(tmp_path, monkeypatch, capsys, data, want, flags
     assert capsys.readouterr().out == want
 
 
+def test_inverse_singular_agrees_reads_the_oracle(monkeypatch, capsys):
+    # a decomposition that drops one of E's ones calls the full-rank worked
+    # example singular; the inverse then reports that decomposition's own
+    # rank, so the check must compare it with the oracle's
+    import leu.cli
+    from leu import LeuResult, TruncPerm, leu_decompose
+
+    def dropped(A, counter=None, **kw):
+        res = leu_decompose(A, counter, **kw)
+        return LeuResult(res.L, TruncPerm(res.E.n, res.E.ones[1:]), res.U, res.counter)
+
+    monkeypatch.setattr(leu.cli, "leu_decompose", dropped)
+    assert main(["verify", str(DATA / "gf7_worked.txt")]) == 1
+    assert "inverse-singular-agrees: FAIL\n" in capsys.readouterr().out
+
+
 def test_debug_checks_reach_the_node_checks(monkeypatch, capsys):
     # with debug_checks the rank, the kernel and the block (verify=True) run
     # the per-node contract checks of the decomposition they rest on;

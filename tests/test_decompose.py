@@ -416,6 +416,48 @@ def test_verify_reports_wrong_shaped_factors():
     assert checks["support-form-inverse"] is False
 
 
+def _with_entry(M, i, j, v):
+    rows = [list(row) for row in M._d]
+    rows[i][j] = v
+    return DenseMatrix(M.field, rows)
+
+
+def test_verify_reads_the_inverses_form_off_the_factors(monkeypatch):
+    # an invertible matrix has column or row k of the identity exactly when
+    # its inverse has, so leu_verify inverts neither factor and its verdicts
+    # are still those of the inverses
+    import leu.dense
+
+    def no_inversion(*args):
+        raise AssertionError("leu_verify inverted a triangular factor")
+
+    monkeypatch.setattr(leu.dense, "_inv_lower", no_inversion)
+
+    def failed(A, L, E, U):
+        return [name for name, ok in leu_verify(A, LeuResult(L, E, U, MulCounter())).checks
+                if not ok]
+
+    # rank 2, E's ones in rows 1 and 3: L's columns 0 and 2 must be unit
+    A = DenseMatrix(GF7, [[0, 0, 0, 0], [1, 2, 0, 3], [2, 4, 0, 6], [0, 0, 0, 5]])
+    res = leu_decompose(A)
+    assert res.E.ones == ((1, 0), (3, 3))
+    assert failed(A, res.L, res.E, res.U) == []
+    # row 0 of A is zero, so L*A*U is unchanged, but column 0 of L is not
+    # the identity's and neither is that of its inverse
+    assert failed(A, _with_entry(res.L, 2, 0, 4), res.E, res.U) == [
+        "support-form", "support-form-inverse"]
+    # a non-unit diagonal entry of U in a row of E's support
+    assert failed(A, res.L, res.E, _with_entry(res.U, 3, 3, 2)) == [
+        "upper-unitriangular", "reconstruction", "support-form-inverse"]
+
+    # full rank: E's support is every row and column, so any L and U have
+    # the form, but an L that is not lower triangular has no checked inverse
+    B = DenseMatrix(GF7, [[3, 1], [2, 5]])
+    full = leu_decompose(B)
+    assert failed(B, _with_entry(full.L, 0, 1, 1), full.E, full.U) == [
+        "lower-triangular", "reconstruction", "support-form-inverse"]
+
+
 def test_classical_ignores_cutoff():
     # a classical product is a Strassen product that never splits, so no
     # cutoff, not even one Strassen rejects, changes its bytes or counts

@@ -430,6 +430,28 @@ def test_gfp_classical_rectangular_matches_schoolbook(p):
             assert c.scalar_mults == rows * k * cols
 
 
+# (p, k): the k at which k(p-1)^2, the largest sum in a slot of the GF(p)
+# classical kernel, first needs one more byte; at p = 2^31 - 1 the slots
+# outgrow 8 bytes, the widest that struct packs
+SLOT_STEPS = [(2, 256), (7, 8), (7, 1821), (65521, 2), (65521, 257), (2**31 - 1, 5),
+              (2**32 - 5, 2), (2**64 - 59, 2)]
+
+
+@pytest.mark.parametrize("p,step", SLOT_STEPS)
+def test_gfp_classical_at_slot_width_steps(p, step):
+    # all-(p-1) operands fill every slot to its bound, so a slot one byte
+    # too narrow on either side of a step carries into its neighbour
+    def width(k):
+        return ((k * (p - 1) ** 2).bit_length() + 7) // 8
+
+    assert width(step) == width(step - 1) + 1
+    F = GF(p)
+    for k in (step - 1, step):
+        x = DenseMatrix._wrap(F, [[p - 1] * k], 1, k)
+        y = DenseMatrix._wrap(F, [[p - 1] * 3 for _ in range(k)], k, 3)
+        _assert_same_residues(mat_mul_classical(x, y)._d, [[k % p] * 3])
+
+
 def _reference(A, B):
     if A.field == QQ:
         return _schoolbook(A, B)
