@@ -351,9 +351,9 @@ def leu_verify(A: DenseMatrix, r: LeuResult) -> VerifyReport:
 
     i_e = _row_mask(r.E.ones)
     j_e = _col_mask(r.E.ones)
-    form = (r.L.shape == r.U.shape == (n, n) and _unit_outside(r.L._d, n, i_e, one, True)
+    form = (fits and _unit_outside(r.L._d, n, i_e, one, True)
             and _unit_outside(r.U._d, n, j_e, one, False))
-    checks.append(("support-form", fits and form))
+    checks.append(("support-form", form))
     # M e_k = e_k exactly when M^-1 e_k = e_k (rows alike): no inverse is needed
     checks.append(("support-form-inverse", lower_ok and upper_ok and form))
     return VerifyReport(tuple(checks))

@@ -20,6 +20,12 @@ operand into one integer of fixed-width slots, wide enough that the sum of
 a row's products never carries from one slot into the next; an output row
 is then one multiply-accumulate of residues against the packed rows, cut
 back into its slots and reduced once per entry (see ``_gfp_classical``).
+A slot is as many bytes as its largest sum needs when that is 3, 5, 6 or
+7 and a row holds at least 32 slots; otherwise it is rounded up to the
+next size that ``struct`` packs (1, 2, 4 or 8 bytes), and wider slots are
+cut by byte slices.  Narrow rows keep the rounding because the strided
+copies that drop the padding cost more than the shorter integers save
+there (see ``_slots``).
 Over the rationals products are fraction-free: a block is integer rows with
 a scale per row and per column, the form the recursions keep throughout
 (see the block kernels below).  The public product loads each row of its
@@ -31,6 +37,8 @@ entry one integer over the product of its row and column scales.
 from __future__ import annotations
 
 from dataclasses import dataclass
+from functools import lru_cache
+from itertools import chain
 from math import gcd, lcm
 from operator import add as _add, mul as _mul, sub as _sub
 from struct import Struct
@@ -179,29 +187,71 @@ def _raw_classical(x, y, out_cols):
 
 
 _STRUCT_CODES = {1: "B", 2: "H", 4: "I", 8: "Q"}
+_EXACT_COLS = 32  # the fewest slots per row that take exact-width slots
 
 
-def _slots(bound, c):
-    # Slot bytes, a packer of one row into bytes and a cutter of bytes back
-    # into a row, for rows of c slots that hold values up to bound.  A row
-    # read as a little-endian integer has slot j at byte j * size, so
-    # whole-row integer sums are slot-wise sums while no slot leaves
-    # [0, 2^(8 size)).  Slots of 1, 2, 4 or 8 bytes are packed and cut by
-    # struct in C, wider ones by byte slices.
-    width = (bound.bit_length() + 7) // 8
+@lru_cache(maxsize=64)
+def _slots(width, k, c):
+    # A packer of the k rows of a right operand into one integer per row,
+    # and a cutter of row integers back into tuples of c slot values, for
+    # slots that need width bytes.  A row read as a little-endian integer
+    # has slot j at byte j * size, so whole-row integer sums are slot-wise
+    # sums while no slot leaves [0, 2^(8 size)).
+    #
+    # The slot size is width itself where width is not a struct size (3, 5,
+    # 6 or 7 bytes) and rows hold at least _EXACT_COLS slots: the whole
+    # operand is packed into 8-byte slots by one struct call, and width
+    # strided copies keep the low width bytes of each, so the integers that
+    # the multiply-accumulate runs on carry no padding; the sums go back the
+    # same way in reverse.  Rows of fewer slots round width up to 4 or 8
+    # bytes and go through struct a row at a time: per matrix, the strided
+    # copies cost more than the padding saves there (1.1-1.3x slower at 8
+    # slots), and per row more still.  Slots of 1, 2, 4 or 8 bytes go
+    # through struct, wider ones through byte slices.  The plans are cached,
+    # since the recursion asks for the same few shapes at every node.
+    fb = int.from_bytes
+    if width in (3, 5, 6, 7) and c >= _EXACT_COLS:
+        whole, row = Struct(f"<{k * c}Q"), Struct(f"<{c}Q")
+        n = width * c
+
+        def pack(y):
+            b8 = whole.pack(*chain.from_iterable(y))
+            bw = bytearray(n * k)
+            for i in range(width):
+                bw[i::width] = b8[i::8]
+            return [fb(bw[j : j + n], "little") for j in range(0, n * k, n)]
+
+        def cut(sums):
+            bw = b"".join([z.to_bytes(n, "little") for z in sums])
+            b8 = bytearray(8 * c * len(sums))
+            for i in range(width):
+                b8[i::8] = bw[i::width]
+            return row.iter_unpack(b8)
+
+        return pack, cut
+
     size = next((s for s in _STRUCT_CODES if s >= width), width)
     code = _STRUCT_CODES.get(size)
+    n = size * c
     if code:
         s = Struct(f"<{c}{code}")
-        return size, s.pack, s.unpack
+        pack_row, unpack = s.pack, s.unpack
+    else:
+        def pack_row(*row):
+            return b"".join([v.to_bytes(size, "little") for v in row])
 
-    def pack(*row):
-        return b"".join([v.to_bytes(size, "little") for v in row])
+        def unpack(b):
+            return [fb(b[j : j + size], "little") for j in range(0, n, size)]
 
-    def cut(b):
-        return [int.from_bytes(b[j : j + size], "little") for j in range(0, size * c, size)]
+    zero = (0,) * c
 
-    return size, pack, cut
+    def pack(y):
+        return [fb(pack_row(*row), "little") for row in y]
+
+    def cut(sums):
+        return [unpack(z.to_bytes(n, "little")) if z else zero for z in sums]
+
+    return pack, cut
 
 
 def _gfp_classical(x, y, k, c, p):
@@ -210,13 +260,11 @@ def _gfp_classical(x, y, k, c, p):
     # product is one multiply-accumulate of x[i] against the packed rows.
     # A slot sums k products of residues, at most k(p-1)^2, and its width
     # holds that, so no slot carries into the next.
-    size, pack, cut = _slots(k * (p - 1) ** 2, c)
-    n = size * c
-    fb = int.from_bytes
-    packed = [fb(pack(*row), "little") for row in y]
+    pack, cut = _slots(((k * (p - 1) ** 2).bit_length() + 7) // 8, k, c)
+    packed = pack(y)
+    sums = [sum(map(_mul, r, packed)) for r in x]
     zrow = [0] * c
-    sums = (sum(map(_mul, r, packed)) for r in x)
-    return [[v % p for v in cut(z.to_bytes(n, "little"))] if z else zrow for z in sums]
+    return [[v % p for v in t] if z else zrow for z, t in zip(sums, cut(sums))]
 
 
 def _quarters(rows, h):
@@ -286,7 +334,8 @@ def _eye(n):
 class _Blocks:
     """What the block kernels share: the one block product, which computes
     and counts nothing (its caller adds the count of its own cost model),
-    and needs no arithmetic when an operand is zero or the identity."""
+    and the block sums.  Neither needs arithmetic when an operand is zero,
+    nor the product when one is the identity."""
 
     __slots__ = ("field", "_eye")
 
@@ -310,6 +359,14 @@ class _Blocks:
         if k == c and y == self.identity(k):
             return x
         return self._classical(x, y, k, c)
+
+    def add(self, x, y):
+        if self.is_zero(y):
+            return x
+        return y if self.is_zero(x) else self._combine(x, y, _add)
+
+    def sub(self, x, y):
+        return x if self.is_zero(y) else self._combine(x, y, _sub)
 
 
 class _PrimeBlocks(_Blocks):
@@ -345,13 +402,9 @@ class _PrimeBlocks(_Blocks):
     def join(self, tl, tr, bl, br):
         return [a + b for a, b in zip(tl, tr)] + [a + b for a, b in zip(bl, br)]
 
-    def add(self, x, y):
+    def _combine(self, x, y, op):
         p = self.p
-        return [[(a + b) % p for a, b in zip(rx, ry)] for rx, ry in zip(x, y)]
-
-    def sub(self, x, y):
-        p = self.p
-        return [[(a - b) % p for a, b in zip(rx, ry)] for rx, ry in zip(x, y)]
+        return [[v % p for v in map(op, rx, ry)] for rx, ry in zip(x, y)]
 
     def neg(self, x):
         p = self.p
@@ -519,18 +572,10 @@ class _RationalBlocks(_Blocks):
         return rows, rt + rb, cl + cr
 
     def _combine(self, x, y, op):
-        if self.is_zero(y):
-            return x
         R = [lcm(a, b) for a, b in zip(x[1], y[1])]
         C = [lcm(a, b) for a, b in zip(x[2], y[2])]
         a, b = _scaled(*x, R, C), _scaled(*y, R, C)
         return _reduced([list(map(op, u, v)) for u, v in zip(a, b)], R, C)
-
-    def add(self, x, y):
-        return self._combine(x, y, _add)
-
-    def sub(self, x, y):
-        return self._combine(x, y, _sub)
 
     def neg(self, x):
         return [[-v for v in row] for row in x[0]], x[1], x[2]

@@ -416,6 +416,18 @@ def test_verify_reports_wrong_shaped_factors():
     assert checks["support-form-inverse"] is False
 
 
+def test_verify_fails_both_support_forms_on_factors_over_another_field():
+    # the inverses' form is read off L and U, so a factor over another field
+    # than A's fails it exactly as it fails the factors' own form
+    A = DenseMatrix(GF7, [[3, 1], [2, 5]])
+    res = leu_decompose(A)
+    other_l, other_u = DenseMatrix(GF(11), res.L._d), DenseMatrix(GF(11), res.U._d)
+    for L, U in ((other_l, res.U), (res.L, other_u), (other_l, other_u)):
+        checks = dict(leu_verify(A, LeuResult(L, res.E, U, res.counter)).checks)
+        assert checks["support-form"] is False
+        assert checks["support-form-inverse"] is False
+
+
 def _with_entry(M, i, j, v):
     rows = [list(row) for row in M._d]
     rows[i][j] = v

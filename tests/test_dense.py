@@ -432,24 +432,58 @@ def test_gfp_classical_rectangular_matches_schoolbook(p):
 
 # (p, k): the k at which k(p-1)^2, the largest sum in a slot of the GF(p)
 # classical kernel, first needs one more byte; at p = 2^31 - 1 the slots
-# outgrow 8 bytes, the widest that struct packs
-SLOT_STEPS = [(2, 256), (7, 8), (7, 1821), (65521, 2), (65521, 257), (2**31 - 1, 5),
-              (2**32 - 5, 2), (2**64 - 59, 2)]
+# outgrow 8 bytes, the widest that struct packs.  Rows of 32 or more slots
+# take the exact width where it is 3 bytes (7, 1821), 5 (65521, 2 and 256),
+# 6 (65521, 257 and 2^24 - 3, 1) or 7 (2^24 - 3, 2)
+SLOT_STEPS = [(2, 256), (7, 8), (7, 1821), (65521, 2), (65521, 257), (2**24 - 3, 2),
+              (2**31 - 1, 5), (2**32 - 5, 2), (2**64 - 59, 2)]
 
 
 @pytest.mark.parametrize("p,step", SLOT_STEPS)
 def test_gfp_classical_at_slot_width_steps(p, step):
     # all-(p-1) operands fill every slot to its bound, so a slot one byte
-    # too narrow on either side of a step carries into its neighbour
+    # too narrow on either side of a step carries into its neighbour.  Three
+    # columns take the struct-rounded slots, and 33 the exact width where it
+    # is 3, 5, 6 or 7 bytes; the zero row of the second goes through the
+    # whole-matrix cut with the others
     def width(k):
         return ((k * (p - 1) ** 2).bit_length() + 7) // 8
 
     assert width(step) == width(step - 1) + 1
     F = GF(p)
     for k in (step - 1, step):
-        x = DenseMatrix._wrap(F, [[p - 1] * k], 1, k)
-        y = DenseMatrix._wrap(F, [[p - 1] * 3 for _ in range(k)], k, 3)
-        _assert_same_residues(mat_mul_classical(x, y)._d, [[k % p] * 3])
+        for rows, cols in ((1, 3), (3, 33)):
+            xd = [[p - 1] * k for _ in range(rows)]
+            want = [[k % p] * cols for _ in range(rows)]
+            if rows > 1:
+                xd[1], want[1] = [0] * k, [0] * cols
+            x = DenseMatrix._wrap(F, xd, rows, k)
+            y = DenseMatrix._wrap(F, [[p - 1] * cols for _ in range(k)], k, cols)
+            _assert_same_residues(mat_mul_classical(x, y)._d, want)
+
+
+@pytest.mark.parametrize("p", (7, 65521, 2**24 - 3, 2**31 - 1))
+def test_gfp_negated_product_is_the_negated_schoolbook(p):
+    # l_bl and u_tr are negated products: neg of what the kernel computed,
+    # or of the operand a zero or identity shortcut hands back, which must
+    # come out as (-schoolbook) % p and leave that operand as it was
+    from leu.dense import blocks
+
+    r = random.Random(p)
+    K = blocks(GF(p))
+    for rows, k, cols in ((1, 1, 1), (3, 5, 2), (4, 4, 33), (64, 64, 64)):
+        x, y = _gfp_operands(p, rows, k, cols, r, "random")
+        zx, zy = [[0] * k for _ in range(rows)], [[0] * cols for _ in range(k)]
+        pairs = [(x, y), (zx, y), (x, zy), _gfp_operands(p, rows, k, cols, r, "max")]
+        if rows == k:
+            pairs.append((K.identity(k), y))
+        if k == cols:
+            pairs.append((x, K.identity(k)))
+        for a, b in pairs:
+            want = _gfp_schoolbook(a, b, k, cols, p)
+            got = K.mul(a, b, k, cols)
+            _assert_same_residues(K.neg(got), [[-v % p for v in row] for row in want])
+            _assert_same_residues(got, want)
 
 
 def _reference(A, B):

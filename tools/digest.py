@@ -1,0 +1,93 @@
+"""One sha256 over what leu computes, for comparing two checkouts.
+
+Over GF(7), GF(65521), GF(2^31 - 1) and the rationals, at n = 1, 2, 3, 5,
+8, 16, 33 and 64, one seeded n x n matrix of each planted rank 0, n/2 and n
+is decomposed with classical products and with Strassen products at cutoff
+1.  Each decomposition feeds L, E, U, the MulCounter totals and the node
+log into the hash.  The classical run also feeds in the inverse (or the rank
+that the SingularError carries), the rank, the kernel basis and the Bruhat
+factors, each with its counter, except over the rationals at n = 64, where
+those four alone take twice as long as all the rest.  Any change to a
+value, a count or the order of the node log changes the hash.
+
+    python tools/digest.py [--src DIR]
+
+``--src`` is the directory that holds the ``leu`` package (default: ``src``
+next to this script), so a parent and a changed checkout can be compared
+with one copy of this script.  ``digest.sha256`` next to it holds the hash
+of the committed source.
+"""
+
+import argparse
+import hashlib
+import os
+import random
+import sys
+
+PRIMES = (7, 65521, 2**31 - 1)
+SIZES = (1, 2, 3, 5, 8, 16, 33, 64)
+METHODS = (("classical", 32), ("strassen", 1))
+RATIONAL_DERIVED = 33  # the largest rational n whose derived results are hashed
+
+
+def main(argv=None):
+    ap = argparse.ArgumentParser(description=__doc__.splitlines()[0])
+    here = os.path.dirname(os.path.abspath(__file__))
+    ap.add_argument("--src", default=os.path.join(here, "..", "src"))
+    args = ap.parse_args(argv)
+    sys.path.insert(0, os.path.abspath(args.src))
+    from leu import (
+        GF, QQ, DenseMatrix, MulCounter, SingularError, bruhat_decompose, kernel_basis,
+        leu_decompose, mat_inverse, mat_mul_classical, mat_rank,
+    )
+
+    h = hashlib.sha256()
+
+    def feed(*parts):
+        for part in parts:
+            if isinstance(part, DenseMatrix):
+                part = (part.shape, part._d)
+            elif isinstance(part, MulCounter):
+                part = (part.scalar_mults, part.scalar_invs)
+            h.update(repr(part).encode())
+            h.update(b"\n")
+
+    def planted(field, n, r, rng):
+        # the product of an n x r and an r x n matrix with small random entries
+        def entry():
+            return rng.randrange(field.modulus) if field.kind == "gfp" else rng.randint(-9, 9)
+
+        if r == 0:
+            return DenseMatrix.zeros(field, n, n)
+        P = DenseMatrix(field, [[entry() for _ in range(r)] for _ in range(n)])
+        Q = DenseMatrix(field, [[entry() for _ in range(n)] for _ in range(r)])
+        return mat_mul_classical(P, Q)
+
+    for field in [*map(GF, PRIMES), QQ]:
+        for n in SIZES:
+            for r in sorted({0, n // 2, n}):
+                A = planted(field, n, r, random.Random(f"{field!r} {n} {r}"))
+                feed(field, n, r, A)
+                for method, cutoff in METHODS:
+                    log = []
+                    res = leu_decompose(A, method=method, cutoff=cutoff, _node_log=log)
+                    feed(method, res.L, res.E.ones, res.U, res.counter, log)
+                if field == QQ and n > RATIONAL_DERIVED:
+                    continue
+                c = MulCounter()
+                try:
+                    feed(mat_inverse(A, c), c)
+                except SingularError as e:
+                    feed("singular", e.rank, c)
+                c = MulCounter()
+                feed(mat_rank(A, c), c)
+                c = MulCounter()
+                feed(kernel_basis(A, c), c)
+                c = MulCounter()
+                b = bruhat_decompose(A, c)
+                feed(b.V1, b.w.ones, b.V2, c)
+    print(h.hexdigest())
+
+
+if __name__ == "__main__":
+    main()
