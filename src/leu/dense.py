@@ -20,12 +20,13 @@ operand into one integer of fixed-width slots, wide enough that the sum of
 a row's products never carries from one slot into the next; an output row
 is then one multiply-accumulate of residues against the packed rows, cut
 back into its slots and reduced once per entry (see ``_gfp_classical``).
-A slot is as many bytes as its largest sum needs when that is 3, 5, 6 or
-7 and a row holds at least 32 slots; otherwise it is rounded up to the
-next size that ``struct`` packs (1, 2, 4 or 8 bytes), and wider slots are
-cut by byte slices.  Narrow rows keep the rounding because the strided
-copies that drop the padding cost more than the shorter integers save
-there (see ``_slots``).
+A slot is as many bytes as its largest sum needs when that is 5 (GF(65521)
+up to k = 256) and a row holds at least 32 slots; otherwise it is rounded
+up to the next size that ``struct`` packs (1, 2, 4 or 8 bytes), and wider
+slots are cut by byte slices.  Narrow rows keep the rounding because the
+strided copies that drop the padding cost more there than the shorter
+integers save; other widths keep it until a gain there is measured (see
+``_slots``).
 Over the rationals products are fraction-free: a block is integer rows with
 a scale per row and per column, the form the recursions keep throughout
 (see the block kernels below).  The public product loads each row of its
@@ -198,19 +199,21 @@ def _slots(width, k, c):
     # has slot j at byte j * size, so whole-row integer sums are slot-wise
     # sums while no slot leaves [0, 2^(8 size)).
     #
-    # The slot size is width itself where width is not a struct size (3, 5,
-    # 6 or 7 bytes) and rows hold at least _EXACT_COLS slots: the whole
-    # operand is packed into 8-byte slots by one struct call, and width
-    # strided copies keep the low width bytes of each, so the integers that
-    # the multiply-accumulate runs on carry no padding; the sums go back the
-    # same way in reverse.  Rows of fewer slots round width up to 4 or 8
-    # bytes and go through struct a row at a time: per matrix, the strided
-    # copies cost more than the padding saves there (1.1-1.3x slower at 8
-    # slots), and per row more still.  Slots of 1, 2, 4 or 8 bytes go
-    # through struct, wider ones through byte slices.  The plans are cached,
-    # since the recursion asks for the same few shapes at every node.
+    # The slot size is width itself where width is 5 bytes and rows hold at
+    # least _EXACT_COLS slots: the whole operand is packed into 8-byte slots
+    # by one struct call, and width strided copies keep the low width bytes
+    # of each, so the integers that the multiply-accumulate runs on carry no
+    # padding; the sums go back the same way in reverse.  Rows of fewer
+    # slots round width up to 8 bytes and go through struct a row at a
+    # time: per matrix, the strided copies cost more than the padding saves
+    # there (1.1-1.3x slower at 8 slots), and per row more still.  Widths of
+    # 3, 6 and 7 bytes keep the rounding too; at 32 slots the copies lost
+    # there (1.45x slower at 3 bytes, 1.08x at 7).  Slots of 1, 2, 4 or 8
+    # bytes go through struct, wider ones through byte slices.  The plans
+    # are cached, since the recursion asks for the same few shapes at every
+    # node.
     fb = int.from_bytes
-    if width in (3, 5, 6, 7) and c >= _EXACT_COLS:
+    if width == 5 and c >= _EXACT_COLS:
         whole, row = Struct(f"<{k * c}Q"), Struct(f"<{c}Q")
         n = width * c
 
@@ -243,13 +246,11 @@ def _slots(width, k, c):
         def unpack(b):
             return [fb(b[j : j + size], "little") for j in range(0, n, size)]
 
-    zero = (0,) * c
-
     def pack(y):
         return [fb(pack_row(*row), "little") for row in y]
 
     def cut(sums):
-        return [unpack(z.to_bytes(n, "little")) if z else zero for z in sums]
+        return [unpack(z.to_bytes(n, "little")) for z in sums]
 
     return pack, cut
 

@@ -398,6 +398,9 @@ def _assert_same_residues(got, want):
 @pytest.mark.parametrize("p", GFP_PRIMES)
 @pytest.mark.parametrize("kind", ["random", "max"])
 def test_gfp_classical_square_matches_schoolbook(p, kind):
+    # with zero and identity operands too, which the block product hands
+    # back without the kernel; negating a product, as l_bl and u_tr are,
+    # gives (-schoolbook) % p and leaves the product as it was
     from leu.dense import blocks
 
     r = random.Random(p)
@@ -410,7 +413,12 @@ def test_gfp_classical_square_matches_schoolbook(p, kind):
         got = mat_mul_classical(DenseMatrix(F, x), DenseMatrix(F, y), c)
         _assert_same_residues(got._d, want)
         assert c.scalar_mults == h**3
-        _assert_same_residues(K.mul(x, y, h, h), want)
+        zero, one = [[0] * h for _ in range(h)], K.identity(h)
+        for a, b in ((x, y), (zero, y), (x, zero), (one, y), (x, one)):
+            want = _gfp_schoolbook(a, b, h, h, p)
+            got = K.mul(a, b, h, h)
+            _assert_same_residues(K.neg(got), [[-v % p for v in row] for row in want])
+            _assert_same_residues(got, want)
 
 
 @pytest.mark.parametrize("p", GFP_PRIMES)
@@ -433,8 +441,8 @@ def test_gfp_classical_rectangular_matches_schoolbook(p):
 # (p, k): the k at which k(p-1)^2, the largest sum in a slot of the GF(p)
 # classical kernel, first needs one more byte; at p = 2^31 - 1 the slots
 # outgrow 8 bytes, the widest that struct packs.  Rows of 32 or more slots
-# take the exact width where it is 3 bytes (7, 1821), 5 (65521, 2 and 256),
-# 6 (65521, 257 and 2^24 - 3, 1) or 7 (2^24 - 3, 2)
+# take the exact width where it is 5 bytes (65521, 2 and 256); the 3-, 6-
+# and 7-byte steps (7, 1821; 65521, 257; 2^24 - 3, 2) are rounded to 4 or 8
 SLOT_STEPS = [(2, 256), (7, 8), (7, 1821), (65521, 2), (65521, 257), (2**24 - 3, 2),
               (2**31 - 1, 5), (2**32 - 5, 2), (2**64 - 59, 2)]
 
@@ -444,8 +452,8 @@ def test_gfp_classical_at_slot_width_steps(p, step):
     # all-(p-1) operands fill every slot to its bound, so a slot one byte
     # too narrow on either side of a step carries into its neighbour.  Three
     # columns take the struct-rounded slots, and 33 the exact width where it
-    # is 3, 5, 6 or 7 bytes; the zero row of the second goes through the
-    # whole-matrix cut with the others
+    # is 5 bytes; the zero row of the second goes through the whole-matrix
+    # cut with the others
     def width(k):
         return ((k * (p - 1) ** 2).bit_length() + 7) // 8
 
@@ -460,30 +468,6 @@ def test_gfp_classical_at_slot_width_steps(p, step):
             x = DenseMatrix._wrap(F, xd, rows, k)
             y = DenseMatrix._wrap(F, [[p - 1] * cols for _ in range(k)], k, cols)
             _assert_same_residues(mat_mul_classical(x, y)._d, want)
-
-
-@pytest.mark.parametrize("p", (7, 65521, 2**24 - 3, 2**31 - 1))
-def test_gfp_negated_product_is_the_negated_schoolbook(p):
-    # l_bl and u_tr are negated products: neg of what the kernel computed,
-    # or of the operand a zero or identity shortcut hands back, which must
-    # come out as (-schoolbook) % p and leave that operand as it was
-    from leu.dense import blocks
-
-    r = random.Random(p)
-    K = blocks(GF(p))
-    for rows, k, cols in ((1, 1, 1), (3, 5, 2), (4, 4, 33), (64, 64, 64)):
-        x, y = _gfp_operands(p, rows, k, cols, r, "random")
-        zx, zy = [[0] * k for _ in range(rows)], [[0] * cols for _ in range(k)]
-        pairs = [(x, y), (zx, y), (x, zy), _gfp_operands(p, rows, k, cols, r, "max")]
-        if rows == k:
-            pairs.append((K.identity(k), y))
-        if k == cols:
-            pairs.append((x, K.identity(k)))
-        for a, b in pairs:
-            want = _gfp_schoolbook(a, b, k, cols, p)
-            got = K.mul(a, b, k, cols)
-            _assert_same_residues(K.neg(got), [[-v % p for v in row] for row in want])
-            _assert_same_residues(got, want)
 
 
 def _reference(A, B):
