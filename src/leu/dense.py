@@ -31,8 +31,14 @@ Over the rationals products are fraction-free: a block is integer rows with
 a scale per row and per column, the form the recursions keep throughout
 (see the block kernels below).  The public product loads each row of its
 left operand and each column of its right one over the lcm of its
-denominators, so the kernel multiplies the integer matrices and makes each
-entry one integer over the product of its row and column scales.
+denominators, so the kernel takes one integer product and makes each entry
+one integer over the product of its row and column scales.  The integer
+product runs on the same packed slots, with the signs offset instead of
+reduced: the right operand's largest magnitude is added to its entries
+before packing and taken off each packed row, and each row sum starts at
+half a slot, which comes off each cut entry (see ``_int_classical``).
+Products of fewer than 16 columns, or whose slots would be wider than 32
+bytes, keep the schoolbook sums, which are faster there.
 """
 
 from __future__ import annotations
@@ -189,15 +195,16 @@ def _raw_classical(x, y, out_cols):
 
 _STRUCT_CODES = {1: "B", 2: "H", 4: "I", 8: "Q"}
 _EXACT_COLS = 32  # the fewest slots per row that take exact-width slots
+_PLANS = 256  # cached plans: up to 32 ℚ widths at each square shape 16-128, and GF(p)'s
 
 
-@lru_cache(maxsize=64)
+@lru_cache(maxsize=_PLANS)
 def _slots(width, k, c):
-    # A packer of the k rows of a right operand into one integer per row,
-    # and a cutter of row integers back into tuples of c slot values, for
-    # slots that need width bytes.  A row read as a little-endian integer
-    # has slot j at byte j * size, so whole-row integer sums are slot-wise
-    # sums while no slot leaves [0, 2^(8 size)).
+    # A packer of the k rows of a right operand into one integer per row, a
+    # cutter of row integers back into tuples of c slot values, and the slot
+    # size in bytes, for slots of values in [0, 2^(8 width)).  A row read as
+    # a little-endian integer has slot j at byte j * size, so whole-row
+    # integer sums are slot-wise sums while no slot leaves [0, 2^(8 size)).
     #
     # The slot size is width itself where width is 5 bytes and rows hold at
     # least _EXACT_COLS slots: the whole operand is packed into 8-byte slots
@@ -231,7 +238,7 @@ def _slots(width, k, c):
                 b8[i::8] = bw[i::width]
             return row.iter_unpack(b8)
 
-        return pack, cut
+        return pack, cut, width
 
     size = next((s for s in _STRUCT_CODES if s >= width), width)
     code = _STRUCT_CODES.get(size)
@@ -252,7 +259,7 @@ def _slots(width, k, c):
     def cut(sums):
         return [unpack(z.to_bytes(n, "little")) for z in sums]
 
-    return pack, cut
+    return pack, cut, size
 
 
 def _gfp_classical(x, y, k, c, p):
@@ -261,11 +268,42 @@ def _gfp_classical(x, y, k, c, p):
     # product is one multiply-accumulate of x[i] against the packed rows.
     # A slot sums k products of residues, at most k(p-1)^2, and its width
     # holds that, so no slot carries into the next.
-    pack, cut = _slots(((k * (p - 1) ** 2).bit_length() + 7) // 8, k, c)
+    pack, cut, _ = _slots(((k * (p - 1) ** 2).bit_length() + 7) // 8, k, c)
     packed = pack(y)
     sums = [sum(map(_mul, r, packed)) for r in x]
     zrow = [0] * c
     return [[v % p for v in t] if z else zrow for z, t in zip(sums, cut(sums))]
+
+
+_SIGNED_COLS = 16  # the fewest columns whose integer products are packed
+_SIGNED_WIDTH = 32  # the widest slot, in bytes, that they are packed into
+
+
+def _int_classical(x, y, k, c):
+    # Rows of x * y (r x k times k x c) over the integers, on the packed
+    # slots of _gfp_classical.  Each row of y is packed with my = max|y|
+    # added to every entry, and my in every slot is taken off the packed
+    # row, so its integer is sum_j y[t][j] 2^(8 size j) exactly.  An entry of
+    # the product is at most b = k max|x| my in size, and a slot of one bit
+    # more than b holds it plus half a slot: each row sum starts at that
+    # bias in every slot, so no slot goes negative or carries, and the bias
+    # comes off each cut entry.  Narrow products (c < 16) and slots wider
+    # than 32 bytes keep the schoolbook sums, which are faster there.
+    if c >= _SIGNED_COLS:
+        mx = max(map(abs, chain.from_iterable(x)), default=0) or 1  # y packs even if x is 0
+        my = max(map(abs, chain.from_iterable(y)), default=0)
+        width = ((k * mx * my).bit_length() + 8) // 8
+        if width <= _SIGNED_WIDTH:
+            pack, cut, size = _slots(width, k, c)
+            ones = int.from_bytes((b"\1" + bytes(size - 1)) * c, "little")
+            half = 1 << (8 * size - 1)
+            offset = my * ones
+            packed = [z - offset for z in pack([[v + my for v in row] for row in y])]
+            bias = half * ones
+            sums = [sum(map(_mul, r, packed), bias) for r in x]
+            zrow = [0] * c
+            return [[v - half for v in t] if z != bias else zrow for z, t in zip(sums, cut(sums))]
+    return _raw_classical(x, y, c)
 
 
 def _quarters(rows, h):
@@ -352,6 +390,13 @@ class _Blocks:
 
     def mul(self, x, y, k, c):
         """The product of x (r x k) and y (k x c)."""
+        # the recursions hand the cached identity on as it is, so one
+        # identity test by object comes before any scan
+        eye = self._eye.get(k)
+        if x is eye:
+            return y
+        if y is eye:
+            return x
         r = self.height(x)
         if not k or self.is_zero(x) or self.is_zero(y):
             return self.zeros(r, c)
@@ -605,7 +650,7 @@ class _RationalBlocks(_Blocks):
         big = lcm(*m)
         if big != 1:
             ny = [row if d == big else [v * (big // d) for v in row] for row, d in zip(ny, m)]
-        return _reduced(_raw_classical(nx, ny, c), [a * big for a in rx], cy)
+        return _reduced(_int_classical(nx, ny, k, c), [a * big for a in rx], cy)
 
 
 def blocks(field: FieldSpec):

@@ -2,6 +2,7 @@
 
 import operator
 import random
+from math import isqrt
 
 import pytest
 
@@ -276,8 +277,10 @@ def test_rational_classical_square_matches_schoolbook(seed):
 
 @pytest.mark.parametrize("seed", range(8))
 def test_rational_classical_rectangular_matches_schoolbook(seed):
+    # from 16 columns the integer product runs on packed slots
     r = random.Random(100 + seed)
-    for rows, inner, cols in ((1, 4, 3), (5, 2, 1), (3, 0, 4), (0, 3, 2), (4, 7, 6)):
+    for rows, inner, cols in ((1, 4, 3), (5, 2, 1), (3, 0, 4), (0, 3, 2), (4, 7, 6), (6, 16, 16),
+                              (3, 20, 33)):
         A, B = _mixed_rational(rows, inner, r), _mixed_rational(inner, cols, r)
         c = MulCounter()
         _assert_same_bytes(mat_mul_classical(A, B, c), _schoolbook(A, B))
@@ -468,6 +471,123 @@ def test_gfp_classical_at_slot_width_steps(p, step):
             x = DenseMatrix._wrap(F, xd, rows, k)
             y = DenseMatrix._wrap(F, [[p - 1] * cols for _ in range(k)], k, cols)
             _assert_same_residues(mat_mul_classical(x, y)._d, want)
+
+
+# --- packed integer products (the ℚ kernel) ----------------------------------
+#
+# Over ℚ the integer product of two fraction-free blocks packs the right
+# operand's rows, offset by its largest magnitude, into slots of one sign bit
+# more than k max|x| max|y|, from 16 columns and up to 32-byte slots.  The
+# reference is the schoolbook _raw_classical, and each case also checks which
+# of the two ran.
+
+
+def _int_path(monkeypatch):
+    # _int_classical with its schoolbook fallback recorded; returns the
+    # kernel, the reference and the list of fallback calls
+    import leu.dense as dense
+
+    raw, calls = dense._raw_classical, []
+
+    def recorded(x, y, c):
+        calls.append(c)
+        return raw(x, y, c)
+
+    monkeypatch.setattr(dense, "_raw_classical", recorded)
+    return dense._int_classical, raw, calls
+
+
+def _packs(k, mx, my, c):
+    return c >= 16 and ((k * mx * my).bit_length() + 8) // 8 <= 32
+
+
+def _magnitude(bits, largest):
+    # the largest or smallest m with 3 m^2 of exactly the given bit length
+    m = isqrt(((1 << bits) - 1) // 3) if largest else isqrt(((1 << (bits - 1)) - 1) // 3) + 1
+    assert (3 * m * m).bit_length() == bits
+    return m
+
+
+@pytest.mark.parametrize("width", range(2, 34))
+def test_int_classical_at_slot_width_steps(monkeypatch, width):
+    # At the step where an entry bound of k m^2 (k = 3) first needs width
+    # bytes: the largest m still in width - 1 bytes and the smallest m past
+    # it.  Rows of +m, 0 and -m against all +m or all -m put every slot at
+    # its bound with either sign and leave a zero row between, so a slot
+    # one bit too narrow carries and a bias one bit short borrows.  15
+    # columns take the schoolbook sums, 16 the struct-rounded or byte-sliced
+    # slots and 33 the exact 5-byte ones; 33-byte slots fall back too.  Where
+    # struct rounds width - 1 up (3, 6 and 7 bytes, and 5 below 32 columns)
+    # the slot has room to spare and the step is only checked, not tight.
+    kernel, raw, calls = _int_path(monkeypatch)
+    k = 3
+    for m in (_magnitude(8 * width - 9, True), _magnitude(8 * width - 8, False)):
+        x = [[m] * k, [0] * k, [-m] * k]
+        for c in (15, 16, 33):
+            for s in (1, -1):
+                y = [[s * m] * c for _ in range(k)]
+                want = [[s * k * m * m] * c, [0] * c, [-s * k * m * m] * c]
+                assert raw(x, y, c) == want
+                del calls[:]
+                got = kernel(x, y, k, c)
+                assert got == want, (m, c, s)
+                assert all(type(v) is int for row in got for v in row)
+                assert calls == ([] if _packs(k, m, m, c) else [c])
+
+
+@pytest.mark.parametrize("bits", [1, 5, 40, 120, 300])
+def test_int_classical_random_signed_matches_schoolbook(monkeypatch, bits):
+    # random signs and sizes, zero rows, zero and one-sided zero operands,
+    # and shapes on either side of 16 columns and of 32 slots
+    kernel, raw, calls = _int_path(monkeypatch)
+    r = random.Random(bits)
+    for rows, k, c in ((5, 7, 16), (16, 16, 16), (3, 40, 33), (32, 32, 32), (1, 1, 64), (4, 9, 15)):
+        x = [[r.randint(-(1 << bits), 1 << bits) for _ in range(k)] for _ in range(rows)]
+        y = [[r.randint(-(1 << bits), 1 << bits) for _ in range(c)] for _ in range(k)]
+        x[r.randrange(rows)] = [0] * k
+        zx, zy = [[0] * k for _ in range(rows)], [[0] * c for _ in range(k)]
+        for a, b in ((x, y), (zx, y), (x, zy), (zx, zy)):
+            del calls[:]
+            got = kernel(a, b, k, c)
+            assert got == raw(a, b, c)
+            mx = max(abs(v) for row in a for v in row) or 1
+            my = max(abs(v) for row in b for v in row)
+            assert calls == ([] if _packs(k, mx, my, c) else [c])
+
+
+@pytest.mark.parametrize("field", [GF7, QQ])
+def test_product_with_the_cached_identity_is_the_other_operand(field):
+    from leu.dense import blocks
+
+    K = blocks(field)
+    x = K.load(rand_matrix(field, 4, 4, random.Random(5))._d)
+    zero = K.zeros(4, 4)
+    for other in (x, zero):
+        assert K.mul(K.identity(4), other, 4, 4) is other
+        assert K.mul(other, K.identity(4), 4, 4) is other
+
+
+def test_packing_plans_stay_cached_across_workload_ops():
+    # a rational 32 x 32 inverse and a GF(65521) decomposition at n = 128,
+    # the inputs of the qq-inverse-32 and gfp-leu-128 benchmark workloads:
+    # after one op of each, a second op of each finds every plan cached
+    from leu import mat_inverse
+    from leu.cli import bench_matrix
+    from leu.dense import _slots
+
+    r, n = random.Random(1), 32
+    lo = [[1 if i == j else (r.randint(-2, 2) if j < i else 0) for j in range(n)] for i in range(n)]
+    up = [[1 if i == j else (r.randint(-2, 2) if j > i else 0) for j in range(n)] for i in range(n)]
+    A = mul(DenseMatrix(QQ, lo), DenseMatrix(QQ, up))
+    G = bench_matrix(128, 1, 65521)
+    mat_inverse(A)
+    leu_decompose(G)
+    warm = _slots.cache_info()
+    mat_inverse(A)
+    leu_decompose(G)
+    info = _slots.cache_info()
+    assert info.misses == warm.misses
+    assert info.hits > warm.hits
 
 
 def _reference(A, B):

@@ -70,18 +70,25 @@ def test_rectangular_kernel():
 
 
 def test_check_inverse_does_not_use_the_product_kernel(monkeypatch):
-    # a product kernel that is wrong everywhere must not change the verdict
+    # a product kernel that is wrong everywhere, in either field, must not
+    # change the verdict; the product itself does go wrong
     import leu.dense
 
-    F = GF(65521)
-    A = planted_rank(F, 6, 6, random.Random(7))
-    inv = gauss_inverse(A)
-    wrong = DenseMatrix._wrap(F, [row[:] for row in inv._d], 6, 6)
-    wrong._d[2][3] = (wrong._d[2][3] + 1) % 65521
+    cases = []
+    for field in (GF(65521), QQ):
+        A = planted_rank(field, 6, 6, random.Random(7))
+        inv = gauss_inverse(A)
+        wrong = DenseMatrix._wrap(field, [row[:] for row in inv._d], 6, 6)
+        wrong._d[2][3] = field.canon(wrong._d[2][3] + 1)
+        cases.append((A, inv, wrong))
     monkeypatch.setattr(leu.dense, "_gfp_classical",
                         lambda x, y, k, c, p: [[1] * c for _ in x])
-    assert check_inverse(A, inv)
-    assert not check_inverse(A, wrong)
+    monkeypatch.setattr(leu.dense, "_int_classical",
+                        lambda x, y, k, c: [[1] * c for _ in x])
+    for A, inv, wrong in cases:
+        assert mat_mul_classical(A, inv) != DenseMatrix.identity(A.field, 6)
+        assert check_inverse(A, inv)
+        assert not check_inverse(A, wrong)
 
 
 @pytest.mark.parametrize("field", FIELDS)

@@ -10,19 +10,28 @@ product of two seeded h x h matrices of residues at h = 8 to 128
 ``mat_inverse`` at n = 32, 48, 64 (``inverse``) on one seeded full-rank
 integer matrix per size, the product of two random n x n matrices with
 entries in [-9, 9] (the rational inputs of acceptance criterion 1), each
-with the largest bit length of an entry of its result.  Every case is timed
+with the largest bit length of an entry of its result, and one
+``mat_mul_classical`` product of two seeded h x h integer matrices with
+entries in [-9, 9] at h = 8 to 64 (``product``).  Every case is timed
 REPEAT times after one untimed warm-up, and reported as the median and
 quartiles.  Ranks, counts and entry bits are what no speed-up may change.
 
-    python tools/bench.py [--src DIR] [--repeat 5] [--seed 1]
+    python tools/bench.py [--src DIR] [--against DIR] [--repeat 5] [--seed 1]
 
 ``--src`` is the directory that holds the ``leu`` package to time (default:
-``src`` next to this script), so two checkouts can be compared with one copy
-of this script.
+``src`` next to this script).  ``--against DIR`` times a second package tree
+in the same process, alternating the two case by case and, within a case,
+round by round, each side first in every other round, so that drift of the
+host's speed lands on both sides alike.  Each case then reports both sides'
+median, quartiles and facts, the median over rounds of the ``--src`` time
+over the ``--against`` time (``ratio_median``), and the number of rounds in
+which ``--src`` was faster (``rounds_won``).
 """
 
 import argparse
 import contextlib
+import importlib
+import importlib.util
 import io
 import json
 import os
@@ -39,22 +48,36 @@ GFP_PRODUCT = (8, 16, 32, 64, 128)
 GFP_VERIFY = 40
 QQ_DECOMPOSE = (16, 32, 48, 64)
 QQ_INVERSE = (32, 48, 64)
+QQ_PRODUCT = (8, 16, 32, 64)
 
 
-def _timed(fn, repeat):
-    # the result of the warm-up run, and the spread of the timed runs
-    res = fn()
-    times = []
-    for _ in range(repeat):
-        t = time.perf_counter()
-        fn()
-        times.append(time.perf_counter() - t)
+def _package(src, name):
+    # the leu package under src, imported as the module name, so that two
+    # trees can be loaded side by side
+    init = os.path.join(os.path.abspath(src), "leu", "__init__.py")
+    if not os.path.isfile(init):
+        sys.exit(f"no leu package under {src}")
+    spec = importlib.util.spec_from_file_location(
+        name, init, submodule_search_locations=[os.path.dirname(init)])
+    mod = importlib.util.module_from_spec(spec)
+    sys.modules[name] = mod
+    spec.loader.exec_module(mod)
+    return mod
+
+
+def _spread(times):
     q = statistics.quantiles(times, n=4, method="inclusive")
-    return res, {
+    return {
         "median_s": float(f"{statistics.median(times):.4g}"),
         "q1_s": float(f"{q[0]:.4g}"),
         "q3_s": float(f"{q[2]:.4g}"),
     }
+
+
+def _time(fn):
+    t = time.perf_counter()
+    fn()
+    return time.perf_counter() - t
 
 
 def _max_entry_bits(*mats):
@@ -66,69 +89,106 @@ def _max_entry_bits(*mats):
     )
 
 
-def main(argv=None):
-    ap = argparse.ArgumentParser(description=__doc__.splitlines()[0])
-    here = os.path.dirname(os.path.abspath(__file__))
-    ap.add_argument("--src", default=os.path.join(here, "..", "src"))
-    ap.add_argument("--repeat", type=int, default=5)
-    ap.add_argument("--seed", type=int, default=1)
-    args = ap.parse_args(argv)
-    if args.repeat < 2:
-        ap.error("--repeat must be at least 2 for quartiles")
-    sys.path.insert(0, os.path.abspath(args.src))
-    from leu import GF, QQ, DenseMatrix, leu_decompose, mat_inverse, mat_mul_classical
-    from leu.cli import bench_matrix, main as cli_main
-    from leu.textio import format_matrix
+def _cases(leu, seed, tmp):
+    """(part, section, key, run, facts) for every case, on one leu package:
+    run times one op, facts reads what no speed-up may change off its result."""
+    GF, QQ, DenseMatrix = leu.GF, leu.QQ, leu.DenseMatrix
+    mat_mul_classical = leu.mat_mul_classical
+    cli = importlib.import_module(leu.__name__ + ".cli")
+    textio = importlib.import_module(leu.__name__ + ".textio")
+    out = []
 
-    out = {
-        "python": platform.python_version(),
-        "rational_backend": type(QQ.one_raw).__module__,
-        "repeat": args.repeat,
-        "seed": args.seed,
-        "gfp": {"p": P, "decompose": {}, "product": {}, "verify": {}},
-        "qq": {"decompose": {}, "inverse": {}},
-    }
-
-    def case(part, section, key, fn, facts=lambda res: {}):
-        res, row = _timed(fn, args.repeat)
-        row.update(facts(res))
-        out[part][section][str(key)] = row
-        print(f"{part} {section} {key}: median {row['median_s']:.4g} s", file=sys.stderr)
+    def case(part, section, key, run, facts=lambda res: {}):
+        out.append((part, section, str(key), run, facts))
 
     for n in GFP_DECOMPOSE:
-        A = bench_matrix(n, args.seed, P)
-        case("gfp", "decompose", n, lambda: leu_decompose(A),
+        A = cli.bench_matrix(n, seed, P)
+        case("gfp", "decompose", n, lambda A=A: leu.leu_decompose(A),
              lambda res: {"rank": res.rank, "scalar_mults": res.counter.scalar_mults})
-    rng = random.Random(args.seed)
+    rng = random.Random(seed)
     for h in GFP_PRODUCT:
         X, Y = (DenseMatrix(GF(P), [[rng.randrange(P) for _ in range(h)] for _ in range(h)])
                 for _ in range(2))
-        case("gfp", "product", h, lambda: mat_mul_classical(X, Y))
-    with tempfile.TemporaryDirectory() as tmp:
-        path = os.path.join(tmp, "verify.txt")
-        with open(path, "w", encoding="utf-8") as fh:
-            fh.write(format_matrix(bench_matrix(GFP_VERIFY, args.seed, P)))
+        case("gfp", "product", h, lambda X=X, Y=Y: mat_mul_classical(X, Y))
+    path = os.path.join(tmp, f"verify-{leu.__name__}.txt")
+    with open(path, "w", encoding="utf-8") as fh:
+        fh.write(textio.format_matrix(cli.bench_matrix(GFP_VERIFY, seed, P)))
 
-        def verify():
-            text = io.StringIO()
-            with contextlib.redirect_stdout(text):
-                code = cli_main(["verify", path])
-            if code or "FAIL" in text.getvalue():
-                sys.exit("verify did not pass every check")
+    def verify():
+        text = io.StringIO()
+        with contextlib.redirect_stdout(text):
+            code = cli.main(["verify", path])
+        if code or "FAIL" in text.getvalue():
+            sys.exit("verify did not pass every check")
 
-        case("gfp", "verify", GFP_VERIFY, verify)
+    case("gfp", "verify", GFP_VERIFY, verify)
 
-    rng = random.Random(args.seed)
+    rng = random.Random(seed)
     inputs = {}
     for n in QQ_DECOMPOSE:
         X, Y = (DenseMatrix(QQ, [[rng.randint(-9, 9) for _ in range(n)] for _ in range(n)])
                 for _ in range(2))
         A = inputs[n] = mat_mul_classical(X, Y)
-        case("qq", "decompose", n, lambda: leu_decompose(A),
+        case("qq", "decompose", n, lambda A=A: leu.leu_decompose(A),
              lambda res: {"rank": res.rank, "max_entry_bits": _max_entry_bits(res.L, res.U)})
     for n in QQ_INVERSE:
-        case("qq", "inverse", n, lambda: mat_inverse(inputs[n]),
+        case("qq", "inverse", n, lambda A=inputs[n]: leu.mat_inverse(A),
              lambda X: {"max_entry_bits": _max_entry_bits(X)})
+    rng = random.Random(seed)
+    for h in QQ_PRODUCT:
+        X, Y = (DenseMatrix(QQ, [[rng.randint(-9, 9) for _ in range(h)] for _ in range(h)])
+                for _ in range(2))
+        case("qq", "product", h, lambda X=X, Y=Y: mat_mul_classical(X, Y),
+             lambda Z: {"max_entry_bits": _max_entry_bits(Z)})
+    return out
+
+
+def main(argv=None):
+    ap = argparse.ArgumentParser(description=__doc__.splitlines()[0])
+    here = os.path.dirname(os.path.abspath(__file__))
+    ap.add_argument("--src", default=os.path.join(here, "..", "src"))
+    ap.add_argument("--against", metavar="DIR")
+    ap.add_argument("--repeat", type=int, default=5)
+    ap.add_argument("--seed", type=int, default=1)
+    args = ap.parse_args(argv)
+    if args.repeat < 2:
+        ap.error("--repeat must be at least 2 for quartiles")
+    leu = _package(args.src, "leu")
+
+    out = {
+        "python": platform.python_version(),
+        "rational_backend": type(leu.QQ.one_raw).__module__,
+        "repeat": args.repeat,
+        "seed": args.seed,
+        "gfp": {"p": P, "decompose": {}, "product": {}, "verify": {}},
+        "qq": {"decompose": {}, "inverse": {}, "product": {}},
+    }
+    with tempfile.TemporaryDirectory() as tmp:
+        cases = _cases(leu, args.seed, tmp)
+        if args.against is None:
+            for part, section, key, run, facts in cases:
+                row = facts(run())
+                row = {**_spread([_time(run) for _ in range(args.repeat)]), **row}
+                out[part][section][key] = row
+                print(f"{part} {section} {key}: median {row['median_s']:.4g} s", file=sys.stderr)
+        else:
+            base = _cases(_package(args.against, "leu_against"), args.seed, tmp)
+            for (part, section, key, run, facts), (*_, b_run, b_facts) in zip(cases, base):
+                sides = {"src": facts(run()), "against": b_facts(b_run())}
+                if sides["src"] != sides["against"]:
+                    print(f"{part} {section} {key}: the facts differ", file=sys.stderr)
+                times = {"src": [], "against": []}
+                order = [("src", run), ("against", b_run)]
+                for i in range(args.repeat):
+                    for side, fn in order if i % 2 == 0 else order[::-1]:
+                        times[side].append(_time(fn))
+                ratios = [a / b for a, b in zip(times["src"], times["against"])]
+                row = {side: {**_spread(times[side]), **sides[side]} for side in sides}
+                row["ratio_median"] = float(f"{statistics.median(ratios):.4g}")
+                row["rounds_won"] = sum(r < 1 for r in ratios)
+                out[part][section][key] = row
+                print(f"{part} {section} {key}: src/against {row['ratio_median']:.3g}, "
+                      f"won {row['rounds_won']}/{args.repeat}", file=sys.stderr)
     print(json.dumps(out))
 
 
