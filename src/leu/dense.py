@@ -195,10 +195,9 @@ def _raw_classical(x, y, out_cols):
 
 _STRUCT_CODES = {1: "B", 2: "H", 4: "I", 8: "Q"}
 _EXACT_COLS = 32  # the fewest slots per row that take exact-width slots
-_PLANS = 256  # cached plans: up to 32 ℚ widths at each square shape 16-128, and GF(p)'s
 
 
-@lru_cache(maxsize=_PLANS)
+@lru_cache(maxsize=64)
 def _slots(width, k, c):
     # A packer of the k rows of a right operand into one integer per row, a
     # cutter of row integers back into tuples of c slot values, and the slot

@@ -25,7 +25,8 @@ round by round, each side first in every other round, so that drift of the
 host's speed lands on both sides alike.  Each case then reports both sides'
 median, quartiles and facts, the median over rounds of the ``--src`` time
 over the ``--against`` time (``ratio_median``), and the number of rounds in
-which ``--src`` was faster (``rounds_won``).
+which ``--src`` was faster (``rounds_won``); it fails if the two trees'
+facts differ.
 """
 
 import argparse
@@ -164,31 +165,31 @@ def main(argv=None):
         "qq": {"decompose": {}, "inverse": {}, "product": {}},
     }
     with tempfile.TemporaryDirectory() as tmp:
-        cases = _cases(leu, args.seed, tmp)
-        if args.against is None:
-            for part, section, key, run, facts in cases:
-                row = facts(run())
-                row = {**_spread([_time(run) for _ in range(args.repeat)]), **row}
-                out[part][section][key] = row
-                print(f"{part} {section} {key}: median {row['median_s']:.4g} s", file=sys.stderr)
-        else:
-            base = _cases(_package(args.against, "leu_against"), args.seed, tmp)
-            for (part, section, key, run, facts), (*_, b_run, b_facts) in zip(cases, base):
-                sides = {"src": facts(run()), "against": b_facts(b_run())}
-                if sides["src"] != sides["against"]:
-                    print(f"{part} {section} {key}: the facts differ", file=sys.stderr)
-                times = {"src": [], "against": []}
-                order = [("src", run), ("against", b_run)]
-                for i in range(args.repeat):
-                    for side, fn in order if i % 2 == 0 else order[::-1]:
-                        times[side].append(_time(fn))
-                ratios = [a / b for a, b in zip(times["src"], times["against"])]
-                row = {side: {**_spread(times[side]), **sides[side]} for side in sides}
+        sides = {"src": _cases(leu, args.seed, tmp)}
+        if args.against is not None:
+            sides["against"] = _cases(_package(args.against, "leu_against"), args.seed, tmp)
+        for rows in zip(*sides.values()):
+            part, section, key = rows[0][:3]
+            runs = [run for *_, run, _ in rows]
+            facts = [read(run()) for *_, run, read in rows]
+            if any(f != facts[0] for f in facts):
+                sys.exit(f"{part} {section} {key}: the facts differ between the trees")
+            times = [[] for _ in rows]
+            for i in range(args.repeat):
+                for j in range(len(rows)) if i % 2 == 0 else reversed(range(len(rows))):
+                    times[j].append(_time(runs[j]))
+            cells = [{**_spread(t), **f} for t, f in zip(times, facts)]
+            if len(rows) == 1:
+                row = cells[0]
+                line = f"median {row['median_s']:.4g} s"
+            else:
+                ratios = [a / b for a, b in zip(*times)]
+                row = dict(zip(sides, cells))
                 row["ratio_median"] = float(f"{statistics.median(ratios):.4g}")
                 row["rounds_won"] = sum(r < 1 for r in ratios)
-                out[part][section][key] = row
-                print(f"{part} {section} {key}: src/against {row['ratio_median']:.3g}, "
-                      f"won {row['rounds_won']}/{args.repeat}", file=sys.stderr)
+                line = f"src/against {row['ratio_median']:.3g}, won {row['rounds_won']}/{args.repeat}"
+            out[part][section][key] = row
+            print(f"{part} {section} {key}: {line}", file=sys.stderr)
     print(json.dumps(out))
 
 
