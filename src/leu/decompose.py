@@ -21,9 +21,9 @@ Blocks travel through the recursion in the form of their field's block
 kernel (see :mod:`leu.dense`): rows of residues over GF(p), and over the
 rationals fraction-free integer rows with a scale per row and per column,
 turned into canonical fractions once at the end.  Work whose outcome is known
-without arithmetic is skipped but still counted: a product with a zero or
-an identity operand, and a node whose block is zero (it gives L = U = I and
-an empty E).  So the count, like every value, does not depend on which
+without arithmetic is skipped but still counted: a product with a zero
+operand or with the identity block a node hands on, and a node whose block
+is zero (it gives L = U = I and an empty E).  So the count, like every value, does not depend on which
 shortcuts were taken.
 
 :func:`leu_decompose` is the one entry point.  It pads its input with zeros

@@ -148,7 +148,7 @@ class DenseMatrix:
         )
 
     def transpose(self) -> "DenseMatrix":
-        data = [list(col) for col in zip(*self._d)] if self.rows else []
+        data = [list(col) for col in zip(*self._d)] if self.rows else [[]] * self.cols
         return DenseMatrix._wrap(self.field, data, self.cols, self.rows)
 
     def is_zero(self) -> bool:
@@ -327,8 +327,8 @@ def strassen_count(n: int, cutoff: int) -> int:
 # fraction-free: integer rows with a scale per row and per column (see
 # _RationalBlocks), so products and sums are integer arithmetic and
 # canonical fractions are made once, when a block leaves the recursion.  A
-# product with an all-zero or an identity operand touches no scalar; its
-# caller counts it like any other.
+# product with an all-zero operand, or with the identity block that the
+# recursions hand on, touches no scalar; its caller counts it like any other.
 #
 # The row helpers below move or zero whole rows and columns and serve both
 # forms: over the rationals they act on the integer rows and, with a fill
@@ -373,7 +373,8 @@ class _Blocks:
     """What the block kernels share: the one block product, which computes
     and counts nothing (its caller adds the count of its own cost model),
     and the block sums.  Neither needs arithmetic when an operand is zero,
-    nor the product when one is the identity."""
+    nor the product when one is the kernel's cached ``identity(k)``; an
+    identity built elsewhere runs the kernel like any other operand."""
 
     __slots__ = ("field", "_eye")
 
@@ -389,20 +390,15 @@ class _Blocks:
 
     def mul(self, x, y, k, c):
         """The product of x (r x k) and y (k x c)."""
-        # the recursions hand the cached identity on as it is, so one
-        # identity test by object comes before any scan
+        # the recursions hand the cached identity on as it is, so the one
+        # identity test is by object, before any scan
         eye = self._eye.get(k)
         if x is eye:
             return y
         if y is eye:
             return x
-        r = self.height(x)
-        if not k or self.is_zero(x) or self.is_zero(y):
-            return self.zeros(r, c)
-        if r == k and x == self.identity(k):
-            return y
-        if k == c and y == self.identity(k):
-            return x
+        if self.is_zero(x) or self.is_zero(y):
+            return self.zeros(self.height(x), c)
         return self._classical(x, y, k, c)
 
     def add(self, x, y):

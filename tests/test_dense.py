@@ -14,10 +14,12 @@ from leu import (
     MulCounter,
     ShapeError,
     SingularError,
+    format_matrix,
     invert_lower_triangular,
     invert_upper_unitriangular,
     leu_decompose,
     mat_mul_classical,
+    parse_matrix,
     tp_to_dense,
 )
 from leu.dense import is_upper_unitriangular
@@ -59,44 +61,6 @@ def test_classical_shape_error():
 def test_classical_field_mismatch():
     with pytest.raises(FieldMismatchError, match=r"^mixed fields GF\(7\) and QQ$"):
         mat_mul_classical(rand_matrix(GF7, 2, 2, rng), rand_matrix(QQ, 2, 2, rng))
-
-
-def _plan_mm(field, x, y, n, cutoff, counter):
-    """Rows of the Strassen-mode product of two n x n lists of rows, through
-    the decomposition's one counting path: a plan's ``mm`` on loaded blocks."""
-    from leu.decompose import _Plan
-
-    plan = _Plan(field, "strassen", cutoff, False, False, counter, None)
-    K = plan.k
-    return K.store(plan.mm(K.load(x), K.load(y), n))
-
-
-def _strassen(A, B, cutoff, counter=None):
-    """Strassen-mode product of two equal power-of-two squares."""
-    n = A.rows
-    c = MulCounter() if counter is None else counter
-    return DenseMatrix._wrap(A.field, _plan_mm(A.field, A._d, B._d, n, cutoff, c), n, n)
-
-
-@pytest.mark.parametrize("field", FIELDS)
-@pytest.mark.parametrize("n", [1, 2, 4, 8])
-def test_strassen_matches_classical(field, n):
-    A = rand_matrix(field, n, n, rng)
-    B = rand_matrix(field, n, n, rng)
-    assert _strassen(A, B, 2) == mul(A, B)
-
-
-def test_strassen_counts():
-    A = rand_matrix(GF(65521), 8, 8, rng)
-    c = MulCounter()
-    _strassen(A, A, 1, c)
-    assert c.scalar_mults == 343
-    c = MulCounter()
-    _strassen(A, A, 8, c)
-    assert c.scalar_mults == 512  # immediate classical fallback
-    c = MulCounter()
-    _strassen(A, A, 4, c)
-    assert c.scalar_mults == 7 * 64
 
 
 def test_strassen_validation():
@@ -317,16 +281,6 @@ def test_rational_u_times_l_matches_schoolbook(seed):
         assert c.scalar_mults == 8**3
 
 
-@pytest.mark.parametrize("seed", range(6))
-def test_rational_strassen_matches_schoolbook(seed):
-    r = random.Random(200 + seed)
-    for n, cutoff, count in ((1, 1, 1), (2, 1, 7), (4, 1, 49), (8, 2, 7 * 7 * 8), (8, 8, 512)):
-        A, B = _mixed_rational(n, n, r), _mixed_rational(n, n, r)
-        c = MulCounter()
-        _assert_same_bytes(_strassen(A, B, cutoff, c), _schoolbook(A, B))
-        assert c.scalar_mults == count
-
-
 def _entrywise(op, *mats):
     data = [[op(*vs) for vs in zip(*rows)] for rows in zip(*(M._d for M in mats))]
     return DenseMatrix._wrap(QQ, data, mats[0].rows, mats[0].cols)
@@ -356,17 +310,6 @@ def test_rational_block_kernel_round_trip():
         _assert_same_bytes(back(K.join(x, y, y, x), 2 * n, 2 * n),
                            DenseMatrix._wrap(QQ, wide._d + [rb + ra for ra, rb in zip(A._d, B._d)],
                                              2 * n, 2 * n))
-
-
-def test_zero_operand_products_keep_their_count():
-    r = random.Random(400)
-    for field in FIELDS:
-        A = rand_matrix(field, 8, 8, r)
-        Z = DenseMatrix.zeros(field, 8, 8)
-        c = MulCounter()
-        assert mat_mul_classical(Z, A, c) == Z
-        assert _strassen(A, Z, 2, c) == Z
-        assert c.scalar_mults == 512 + 7 * 7 * 8
 
 
 # --- packed GF(p) products ---------------------------------------------------
@@ -599,8 +542,9 @@ def _reference(A, B):
 
 @pytest.mark.parametrize("field", [GF7, GF(65521), GF(2**64 - 59), QQ])
 def test_identity_and_zero_operands_match_schoolbook(field):
-    # a zero or identity operand takes the block kernel's shortcuts; the
-    # result must still be the schoolbook's canonical entries, counted r*k*c
+    # a zero operand takes the block kernel's shortcut, and an identity
+    # passed in by value runs the kernel like any other operand; either way
+    # the result must be the schoolbook's canonical entries, counted r*k*c
     r = random.Random(160)
     shapes = ((3, 3, 3), (1, 4, 3), (5, 2, 1), (2, 9, 5), (3, 0, 4), (0, 3, 2), (4, 7, 0),
               (4, 0, 0), (0, 0, 0))
@@ -619,14 +563,55 @@ def test_identity_and_zero_operands_match_schoolbook(field):
             assert c.scalar_mults == X.rows * X.cols * Y.cols
 
 
-# --- GF(p) Strassen-mode products -----------------------------------------------
+@pytest.mark.parametrize("field", [GF7, GF(65521), QQ], ids=str)
+def test_products_build_no_identity(monkeypatch, field):
+    # the block product's one identity test is by object, against the
+    # identity the recursions hand on, so a public product of nonzero
+    # squares builds none to compare its operands with
+    from leu.dense import _Blocks
+
+    def refuse(self, n):
+        raise AssertionError(f"identity({n}) built by a product")
+
+    monkeypatch.setattr(_Blocks, "identity", refuse)
+    r = random.Random(170)
+    for h in (1, 2, 8):
+        if field == QQ:
+            A, B = (DenseMatrix(QQ, [[QQ.canon(r.randint(1, 50)) / r.choice([1, -3, 7]) for _ in range(h)]
+                                     for _ in range(h)]) for _ in "AB")
+        else:
+            A, B = (DenseMatrix(field, [[r.randrange(1, field.modulus) for _ in range(h)]
+                                        for _ in range(h)]) for _ in "AB")
+        for X, Y in ((A, B), (DenseMatrix.identity(field, h), B), (A, DenseMatrix.identity(field, h))):
+            c = MulCounter()
+            got, want = mat_mul_classical(X, Y, c), _reference(X, Y)
+            assert got == want and str(got) == str(want)
+            assert c.scalar_mults == h**3
+
+
+@pytest.mark.parametrize("field", [GF7, QQ], ids=str)
+def test_transpose_of_a_matrix_with_no_rows(field):
+    # a parsed 0 x 3 matrix transposes to three empty rows, so a product
+    # with it keeps its rows and its text parses back
+    A = parse_matrix(format_matrix(DenseMatrix.zeros(field, 0, 3)))
+    T = A.transpose()
+    assert T == DenseMatrix.zeros(field, 3, 0)
+    c = MulCounter()
+    P = mat_mul_classical(T, DenseMatrix.zeros(field, 0, 2), c)
+    assert P == DenseMatrix.zeros(field, 3, 2)
+    assert parse_matrix(format_matrix(P)) == P
+    assert c.scalar_mults == 0
+
+
+# --- Strassen-mode products ---------------------------------------------------
 #
-# A Strassen-mode product is computed by the field's one product kernel and
-# counted as Strassen by the decomposition's plan.  Values must be the
-# schoolbook residues and the count the model count, whatever was skipped.
+# Strassen mode changes only the count: a decomposition plan's ``mm`` adds
+# ``strassen_count(n, cutoff)`` and takes the product from the field's one
+# kernel.  So the operands that mode multiplies are checked on the kernel,
+# and the count once per (n, cutoff), whatever the kernel skipped.
 
 
-def _zero_quarter(x, n, which, zero=0):
+def _zero_quarter(x, n, which, zero):
     h = n // 2
     rows = range(h) if which < 2 else range(h, n)
     cols = range(h) if which % 2 == 0 else range(h, n)
@@ -637,62 +622,87 @@ def _zero_quarter(x, n, which, zero=0):
     return x
 
 
-@pytest.mark.parametrize("p", GFP_PRIMES)
-def test_gfp_strassen_matches_schoolbook(p):
+def _one_value_product(x, y, field, t):
+    # x and y hold only zeros and t: entry (i, j) is t^2 times the number
+    # of terms whose factors are both nonzero
+    rows = [sum(1 << j for j, v in enumerate(row) if v) for row in x]
+    cols = [sum(1 << i for i, row in enumerate(y) if row[j]) for j in range(len(y[0]))]
+    entry = [field.canon(m * t * t) for m in range(len(y) + 1)]
+    return [[entry[(a & b).bit_count()] for b in cols] for a in rows]
+
+
+@pytest.mark.parametrize("field", [GF(p) for p in GFP_PRIMES] + [QQ], ids=str)
+def test_structured_operands_match_schoolbook(field):
+    # Random operands, with one zero quarter in each, or zero.  And operands
+    # of zeros and t = p - 1 (-1 over QQ): all t, which fills every slot of
+    # the kernel to its k(p-1)^2 bound; one zero quarter against all t in
+    # either operand; and the self-similar operand whose bottom-left quarter
+    # is zero at every level, which leaves whole slots empty beside full
+    # ones.  p = 2 has the narrowest slots, 2^64 - 59 slots wider than 8
+    # bytes; over QQ the mixed denominators exceed 32-byte slots.
+    from leu.dense import blocks
+
+    K = blocks(field)
+    r = random.Random(900)
+    zero, t = field.zero_raw, field.canon(-1)
+
+    def check(x, y, n, want):
+        got = DenseMatrix._wrap(field, K.store(K.mul(K.load(x), K.load(y), n, n)), n, n)
+        assert got._d == want and str(got) == str(DenseMatrix._wrap(field, want, n, n)), n
+        assert all(type(v) is type(zero) for row in got._d for v in row)
+
+    for n in (1, 2, 4, 8, 16, 32, 64):
+        full = [[t] * n for _ in range(n)]
+        nested = [[zero if i & ~j else t for j in range(n)] for i in range(n)]
+        pairs = [(full, full), (nested, full), (full, nested), (nested, nested)]
+        for which in range(4) if n > 1 else ():
+            z = _zero_quarter(full, n, which, zero)
+            pairs += [(z, full), (full, z)]
+        for x, y in pairs:
+            check(x, y, n, _one_value_product(x, y, field, t))
+        if n > (8 if field == QQ else 32):
+            continue
+        if field == QQ:
+            x, y = _mixed_rational(n, n, r)._d, _mixed_rational(n, n, r)._d
+        else:
+            x, y = _gfp_operands(field.modulus, n, n, n, r, "random")
+        zeros = [[zero] * n for _ in range(n)]
+        pairs = [(x, y), (zeros, y), (x, zeros)]
+        for which in range(4) if n > 1 else ():
+            pairs += [(_zero_quarter(x, n, which, zero), _zero_quarter(y, n, 3 - which, zero))]
+        for x, y in pairs:
+            A, B = DenseMatrix._wrap(field, x, n, n), DenseMatrix._wrap(field, y, n, n)
+            check(x, y, n, _reference(A, B)._d)
+
+
+def test_strassen_counts():
+    # a plan's mm counts its n x n product as strassen_count(n, cutoff),
+    # zero quarters and zero operands included, and returns the kernel's
+    # product
+    from leu.decompose import _Plan
     from leu.dense import strassen_count
 
-    r = random.Random(900 + p)
-    for n in (1, 2, 4, 8, 16, 32):
-        for cutoff in (1, 2, 8, 32):
-            if cutoff == 1 and n > 16:
-                continue
-            for kind in ("random", "max", "zero-quarter"):
-                x, y = _gfp_operands(p, n, n, n, r, "max" if kind == "max" else "random")
-                if kind == "zero-quarter" and n > 1:
-                    x = _zero_quarter(x, n, r.randrange(4))
-                    y = _zero_quarter(y, n, r.randrange(4))
-                c = MulCounter()
-                got = _plan_mm(GF(p), x, y, n, cutoff, c)
-                _assert_same_residues(got, _gfp_schoolbook(x, y, n, n, p))
-                assert c.scalar_mults == strassen_count(n, cutoff), (n, cutoff, kind)
-
-
-@pytest.mark.parametrize("field", [GF(7), GF(65521), QQ])
-def test_strassen_zero_quarter_counts_in_full(field):
-    # one zero quarter in either operand would make some of Strassen's
-    # sub-products zero; the product is still counted in full
-    from leu.dense import strassen_count
-
+    models = {(1, 1): 1, (2, 1): 7, (4, 1): 49, (8, 1): 343, (8, 2): 392, (8, 4): 448, (8, 8): 512}
+    assert {nc: strassen_count(*nc) for nc in models} == models
+    grid = {n: (1, 2, 8, 32) for n in (1, 2, 4, 8, 16, 32)}
+    grid[8] += (4,)
+    grid[16] += (4,)
+    grid[64] = (2,)
     r = random.Random(901)
-    for n, cutoff in ((4, 1), (8, 2), (16, 4), (32, 8)):
-        A = rand_matrix(field, n, n, r)
-        for which in range(4):
-            Z = DenseMatrix._wrap(field, _zero_quarter(A._d, n, which, field.zero_raw), n, n)
-            for X, Y in ((Z, A), (A, Z)):
-                c = MulCounter()
-                assert _strassen(X, Y, cutoff, c) == mul(X, Y)
-                assert c.scalar_mults == strassen_count(n, cutoff), (n, cutoff, which)
-
-
-@pytest.mark.parametrize("p", GFP_PRIMES)
-def test_gfp_strassen_slot_bounds_at_depth(p):
-    # Extreme operands through the block kernel at the deepest Strassen
-    # counts: all-(p-1) operands fill every slot of the classical kernel to
-    # its k(p-1)^2 bound; a zero quarter against p - 1, and the self-similar
-    # operand whose bottom-left quarter is zero at every level, leave whole
-    # slots empty beside full ones.  p = 2 has the narrowest slots, 2^64 - 59
-    # slots wider than 8 bytes.
-    from leu.dense import strassen_count
-
-    for n, cutoff in ((32, 1), (64, 2)):
-        full = [[p - 1] * n for _ in range(n)]
-        nested = [[0 if i & ~j else p - 1 for j in range(n)] for i in range(n)]
-        operands = [(full, full), (nested, full), (full, nested), (nested, nested)]
-        for which in range(4):
-            z = _zero_quarter(full, n, which)
-            operands += [(z, full), (full, z)]
-        for x, y in operands:
-            c = MulCounter()
-            got = _plan_mm(GF(p), x, y, n, cutoff, c)
-            _assert_same_residues(got, _gfp_schoolbook(x, y, n, n, p))
-            assert c.scalar_mults == strassen_count(n, cutoff), (n, cutoff)
+    for field in [GF(p) for p in GFP_PRIMES] + [QQ]:
+        for n, cutoffs in grid.items():
+            A = rand_matrix(field, n, n, r)._d
+            Z = [[field.zero_raw] * n for _ in range(n)]
+            pairs = [(A, A), (Z, A), (A, Z)]
+            for which in range(4) if n > 1 else ():
+                q = _zero_quarter(A, n, which, field.zero_raw)
+                pairs += [(q, A), (A, q)]
+            plans = [_Plan(field, "strassen", cutoff, False, False, MulCounter(), None) for cutoff in cutoffs]
+            K = plans[0].k
+            for x, y in pairs:
+                x, y = K.load(x), K.load(y)
+                want = K.mul(x, y, n, n)
+                for plan in plans:
+                    before = plan.counter.scalar_mults
+                    assert plan.mm(x, y, n) == want
+                    assert plan.counter.scalar_mults - before == strassen_count(n, plan.cutoff), (n, plan.cutoff)
