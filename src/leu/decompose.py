@@ -23,8 +23,8 @@ rationals fraction-free integer rows with a scale per row and per column,
 turned into canonical fractions once at the end.  Work whose outcome is known
 without arithmetic is skipped but still counted: a product with a zero
 operand or with the identity block a node hands on, and a node whose block
-is zero (it gives L = U = I and an empty E).  So the count, like every value, does not depend on which
-shortcuts were taken.
+is zero (it gives L = U = I and an empty E).  So the count, like every
+value, does not depend on which shortcuts were taken.
 
 :func:`leu_decompose` is the one entry point.  It pads its input with zeros
 once, to the next power-of-two square, runs the recursion on that block and

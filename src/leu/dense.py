@@ -390,8 +390,8 @@ class _Blocks:
 
     def mul(self, x, y, k, c):
         """The product of x (r x k) and y (k x c)."""
-        # the recursions hand the cached identity on as it is, so the one
-        # identity test is by object, before any scan
+        # the recursions hand the cached identity on as it is, so one
+        # identity test by object comes before any scan
         eye = self._eye.get(k)
         if x is eye:
             return y

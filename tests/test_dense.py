@@ -575,13 +575,15 @@ def test_products_build_no_identity(monkeypatch, field):
 
     monkeypatch.setattr(_Blocks, "identity", refuse)
     r = random.Random(170)
-    for h in (1, 2, 8):
+
+    def nonzero(h):
         if field == QQ:
-            A, B = (DenseMatrix(QQ, [[QQ.canon(r.randint(1, 50)) / r.choice([1, -3, 7]) for _ in range(h)]
-                                     for _ in range(h)]) for _ in "AB")
-        else:
-            A, B = (DenseMatrix(field, [[r.randrange(1, field.modulus) for _ in range(h)]
-                                        for _ in range(h)]) for _ in "AB")
+            return DenseMatrix(QQ, [[QQ.canon(r.randint(1, 50)) / r.choice([1, -3, 7]) for _ in range(h)]
+                                    for _ in range(h)])
+        return DenseMatrix(field, [[r.randrange(1, field.modulus) for _ in range(h)] for _ in range(h)])
+
+    for h in (1, 2, 8):
+        A, B = nonzero(h), nonzero(h)
         for X, Y in ((A, B), (DenseMatrix.identity(field, h), B), (A, DenseMatrix.identity(field, h))):
             c = MulCounter()
             got, want = mat_mul_classical(X, Y, c), _reference(X, Y)
@@ -639,16 +641,20 @@ def test_structured_operands_match_schoolbook(field):
     # either operand; and the self-similar operand whose bottom-left quarter
     # is zero at every level, which leaves whole slots empty beside full
     # ones.  p = 2 has the narrowest slots, 2^64 - 59 slots wider than 8
-    # bytes; over QQ the mixed denominators exceed 32-byte slots.
+    # bytes; over QQ the -1 operands take the packed slots from 16 columns.
     from leu.dense import blocks
 
     K = blocks(field)
     r = random.Random(900)
     zero, t = field.zero_raw, field.canon(-1)
 
-    def check(x, y, n, want):
-        got = DenseMatrix._wrap(field, K.store(K.mul(K.load(x), K.load(y), n, n)), n, n)
-        assert got._d == want and str(got) == str(DenseMatrix._wrap(field, want, n, n)), n
+    def square(rows):
+        return DenseMatrix._wrap(field, rows, len(rows), len(rows))
+
+    def check(x, y, want):
+        n = len(x)
+        got = square(K.store(K.mul(K.load(x), K.load(y), n, n)))
+        assert got == want and str(got) == str(want), n
         assert all(type(v) is type(zero) for row in got._d for v in row)
 
     for n in (1, 2, 4, 8, 16, 32, 64):
@@ -659,7 +665,7 @@ def test_structured_operands_match_schoolbook(field):
             z = _zero_quarter(full, n, which, zero)
             pairs += [(z, full), (full, z)]
         for x, y in pairs:
-            check(x, y, n, _one_value_product(x, y, field, t))
+            check(x, y, square(_one_value_product(x, y, field, t)))
         if n > (8 if field == QQ else 32):
             continue
         if field == QQ:
@@ -671,8 +677,7 @@ def test_structured_operands_match_schoolbook(field):
         for which in range(4) if n > 1 else ():
             pairs += [(_zero_quarter(x, n, which, zero), _zero_quarter(y, n, 3 - which, zero))]
         for x, y in pairs:
-            A, B = DenseMatrix._wrap(field, x, n, n), DenseMatrix._wrap(field, y, n, n)
-            check(x, y, n, _reference(A, B)._d)
+            check(x, y, _reference(square(x), square(y)))
 
 
 def test_strassen_counts():
@@ -697,7 +702,7 @@ def test_strassen_counts():
             for which in range(4) if n > 1 else ():
                 q = _zero_quarter(A, n, which, field.zero_raw)
                 pairs += [(q, A), (A, q)]
-            plans = [_Plan(field, "strassen", cutoff, False, False, MulCounter(), None) for cutoff in cutoffs]
+            plans = [_Plan(field, "strassen", m, False, False, MulCounter(), None) for m in cutoffs]
             K = plans[0].k
             for x, y in pairs:
                 x, y = K.load(x), K.load(y)
@@ -705,4 +710,5 @@ def test_strassen_counts():
                 for plan in plans:
                     before = plan.counter.scalar_mults
                     assert plan.mm(x, y, n) == want
-                    assert plan.counter.scalar_mults - before == strassen_count(n, plan.cutoff), (n, plan.cutoff)
+                    count = strassen_count(n, plan.cutoff)
+                    assert plan.counter.scalar_mults - before == count, (n, plan.cutoff)
