@@ -26,10 +26,11 @@ operand or with the identity block a node hands on, and a node whose block
 is zero (it gives L = U = I and an empty E).  So the count, like every
 value, does not depend on which shortcuts were taken.
 
-:func:`leu_decompose` is the one entry point.  It pads its input with zeros
-once, to the next power-of-two square, runs the recursion on that block and
-cuts the factors back; the rank and the kernel of a rectangular matrix go
-through the same body, padded straight from their own shape.
+:func:`leu_decompose` is the one entry point.  Its body pads the input with
+zeros once, to the next power-of-two square, and cuts L and U back in kernel
+form, which the entry point stores.  The derived operations read the body's
+blocks and store only their own results (see :mod:`leu.derived`); the rank
+and the kernel of a rectangular matrix are padded straight from their shape.
 
 The support masks (i, j) threaded through the recursion express which rows
 and columns of a block may be nonzero.  At the root they are the rows and
@@ -280,16 +281,24 @@ def leu_decompose(
     independent middle recursions of every node in the opposite order; the
     result and the counts are the same.
     """
+    l, e, u, plan, s = _leu_blocks(_square(A), counter, method, cutoff, debug_checks, parallel,
+                                   _node_log)
+    store = plan.k.store
+    return LeuResult(DenseMatrix._wrap(A.field, store(l), s, s), TruncPerm(s, e),
+                     DenseMatrix._wrap(A.field, store(u), s, s), plan.counter.copy())
+
+
+def _square(A):
     if A.cols != A.rows:
         raise ShapeError(f"expected a square matrix, got {A.shape}")
-    return _leu_padded(A, counter, method, cutoff, debug_checks, parallel, _node_log)
+    return A
 
 
-def _leu_padded(A, counter, method, cutoff, debug_checks, parallel=False, node_log=None):
-    # the body of leu_decompose for any shape: A is padded with zeros once,
-    # straight to the power-of-two square, and the factors are cut back to
-    # s = max(rows, cols).  The root's masks are A's own rows and columns, so
-    # its node checks cover the padding; E never leaves them.
+def _leu_blocks(A, counter, method, cutoff, debug_checks, parallel=False, node_log=None):
+    # the body of leu_decompose for any shape, as (l, e, u, plan, s): A is padded
+    # with zeros once, straight to the power-of-two square, and l and u are cut
+    # back to s = max(rows, cols) in kernel form.  The root's masks are A's own
+    # rows and columns, so its node checks cover the padding; E never leaves them.
     r, c = A.shape
     s = max(r, c)
     if s == 0:
@@ -304,18 +313,11 @@ def _leu_padded(A, counter, method, cutoff, debug_checks, parallel=False, node_l
     pad = [z] * (m - c)
     padded = [row + pad for row in A._d] + [[z] * m] * (m - r)
     l, e, u = _leu_rec(K.load(padded), m, (1 << r) - 1, (1 << c) - 1, plan)
-    l, u = K.store(l), K.store(u)
     if m != s:
-        l = [row[:s] for row in l[:s]]
-        u = [row[:s] for row in u[:s]]
+        l, u = K.lead(l, s), K.lead(u, s)
     if m != r or m != c:
         _ensure(all(i < r and j < c for i, j in e), "support escaped the unpadded block")
-    return LeuResult(
-        DenseMatrix._wrap(field, l, s, s),
-        TruncPerm(s, e),
-        DenseMatrix._wrap(field, u, s, s),
-        counter.copy(),
-    )
+    return l, e, u, plan, s
 
 
 def leu_verify(A: DenseMatrix, r: LeuResult) -> VerifyReport:

@@ -419,10 +419,10 @@ class _PrimeBlocks(_Blocks):
         super().__init__(field)
         self.p = field.modulus
 
-    def load(self, rows):
-        return rows
+    def one_sided(self, x, cols=False):
+        return x
 
-    load_cols = store = load
+    load = load_cols = store = one_sided
 
     height = staticmethod(len)
     split = staticmethod(_quarters)
@@ -438,7 +438,15 @@ class _PrimeBlocks(_Blocks):
 
     def inverse1(self, x):
         v = x[0][0]
+        if v == 1:
+            return self.identity(1)
         return [[self.field.inv(v)]] if v else None
+
+    def lead(self, x, s):
+        return [r[:s] for r in x[:s]]
+
+    def transpose(self, x):
+        return [list(t) for t in zip(*x)]
 
     def join(self, tl, tr, bl, br):
         return [a + b for a, b in zip(tl, tr)] + [a + b for a, b in zip(bl, br)]
@@ -592,10 +600,35 @@ class _RationalBlocks(_Blocks):
         if not v:
             return None
         d = x[1][0] * x[2][0]
+        if v == d:
+            return self.identity(1)
         g = gcd(v, d)
         if v < 0:
             g = -g
         return [[d // g]], [v // g], [1]
+
+    def one_sided(self, x, cols=False):
+        # x with its scales moved onto its rows (with cols, onto its columns),
+        # each over the lcm of its entries' denominators: the form that load
+        # (load_cols) gives the stored block, made without fractions
+        if cols:
+            return self.transpose(self.one_sided(self.transpose(x)))
+        rows, r, c = x
+        if c.count(1) == len(c):
+            return (*_row_reduced(rows, r), c)
+        out, d = [], []
+        for row, a in zip(rows, r):
+            ac = [a * b for b in c]
+            m = lcm(*[s // gcd(v, s) for v, s in zip(row, ac)])
+            out.append([v * m // s for v, s in zip(row, ac)])
+            d.append(m)
+        return out, d, [1] * len(c)
+
+    def lead(self, x, s):
+        return [r[:s] for r in x[0][:s]], x[1][:s], x[2][:s]
+
+    def transpose(self, x):
+        return [list(t) for t in zip(*x[0])], x[2], x[1]
 
     def split(self, x, h):
         rows, r, c = x
@@ -690,15 +723,12 @@ def _inv_lower(K, x, n, counter, unit=False):
     return K.join(ia, K.zeros(h, n - h), K.neg(m), ib)
 
 
-def _inverse_lower(L, counter, unit=False):
-    # the inverse of a checked lower triangular matrix, through its block kernel
-    if not L.rows:
-        return L
+def _inverse_lower(K, x, n, counter, unit=False):
+    # the stored inverse of a lower triangular n x n block with its scales on its rows
     if counter is None:
         counter = MulCounter()
-    K = blocks(L.field)
-    data = K.store(_inv_lower(K, K.load(L._d), L.rows, counter, unit))
-    return DenseMatrix._wrap(L.field, data, L.rows, L.cols)
+    data = K.store(_inv_lower(K, x, n, counter, unit)) if n else []
+    return DenseMatrix._wrap(K.field, data, n, n)
 
 
 def invert_lower_triangular(L: DenseMatrix, counter: MulCounter | None = None) -> DenseMatrix:
@@ -716,7 +746,8 @@ def invert_lower_triangular(L: DenseMatrix, counter: MulCounter | None = None) -
     for i in range(n):
         if not d[i][i]:
             raise SingularError(f"zero diagonal entry at position {i}")
-    return _inverse_lower(L, counter)
+    K = blocks(L.field)
+    return _inverse_lower(K, K.load(d), n, counter)
 
 
 def invert_upper_unitriangular(U: DenseMatrix, counter: MulCounter | None = None) -> DenseMatrix:
@@ -738,4 +769,5 @@ def invert_upper_unitriangular(U: DenseMatrix, counter: MulCounter | None = None
     for i in range(n):
         if U._d[i][i] != one:
             raise ValueError(f"diagonal entry at position {i} is not 1")
-    return _inverse_lower(U.transpose(), counter, unit=True).transpose()
+    K = blocks(U.field)
+    return _inverse_lower(K, K.load(U.transpose()._d), n, counter, unit=True).transpose()

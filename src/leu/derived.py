@@ -4,22 +4,17 @@ Everything here rides on one decomposition of the input: the generalized
 Bruhat form V1 * w * V2 with triangular V1, V2 and a full permutation w,
 the exact inverse U * E^T * L of a nonsingular matrix, the rank as the
 number of ones of E, a kernel basis read off the columns of U, and index
-sets of a nonsingular submatrix of maximal size.
+sets of a nonsingular submatrix of maximal size.  The inverse and Bruhat's
+triangular inverses read L and U as kernel blocks, the kernel reads U alone
+and the rank and the block read E alone; only what they return is stored.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
 
-from .decompose import LeuResult, _Plan, _ensure, _leu_padded, leu_decompose
-from .dense import (
-    DenseMatrix,
-    MulCounter,
-    blocks,
-    invert_lower_triangular,
-    invert_upper_unitriangular,
-    mat_mul_classical,
-)
+from .decompose import _Plan, _ensure, _leu_blocks, _square
+from .dense import DenseMatrix, MulCounter, _inverse_lower, blocks, mat_mul_classical
 from .errors import SingularError
 from .perms import TruncPerm, _col_mask, _row_mask
 
@@ -39,17 +34,10 @@ class BruhatResult:
 
 def _sub_unit_diag_outside(M: DenseMatrix, support_mask: int) -> DenseMatrix:
     # subtract 1 from each diagonal entry whose index is outside the support
-    field = M.field
-    one = field.one_raw
-    data = []
-    for i, row in enumerate(M._d):
-        if (support_mask >> i) & 1:
-            data.append(row)
-        else:
-            nr = list(row)
-            nr[i] = field.sub(nr[i], one)
-            data.append(nr)
-    return DenseMatrix._wrap(field, data, M.rows, M.cols)
+    f = M.field
+    data = [row if (support_mask >> i) & 1 else [*row[:i], f.sub(row[i], f.one_raw), *row[i + 1:]]
+            for i, row in enumerate(M._d)]
+    return DenseMatrix._wrap(f, data, M.rows, M.cols)
 
 
 def _reverse_both(M: DenseMatrix) -> DenseMatrix:
@@ -73,15 +61,15 @@ def bruhat_decompose(
     and V2 is U^-1 minus its off-support unit diagonal.
     """
     s = M.rows
-    # leu_decompose rejects a non-square or empty M with its own messages
     rev = DenseMatrix._wrap(M.field, M._d[::-1], s, M.cols)
-    res = leu_decompose(rev, counter, method=method, cutoff=cutoff, debug_checks=debug_checks)
-    l_inv = invert_lower_triangular(res.L, counter)
-    u_inv = invert_upper_unitriangular(res.U, counter)
-    v1 = _reverse_both(_sub_unit_diag_outside(l_inv, _row_mask(res.E.ones)))
-    v2 = _sub_unit_diag_outside(u_inv, _col_mask(res.E.ones))
-    full = res.E.union(res.E.complement())
-    w = TruncPerm(s, [(s - 1 - i, j) for i, j in full.ones])
+    l, e, u, plan, _ = _leu_blocks(_square(rev), counter, method, cutoff, debug_checks)
+    K = plan.k
+    l_inv = _inverse_lower(K, K.one_sided(l), s, plan.counter)
+    u_inv = _inverse_lower(K, K.one_sided(K.transpose(u)), s, plan.counter, unit=True).transpose()
+    v1 = _reverse_both(_sub_unit_diag_outside(l_inv, _row_mask(e)))
+    v2 = _sub_unit_diag_outside(u_inv, _col_mask(e))
+    full = [*e, *TruncPerm(s, e).complement().ones]
+    w = TruncPerm(s, [(s - 1 - i, j) for i, j in full])
     return BruhatResult(v1, w, v2)
 
 
@@ -96,28 +84,27 @@ def mat_inverse(
 ) -> DenseMatrix:
     """Exact inverse U * E^T * L of a nonsingular matrix.
 
-    E^T is applied by row selection; one dense product remains and is
-    counted.  Raises SingularError carrying the rank when rank < n.
+    Read off the decomposition's own blocks, so that only the inverse is
+    made into field values: E^T is applied by row selection, and one dense
+    product remains and is counted.  Raises SingularError carrying the rank
+    when rank < n.
     """
-    res = leu_decompose(
-        A, counter, method=method, cutoff=cutoff, parallel=parallel, debug_checks=debug_checks
-    )
-    return _inverse_from(A, res, counter)
+    l, e, u, plan, _ = _leu_blocks(_square(A), counter, method, cutoff, debug_checks, parallel)
+    return _inverse_from(A, l, e, u, plan.counter)
 
 
-def _inverse_from(A: DenseMatrix, res: LeuResult, counter: MulCounter | None) -> DenseMatrix:
-    # the inverse read off a decomposition of the square matrix A
+def _inverse_from(A: DenseMatrix, l, ones, u, counter: MulCounter) -> DenseMatrix:
+    # the inverse of the square matrix A from its decomposition's n x n blocks
     n = A.rows
-    r = res.rank
+    r = len(ones)
     if r < n:
         raise SingularError(f"matrix of rank {r} < {n} has no inverse", rank=r)
     # U shares its denominators down its columns and E^T * L along its rows;
-    # loaded that way, neither is put over the lcms of its other direction
-    if counter is not None:
-        counter.scalar_mults += n * n * n
+    # with the scales moved there, neither is put over the other direction's lcms
+    counter.scalar_mults += n * n * n
     K = blocks(A.field)
-    etl = K.perm_rows(res.E.ones, K.load(res.L._d), n)
-    data = K.store(K.mul(K.load_cols(res.U._d), etl, n, n))
+    etl = K.perm_rows(ones, K.one_sided(l), n)
+    data = K.store(K.mul(K.one_sided(u, cols=True), etl, n, n))
     return DenseMatrix._wrap(A.field, data, n, n)
 
 
@@ -136,7 +123,7 @@ def mat_rank(
     """
     s = max(A.shape)
     if min(A.shape) or not s:
-        return _leu_padded(A, counter, method, cutoff, debug_checks).rank
+        return len(_leu_blocks(A, counter, method, cutoff, debug_checks)[1])
     plan = _Plan(A.field, method, cutoff, debug_checks, False, counter, None)
     if counter is not None:
         counter.scalar_mults += plan.tree_mults(1 << (s - 1).bit_length())
@@ -161,19 +148,19 @@ def kernel_basis(
     unitriangular U never reach below their index, so nothing is lost by
     truncating the padded coordinates).
     """
-    K = _kernel_from(A, _leu_padded(A, counter, method, cutoff, debug_checks))
+    _, e, u, plan, _ = _leu_blocks(A, counter, method, cutoff, debug_checks)
+    K = _kernel_from(A, e, plan.k.store(u))
     if debug_checks:
         prod = mat_mul_classical(A, K, MulCounter())
         _ensure(prod.is_zero(), "kernel candidate fails to annihilate")
     return K
 
 
-def _kernel_from(A: DenseMatrix, res: LeuResult) -> DenseMatrix:
-    # the kernel basis read off a decomposition of A padded square
+def _kernel_from(A: DenseMatrix, ones, ud) -> DenseMatrix:
+    # the kernel basis read off E's ones and the stored U of A padded square
     cols = A.cols
-    covered = {j for _, j in res.E.ones}
+    covered = {j for _, j in ones}
     free = [j for j in range(cols) if j not in covered]
-    ud = res.U._d
     data = [[ud[i][j] for j in free] for i in range(cols)]
     return DenseMatrix._wrap(A.field, data, cols, len(free))
 
@@ -192,9 +179,9 @@ def largest_nonsingular_block(
     returned, each ascending.  With ``verify`` the submatrix is
     cross-checked nonsingular by the elimination oracle.
     """
-    res = leu_decompose(A, counter, method=method, cutoff=cutoff, debug_checks=verify)
-    rows = tuple(res.E.row_support().indices())
-    cols = tuple(res.E.col_support().indices())
+    e = _leu_blocks(_square(A), counter, method, cutoff, verify)[1]
+    rows = tuple(sorted(i for i, _ in e))
+    cols = tuple(sorted(j for _, j in e))
     if verify:
         from .oracle import gauss_rank
 

@@ -312,7 +312,7 @@ def test_verify_decomposes_once(tmp_path, monkeypatch, capsys, data, want, flags
         path.write_text("field gfp 7\nrows 3\ncols 3\n0 0 0\n0 0 0\n0 0 0\n")
     else:
         path = DATA / data
-    calls = _count_calls(monkeypatch, ["leu.decompose", "leu.derived"], "_leu_padded")
+    calls = _count_calls(monkeypatch, ["leu.decompose", "leu.derived"], "_leu_blocks")
     assert main(["verify", str(path)] + flags) == 0
     assert len(calls) == 1
     assert capsys.readouterr().out == want

@@ -570,14 +570,13 @@ _O_SCRIPT = textwrap.dedent("""
 
     # hand kernel_basis a U that is not the decomposition's: its candidate
     # columns then fail to annihilate A
-    real = leu.derived._leu_padded
+    real = leu.derived._leu_blocks
 
     def wrong_u(A, *args):
-        res = real(A, *args)
-        res.U = DenseMatrix.identity(A.field, res.U.rows)
-        return res
+        l, e, u, plan, s = real(A, *args)
+        return l, e, plan.k.identity(s), plan, s
 
-    leu.derived._leu_padded = wrong_u
+    leu.derived._leu_blocks = wrong_u
     try:
         leu.derived.kernel_basis(DenseMatrix(GF(7), [[1, 1], [0, 0]]), debug_checks=True)
     except InvariantError as exc:

@@ -510,6 +510,48 @@ def test_product_with_the_cached_identity_is_the_other_operand(field):
         assert K.mul(other, K.identity(4), 4, 4) is other
 
 
+@pytest.mark.parametrize("field", [GF7, QQ], ids=str)
+def test_the_inverse_of_a_one_is_the_cached_identity(field):
+    # a pivot of 1 hands on the kernel's identity(1), so the block products
+    # that take it skip the kernel; any other pivot gets its own inverse
+    from leu.dense import blocks
+
+    K = blocks(field)
+    ones = [K.load([[field.one_raw]])]
+    if field == QQ:  # a one in fraction-free form: 6 / (2 * 3)
+        ones.append(([[6]], [2], [3]))
+    for x in ones:
+        assert K.inverse1(x) is K.identity(1)
+    for v in (field.canon(3), field.neg(field.one_raw)):
+        inv = K.inverse1(K.load([[v]]))
+        assert inv is not K.identity(1)
+        assert K.store(inv) == [[field.inv(v)]]
+
+
+@pytest.mark.parametrize("seed", range(4))
+def test_one_sided_rational_blocks_are_the_loads_of_the_stored_ones(seed):
+    # moving a block's scales onto its rows (or its columns) in integers
+    # gives exactly what loading its stored fractions gives
+    from leu.dense import blocks
+
+    r = random.Random(seed)
+    K = blocks(QQ)
+
+    def scales(n):
+        if r.random() < 0.3:
+            return [1] * n
+        return [r.choice([1, 2, 3, 4, 6, 9, 35, 2**70 + 1]) for _ in range(n)]
+
+    for rows, cols in ((1, 1), (3, 3), (4, 6), (7, 2)):
+        nums = [[r.randint(-40, 40) if r.random() < 0.8 else 0 for _ in range(cols)]
+                for _ in range(rows)]
+        x = (nums, scales(rows), scales(cols))
+        stored = K.store(x)
+        assert K.one_sided(x) == K.load(stored)
+        assert K.one_sided(x, cols=True) == K.load_cols(stored)
+        assert K.store(K.transpose(x)) == [list(c) for c in zip(*stored)]
+
+
 def test_packing_plans_stay_cached_across_workload_ops():
     # a rational 32 x 32 inverse and a GF(65521) decomposition at n = 128,
     # the inputs of the qq-inverse-32 and gfp-leu-128 benchmark workloads:

@@ -248,3 +248,25 @@ def test_non_square_bruhat_rejected():
 def test_empty_matrix_rejected(op):
     with pytest.raises(ShapeError, match="^empty matrix$"):
         op(DenseMatrix(GF7, []))
+
+
+def test_rational_derived_operations_store_only_what_they_return(monkeypatch):
+    # the derived operations read the decomposition's blocks: the rank and
+    # the block store nothing, the inverse stores only itself, the kernel
+    # only U, and the decomposition L and U
+    from leu.dense import _RationalBlocks
+
+    calls = []
+    real = _RationalBlocks.store
+
+    def counted(self, x):
+        calls.append(len(x[0]))
+        return real(self, x)
+
+    monkeypatch.setattr(_RationalBlocks, "store", counted)
+    A = planted_rank(QQ, 5, 5, random.Random(21))  # 5 x 5 pads to 8 x 8
+    for op, want in ((mat_rank, []), (largest_nonsingular_block, []), (mat_inverse, [5]),
+                     (kernel_basis, [5]), (leu_decompose, [5, 5])):
+        calls.clear()
+        op(A)
+        assert calls == want, op.__name__

@@ -7,10 +7,11 @@ product of two seeded h x h matrices of residues at h = 8 to 128
 (``product``), and one in-process ``leu verify`` on the n = 40 bench matrix
 (``verify``), failing if a run reports a failed check.  ``qq`` times
 ``leu_decompose`` at n = 16 to 64 (``decompose``, with the rank) and
-``mat_inverse`` at n = 32, 48, 64 (``inverse``) on one seeded full-rank
-integer matrix per size, the product of two random n x n matrices with
-entries in [-9, 9] (the rational inputs of acceptance criterion 1), each
-with the largest bit length of an entry of its result, and one
+``mat_inverse`` at n = 32, 48, 64 (``inverse``) and ``bruhat_decompose`` at
+n = 32 (``bruhat``, the path of the two triangular inverses) on one seeded
+full-rank integer matrix per size, the product of two random n x n matrices
+with entries in [-9, 9] (the rational inputs of acceptance criterion 1),
+each with the largest bit length of an entry of its result, and one
 ``mat_mul_classical`` product of two seeded h x h integer matrices with
 entries in [-9, 9] at h = 8 to 64 (``product``).  Every case is timed
 REPEAT times after one untimed warm-up, and reported as the median and
@@ -49,6 +50,7 @@ GFP_PRODUCT = (8, 16, 32, 64, 128)
 GFP_VERIFY = 40
 QQ_DECOMPOSE = (16, 32, 48, 64)
 QQ_INVERSE = (32, 48, 64)
+QQ_BRUHAT = (32,)
 QQ_PRODUCT = (8, 16, 32, 64)
 
 
@@ -135,6 +137,10 @@ def _cases(leu, seed, tmp):
     for n in QQ_INVERSE:
         case("qq", "inverse", n, lambda A=inputs[n]: leu.mat_inverse(A),
              lambda X: {"max_entry_bits": _max_entry_bits(X)})
+    for n in QQ_BRUHAT:
+        case("qq", "bruhat", n, lambda A=inputs[n]: leu.bruhat_decompose(A),
+             lambda res: {"v1_max_entry_bits": _max_entry_bits(res.V1),
+                          "v2_max_entry_bits": _max_entry_bits(res.V2)})
     rng = random.Random(seed)
     for h in QQ_PRODUCT:
         X, Y = (DenseMatrix(QQ, [[rng.randint(-9, 9) for _ in range(h)] for _ in range(h)])
@@ -162,7 +168,7 @@ def main(argv=None):
         "repeat": args.repeat,
         "seed": args.seed,
         "gfp": {"p": P, "decompose": {}, "product": {}, "verify": {}},
-        "qq": {"decompose": {}, "inverse": {}, "product": {}},
+        "qq": {"decompose": {}, "inverse": {}, "bruhat": {}, "product": {}},
     }
     with tempfile.TemporaryDirectory() as tmp:
         sides = {"src": _cases(leu, args.seed, tmp)}
