@@ -438,9 +438,9 @@ class _PrimeBlocks(_Blocks):
 
     def inverse1(self, x):
         v = x[0][0]
-        if v == 1:
-            return self.identity(1)
-        return [[self.field.inv(v)]] if v else None
+        if not v:
+            return None
+        return self.identity(1) if v == 1 else [[self.field.inv(v)]]
 
     def lead(self, x, s):
         return [r[:s] for r in x[:s]]
