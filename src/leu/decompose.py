@@ -12,10 +12,13 @@ bitwise-identical results; ``parallel=True`` runs them in the opposite order.
 Each recursion node on a 2n x 2n block performs exactly 17 dense n x n
 products plus additions and sparse permutation/diagonal applications,
 which are free of counted multiplications.  The scalar base case inverts
-one nonzero entry.  Every product is computed by the field's one product
-kernel; ``method`` and ``cutoff`` choose only what the recursion adds to
-the supplied MulCounter for it: n^3 for a classical product, and
-``strassen_count(n, cutoff)`` for a Strassen one.
+one nonzero entry.  Over GF(p) a nonzero 2 x 2 block is one leaf on its four
+residues: the node's own operations in the same order, so the same values,
+E, counts and node log, without the block glue; ``debug_checks`` keeps the
+plain recursion and its node checks.  Every product is computed by the
+field's one product kernel; ``method`` and ``cutoff`` choose only what the
+recursion adds to the supplied MulCounter for it: n^3 for a classical
+product, and ``strassen_count(n, cutoff)`` for a Strassen one.
 
 Blocks travel through the recursion in the form of their field's block
 kernel (see :mod:`leu.dense`): rows of residues over GF(p), and over the
@@ -94,7 +97,7 @@ class _Plan:
     """Per-call context shared by every node of one decomposition: the block
     kernel, the count model, the counter and, if one is kept, the node log."""
 
-    __slots__ = ("k", "cutoff", "debug", "reverse", "counter", "log", "own", "_tree")
+    __slots__ = ("k", "cutoff", "debug", "reverse", "counter", "log", "own", "_tree", "leaf")
 
     def __init__(self, field, method, cutoff, debug, reverse, counter, log):
         # the classical count is Strassen's count of a product that never splits
@@ -112,6 +115,8 @@ class _Plan:
         self.log = log
         self.own = 0  # counted by the products of the node now running
         self._tree = {1: 0}
+        # GF(p) runs its n = 2 nodes on scalars; debug_checks keeps the recursion
+        self.leaf = field.kind == "gfp" and not debug
 
     def mm(self, x, y, h):
         """The product of two h x h blocks, counted as ``strassen_count(h, cutoff)``."""
@@ -192,6 +197,8 @@ def _leu_rec(a, n, im, jm, plan):
             plan.log.extend(_zero_log(n, plan.cutoff))
         one = K.identity(n)
         return one, [], one
+    if n == 2 and plan.leaf:
+        return _leaf2(a, plan)
 
     h = n >> 1
     hm = (1 << h) - 1
@@ -261,6 +268,40 @@ def _leu_rec(a, n, im, jm, plan):
         plan.log.append((n, plan.own))
     plan.own = outer
     return l, e, u
+
+
+def _leaf2(a, plan):
+    # _leu_rec's node at n = 2 over GF(p) on its four residues: the same
+    # operations in the same order, its 17 products counted and logged by the model
+    (a11, a12), (a21, a22) = a
+    p, inv = plan.k.p, plan.k.field.inv
+    counter = plan.counter
+    e = []
+
+    def node1(x, i, j):
+        # an n = 1 node at (i, j): l inverts a nonzero pivot, which E takes; u = 1
+        if not x:
+            return 1
+        counter.scalar_invs += 1
+        e.append((i, j))
+        return 1 if x == 1 else inv(x)
+
+    l11 = node1(a11, 0, 0)
+    q = l11 * a12 % p
+    # E11 keeps q and b = a21 out of the middle blocks and moves b into t
+    x12, x21, t = (0, 0, a21) if a11 else (q, a21, 0)
+    l12 = node1(x12, 0, 1)
+    l21 = node1(x21, 1, 0)
+    g = l21 * (a22 - t * q) % p
+    ge, gj = (g, 0) if x12 else (0, g)
+    l22 = node1(0 if x21 else gj, 1, 1)
+    w = (ge * l12 + l21 * t) % p
+    v = (gj if x21 else 0) + (q if a11 else 0)
+    c = plan.tree_mults(2)
+    counter.scalar_mults += c
+    if plan.log is not None:
+        plan.log.append((2, c))
+    return [[l12 * l11 % p, 0], [-l22 * w * l11 % p, l22 * l21 % p]], e, [[1, -v % p], [0, 1]]
 
 
 def leu_decompose(

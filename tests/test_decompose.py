@@ -1,5 +1,6 @@
 """Core factorization: base cases, worked traces, invariants, counting."""
 
+import itertools
 import os
 import random
 import subprocess
@@ -176,7 +177,9 @@ def test_exact_17_products_per_node():
 @pytest.mark.parametrize("field", FIELDS)
 def test_2x2_entries_are_measured(field, monkeypatch):
     # a 2 x 2 node that runs logs what its products counted, not the model's
-    # 17: count each of its 1 x 1 products twice and its entry must read 34
+    # 17: count each of its 1 x 1 products twice and its entry must read 34.
+    # Over GF(p) only debug_checks runs that node through _Plan.mm; the leaf
+    # that replaces it otherwise is held to that node by the leaf tests below
     from leu.decompose import _Plan
 
     real = _Plan.mm
@@ -193,12 +196,69 @@ def test_2x2_entries_are_measured(field, monkeypatch):
     for A in (planted_rank(field, 16, 5, r), planted_rank(field, 12, 12, r)):
         runs[0] = 0
         log, c = [], MulCounter()
-        leu_decompose(A, c, _node_log=log)
+        leu_decompose(A, c, _node_log=log, debug_checks=field.kind == "gfp")
         assert runs[0] and runs[0] % 17 == 0
         owns = [own for size, own in log if size == 2]
         assert owns.count(34) == runs[0] // 17
         assert owns.count(17) == len(owns) - runs[0] // 17  # zero blocks, from the model
         assert sum(own for _, own in log) == c.scalar_mults
+
+
+LEAF_MODES = [dict(method=m, cutoff=c, parallel=par)
+              for m, c in (("classical", 32), ("strassen", 1)) for par in (False, True)]
+
+
+def _leaf_run(A, debug, **kw):
+    c, log = MulCounter(), []
+    res = leu_decompose(A, c, debug_checks=debug, _node_log=log, **kw)
+    return res.L, res.E, res.U, c.scalar_mults, c.scalar_invs, log
+
+
+def assert_leaf_matches_the_recursion(A):
+    # debug_checks runs every GF(p) 2 x 2 node through the plain recursion,
+    # without it the scalar leaf: values, E, counts and node log must agree
+    for kw in LEAF_MODES:
+        assert _leaf_run(A, False, **kw) == _leaf_run(A, True, **kw), (A._d, kw)
+
+
+def _all_matrices(field, n, pad=0):
+    # every n x n matrix over a prime field, with pad zero rows and columns
+    for v in itertools.product(range(field.modulus), repeat=n * n):
+        rows = [list(v[i * n:(i + 1) * n]) + [0] * pad for i in range(n)]
+        yield DenseMatrix(field, rows + [[0] * (n + pad)] * pad)
+
+
+@pytest.mark.parametrize("p", (2, 5))
+def test_gfp_leaf_matches_the_recursion_on_every_2x2(p, monkeypatch):
+    from leu import decompose
+
+    leaves = [0]
+    real = decompose._leaf2
+
+    def counted(a, plan):
+        leaves[0] += 1
+        return real(a, plan)
+
+    monkeypatch.setattr(decompose, "_leaf2", counted)
+    for A in _all_matrices(GF(p), 2):
+        assert_leaf_matches_the_recursion(A)
+    # each nonzero matrix takes the leaf once per mode, and only without debug_checks
+    assert leaves[0] == (p**4 - 1) * len(LEAF_MODES)
+
+
+def test_gfp_leaf_matches_the_recursion_under_a_node():
+    # every 3 x 3 over GF(2), padded to 4 x 4: the leaves see the blocks a
+    # running 4 x 4 node hands them
+    for A in _all_matrices(GF(2), 3, pad=1):
+        assert_leaf_matches_the_recursion(A)
+
+
+@pytest.mark.parametrize("p", (7, 65521))
+def test_gfp_leaf_matches_the_recursion_seeded(p):
+    r = random.Random(0x1EAF2 + p)
+    for n in range(3, 17):
+        for rank in sorted({0, n // 2, n}):
+            assert_leaf_matches_the_recursion(planted_rank(GF(p), n, rank, r))
 
 
 def test_total_count_closed_form():

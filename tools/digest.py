@@ -10,12 +10,15 @@ factors, each with its counter, except over the rationals at n = 64, where
 those four alone take twice as long as all the rest.  Any change to a
 value, a count or the order of the node log changes the hash.
 
-    python tools/digest.py [--src DIR]
+    python tools/digest.py [--src DIR] [--debug-checks]
 
 ``--src`` is the directory that holds the ``leu`` package (default: ``src``
 next to this script), so a parent and a changed checkout can be compared
-with one copy of this script.  ``digest.sha256`` next to it holds the hash
-of the committed source.
+with one copy of this script.  ``--debug-checks`` passes
+``debug_checks=True`` to every decomposition and derived operation; that
+runs the plain recursion with every node check, where the default run takes
+the fast paths (the GF(p) 2 x 2 leaf), so the two must print the same hash.
+``digest.sha256`` next to it holds the hash of the committed source.
 """
 
 import argparse
@@ -34,6 +37,7 @@ def main(argv=None):
     ap = argparse.ArgumentParser(description=__doc__.splitlines()[0])
     here = os.path.dirname(os.path.abspath(__file__))
     ap.add_argument("--src", default=os.path.join(here, "..", "src"))
+    ap.add_argument("--debug-checks", action="store_true")
     args = ap.parse_args(argv)
     sys.path.insert(0, os.path.abspath(args.src))
     from leu import (
@@ -41,6 +45,7 @@ def main(argv=None):
         leu_decompose, mat_inverse, mat_mul_classical, mat_rank,
     )
 
+    dc = {"debug_checks": args.debug_checks}
     h = hashlib.sha256()
 
     def feed(*parts):
@@ -70,21 +75,21 @@ def main(argv=None):
                 feed(field, n, r, A)
                 for method, cutoff in METHODS:
                     log = []
-                    res = leu_decompose(A, method=method, cutoff=cutoff, _node_log=log)
+                    res = leu_decompose(A, method=method, cutoff=cutoff, _node_log=log, **dc)
                     feed(method, res.L, res.E.ones, res.U, res.counter, log)
                 if field == QQ and n > RATIONAL_DERIVED:
                     continue
                 c = MulCounter()
                 try:
-                    feed(mat_inverse(A, c), c)
+                    feed(mat_inverse(A, c, **dc), c)
                 except SingularError as e:
                     feed("singular", e.rank, c)
                 c = MulCounter()
-                feed(mat_rank(A, c), c)
+                feed(mat_rank(A, c, **dc), c)
                 c = MulCounter()
-                feed(kernel_basis(A, c), c)
+                feed(kernel_basis(A, c, **dc), c)
                 c = MulCounter()
-                b = bruhat_decompose(A, c)
+                b = bruhat_decompose(A, c, **dc)
                 feed(b.V1, b.w.ones, b.V2, c)
     print(h.hexdigest())
 
