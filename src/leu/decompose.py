@@ -12,10 +12,11 @@ bitwise-identical results; ``parallel=True`` runs them in the opposite order.
 Each recursion node on a 2n x 2n block performs exactly 17 dense n x n
 products plus additions and sparse permutation/diagonal applications,
 which are free of counted multiplications.  The scalar base case inverts
-one nonzero entry.  Over GF(p) a nonzero 2 x 2 block is one leaf on its four
-residues: the node's own operations in the same order, so the same values,
-E, counts and node log, without the block glue; ``debug_checks`` keeps the
-plain recursion and its node checks.  Every product is computed by the
+one nonzero entry.  Over GF(p) the nodes of n <= 4 run on scalars: a nonzero
+4 x 4 (or 2 x 2 root) block is one leaf on flat 2 x 2 blocks of residues,
+the node's own operations in the same order, so the same values, E, counts
+and node log, without the block glue; ``debug_checks`` keeps the plain
+recursion and its node checks.  Every other product is computed by the
 field's one product kernel; ``method`` and ``cutoff`` choose only what the
 recursion adds to the supplied MulCounter for it: n^3 for a classical
 product, and ``strassen_count(n, cutoff)`` for a Strassen one.
@@ -115,7 +116,7 @@ class _Plan:
         self.log = log
         self.own = 0  # counted by the products of the node now running
         self._tree = {1: 0}
-        # GF(p) runs its n = 2 nodes on scalars; debug_checks keeps the recursion
+        # GF(p) runs its nodes of n <= 4 on scalars; debug_checks keeps the recursion
         self.leaf = field.kind == "gfp" and not debug
 
     def mm(self, x, y, h):
@@ -197,8 +198,13 @@ def _leu_rec(a, n, im, jm, plan):
             plan.log.extend(_zero_log(n, plan.cutoff))
         one = K.identity(n)
         return one, [], one
-    if n == 2 and plan.leaf:
-        return _leaf2(a, plan)
+    if plan.leaf and n <= 4:
+        if n == 4:
+            return _leaf4(a, plan)
+        # only a 2 x 2 root gets here: the n = 4 leaf runs every other n = 2 node
+        (x0, x1), (x2, x3) = a
+        (l0, _, l2, l3), e, (_, u1, _, _) = _leaf2((x0, x1, x2, x3), plan)
+        return [[l0, 0], [l2, l3]], [ij for ij, f in zip(_CELLS, e) if f], [[1, u1], [0, 1]]
 
     h = n >> 1
     hm = (1 << h) - 1
@@ -271,37 +277,106 @@ def _leu_rec(a, n, im, jm, plan):
 
 
 def _leaf2(a, plan):
-    # _leu_rec's node at n = 2 over GF(p) on its four residues: the same
-    # operations in the same order, its 17 products counted and logged by the model
-    (a11, a12), (a21, a22) = a
+    # _leu_rec's node at n = 2 over GF(p) on a flat block (x11, x12, x21, x22)
+    # of residues: the same operations in the same order.  L and U come back
+    # flat, E as flags in that order, its 17 products counted and logged by the model
+    a11, a12, a21, a22 = a
     p, inv = plan.k.p, plan.k.field.inv
-    counter = plan.counter
-    e = []
-
-    def node1(x, i, j):
-        # an n = 1 node at (i, j): l inverts a nonzero pivot, which E takes; u = 1
-        if not x:
-            return 1
-        counter.scalar_invs += 1
-        e.append((i, j))
-        return 1 if x == 1 else inv(x)
-
-    l11 = node1(a11, 0, 0)
+    c = plan.tree_mults(2)
+    plan.counter.scalar_mults += c
+    if plan.log is not None:
+        plan.log.append((2, c))
+    if not (a11 or a12 or a21 or a22):
+        return _I2, _NO_ONES, _I2  # as _leu_rec's zero block: L = U = I, E = 0
+    # an n = 1 node's l inverts a nonzero pivot (1 stays 1), which E takes
+    l11 = inv(a11) if a11 > 1 else 1
     q = l11 * a12 % p
     # E11 keeps q and b = a21 out of the middle blocks and moves b into t
     x12, x21, t = (0, 0, a21) if a11 else (q, a21, 0)
-    l12 = node1(x12, 0, 1)
-    l21 = node1(x21, 1, 0)
+    l12 = inv(x12) if x12 > 1 else 1
+    l21 = inv(x21) if x21 > 1 else 1
     g = l21 * (a22 - t * q) % p
     ge, gj = (g, 0) if x12 else (0, g)
-    l22 = node1(0 if x21 else gj, 1, 1)
+    x22 = 0 if x21 else gj
+    l22 = inv(x22) if x22 > 1 else 1
     w = (ge * l12 + l21 * t) % p
     v = (gj if x21 else 0) + (q if a11 else 0)
-    c = plan.tree_mults(2)
-    counter.scalar_mults += c
+    e = (a11 != 0, x12 != 0, x21 != 0, x22 != 0)
+    plan.counter.scalar_invs += sum(e)
+    return (l12 * l11 % p, 0, -l22 * w * l11 % p, l22 * l21 % p), e, (1, -v % p, 0, 1)
+
+
+_CELLS = ((0, 0), (0, 1), (1, 0), (1, 1))  # the flat order of a 2 x 2 block
+# a 4 x 4's cells by quadrant in the order E11, E12, E21, E22, each in flat order
+_CELLS4 = tuple((2 * bi + i, 2 * bj + j) for bi, bj in _CELLS for i, j in _CELLS)
+_I2 = (1, 0, 0, 1)
+_NO_ONES = (False,) * 4
+
+
+def _mul2(x, y, p):
+    # the product of two flat 2 x 2 blocks; the identity, by value, costs nothing
+    if x == _I2:
+        return y
+    if y == _I2:
+        return x
+    x0, x1, x2, x3 = x
+    y0, y1, y2, y3 = y
+    return ((x0 * y0 + x1 * y2) % p, (x0 * y1 + x1 * y3) % p,
+            (x2 * y0 + x3 * y2) % p, (x2 * y1 + x3 * y3) % p)
+
+
+def _add2(x, y, p, s=1):
+    # x + s * y on flat 2 x 2 blocks
+    return (x[0] + s * y[0]) % p, (x[1] + s * y[1]) % p, (x[2] + s * y[2]) % p, (x[3] + s * y[3]) % p
+
+
+def _keep2(x, e, cols):
+    # x without the rows (with cols, the columns) that E's flags take
+    x0, x1, x2, x3 = x
+    e0, e1, e2, e3 = e
+    if cols:
+        k0, k1 = not (e0 or e2), not (e1 or e3)
+        return (x0 if k0 else 0, x1 if k1 else 0, x2 if k0 else 0, x3 if k1 else 0)
+    k0, k1 = not (e0 or e1), not (e2 or e3)
+    return (x0 if k0 else 0, x1 if k0 else 0, x2 if k1 else 0, x3 if k1 else 0)
+
+
+def _leaf4(a, plan):
+    # _leu_rec's node at n = 4 over GF(p) on flat 2 x 2 blocks: the same
+    # operations in the same order, its four children through _leaf2 and its
+    # own 17 products counted and logged by the model
+    p = plan.k.p
+    (r00, r01, r02, r03), (r10, r11, r12, r13), (r20, r21, r22, r23), (r30, r31, r32, r33) = a
+    l11, e11, u11 = _leaf2((r00, r01, r10, r11), plan)
+    et11 = (e11[0], e11[2], e11[1], e11[3])  # E11^T, as perm_cols and perm_rows apply it
+    q = _mul2(l11, (r02, r03, r12, r13), p)
+    b = _mul2((r20, r21, r30, r31), u11, p)
+    t = _mul2(b, et11, p)
+    a1_22 = _add2((r22, r23, r32, r33), _mul2(t, q, p), p, -1)
+    # both middle children log (2, the model's count), so plan.reverse cannot show
+    l12, e12, u12 = _leaf2(_keep2(q, e11, False), plan)
+    l21, e21, u21 = _leaf2(_keep2(b, e11, True), plan)
+    g = _mul2(_mul2(l21, a1_22, p), u12, p)
+    gj = _keep2(g, e12, True)
+    l22, e22, u22 = _leaf2(_keep2(gj, e21, False), plan)
+    ge = _mul2(g, (e12[0], e12[2], e12[1], e12[3]), p)
+    w = _add2(_mul2(ge, l12, p), _mul2(l21, t, p), p)
+    eg = _mul2((e21[0], e21[2], e21[1], e21[3]), gj, p)
+    v = _add2(_mul2(u21, eg, p), _mul2(_mul2(et11, q, p), u12, p), p)
+    t0, _, t2, t3 = _mul2(l12, l11, p)
+    b0, b1, b2, b3 = _mul2(_mul2(l22, w, p), l11, p)
+    c0, _, c2, c3 = _mul2(l22, l21, p)
+    s0, s1, _, s3 = _mul2(u11, u21, p)
+    d0, d1, d2, d3 = _mul2(_mul2(u11, v, p), u22, p)
+    f0, f1, _, f3 = _mul2(u12, u22, p)
+    c = 17 * strassen_count(2, plan.cutoff)
+    plan.counter.scalar_mults += c
     if plan.log is not None:
-        plan.log.append((2, c))
-    return [[l12 * l11 % p, 0], [-l22 * w * l11 % p, l22 * l21 % p]], e, [[1, -v % p], [0, 1]]
+        plan.log.append((4, c))
+    e = [ij for ij, f in zip(_CELLS4, e11 + e12 + e21 + e22) if f]
+    l = [[t0, 0, 0, 0], [t2, t3, 0, 0], [-b0 % p, -b1 % p, c0, 0], [-b2 % p, -b3 % p, c2, c3]]
+    u = [[s0, s1, -d0 % p, -d1 % p], [0, s3, -d2 % p, -d3 % p], [0, 0, f0, f1], [0, 0, 0, f3]]
+    return l, e, u
 
 
 def leu_decompose(

@@ -209,15 +209,16 @@ LEAF_MODES = [dict(method=m, cutoff=c, parallel=par)
 
 
 def _leaf_run(A, debug, **kw):
+    # the entries by repr, so that a flag standing in for an integer shows
     c, log = MulCounter(), []
     res = leu_decompose(A, c, debug_checks=debug, _node_log=log, **kw)
-    return res.L, res.E, res.U, c.scalar_mults, c.scalar_invs, log
+    return repr((res.L._d, res.E.ones, res.U._d)), c.scalar_mults, c.scalar_invs, log
 
 
-def assert_leaf_matches_the_recursion(A):
-    # debug_checks runs every GF(p) 2 x 2 node through the plain recursion,
-    # without it the scalar leaf: values, E, counts and node log must agree
-    for kw in LEAF_MODES:
+def assert_leaf_matches_the_recursion(A, modes=LEAF_MODES):
+    # debug_checks runs every GF(p) node of n <= 4 through the plain recursion,
+    # without it the scalar leaves: values, E, counts and node log must agree
+    for kw in modes:
         assert _leaf_run(A, False, **kw) == _leaf_run(A, True, **kw), (A._d, kw)
 
 
@@ -247,10 +248,58 @@ def test_gfp_leaf_matches_the_recursion_on_every_2x2(p, monkeypatch):
 
 
 def test_gfp_leaf_matches_the_recursion_under_a_node():
-    # every 3 x 3 over GF(2), padded to 4 x 4: the leaves see the blocks a
-    # running 4 x 4 node hands them
+    # every 3 x 3 over GF(2), padded to 4 x 4: the n = 2 leaf sees the blocks
+    # a running 4 x 4 node hands it, the padding's zero rows and columns included
     for A in _all_matrices(GF(2), 3, pad=1):
         assert_leaf_matches_the_recursion(A)
+
+
+def test_gfp_leaf4_matches_the_recursion_on_every_4x4(monkeypatch):
+    # L, E, U and the counts of the n = 4 leaf do not depend on the mode, so
+    # one mode covers every 4 x 4 over GF(2); the sample below covers the modes
+    from leu import decompose
+
+    leaves = [0]
+    real = decompose._leaf4
+
+    def counted(a, plan):
+        leaves[0] += 1
+        return real(a, plan)
+
+    monkeypatch.setattr(decompose, "_leaf4", counted)
+    for A in _all_matrices(GF(2), 4):
+        assert_leaf_matches_the_recursion(A, LEAF_MODES[:1])
+    # each nonzero matrix takes the leaf once, and only without debug_checks
+    assert leaves[0] == 2**16 - 1
+
+
+def _zero_quadrants(A, mask):
+    # A with each 2 x 2 quadrant k of its 4 x 4 set to zero where bit k of mask is
+    rows = [list(r) for r in A._d]
+    for k in range(4):
+        if (mask >> k) & 1:
+            for i, j in itertools.product(range(2), repeat=2):
+                rows[2 * (k >> 1) + i][2 * (k & 1) + j] = 0
+    return DenseMatrix(A.field, rows)
+
+
+@pytest.mark.parametrize("p", (2, 3, 65521))
+def test_gfp_leaf4_matches_the_recursion_in_every_mode(p):
+    # seeded 4 x 4 at every planted rank, half of them with zero quadrants
+    r = random.Random(0x1EAF4 + p)
+    for case in range(670):
+        A = planted_rank(GF(p), 4, case % 5, r)
+        if case % 2:
+            A = _zero_quadrants(A, r.randrange(1, 16))
+        assert_leaf_matches_the_recursion(A)
+
+
+def test_gfp_leaf4_matches_the_recursion_under_larger_nodes():
+    # n = 5 to 16 over GF(2): the n = 4 leaves run under n = 8 and n = 16 nodes
+    r = random.Random(0x1EAF5)
+    for n in range(5, 17):
+        for rank in sorted({0, 1, n // 2, n - 1, n}):
+            assert_leaf_matches_the_recursion(planted_rank(GF(2), n, rank, r))
 
 
 @pytest.mark.parametrize("p", (7, 65521))

@@ -1,11 +1,12 @@
 """Wall time of leu over GF(65521) and over the rationals, as one JSON object.
 
 ``gfp`` times ``leu_decompose`` on ``cli.bench_matrix(n, seed, 65521)``, the
-``bench`` command's full-rank matrices, at n = 64, 128, 256 (``decompose``,
-with the rank and the model multiplication count), one ``mat_mul_classical``
-product of two seeded h x h matrices of residues at h = 8 to 128
-(``product``), and one in-process ``leu verify`` on the n = 40 bench matrix
-(``verify``), failing if a run reports a failed check.  ``qq`` times
+``bench`` command's full-rank matrices, at n = 16, 32, 64, 128, 256
+(``decompose``, with the rank and the model multiplication count; at n = 16
+and 32 the nodes of n <= 4 take a larger share of an op than at n >= 64),
+one ``mat_mul_classical`` product of two seeded h x h matrices of residues at
+h = 8 to 128 (``product``), and one in-process ``leu verify`` on the n = 40
+bench matrix (``verify``), failing if a run reports a failed check.  ``qq`` times
 ``leu_decompose`` at n = 16 to 64 (``decompose``, with the rank) and
 ``mat_inverse`` at n = 32, 48, 64 (``inverse``) and ``bruhat_decompose`` at
 n = 32 (``bruhat``, the path of the two triangular inverses) on one seeded
@@ -45,7 +46,7 @@ import tempfile
 import time
 
 P = 65521
-GFP_DECOMPOSE = (64, 128, 256)
+GFP_DECOMPOSE = (16, 32, 64, 128, 256)
 GFP_PRODUCT = (8, 16, 32, 64, 128)
 GFP_VERIFY = 40
 QQ_DECOMPOSE = (16, 32, 48, 64)

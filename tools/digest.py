@@ -17,7 +17,8 @@ next to this script), so a parent and a changed checkout can be compared
 with one copy of this script.  ``--debug-checks`` passes
 ``debug_checks=True`` to every decomposition and derived operation; that
 runs the plain recursion with every node check, where the default run takes
-the fast paths (the GF(p) 2 x 2 leaf), so the two must print the same hash.
+the fast paths (over GF(p), the nodes of n <= 4 run on scalars), so the two
+must print the same hash.
 ``digest.sha256`` next to it holds the hash of the committed source.
 """
 
