@@ -35,7 +35,7 @@ class BruhatResult:
 def _sub_unit_diag_outside(M: DenseMatrix, support_mask: int) -> DenseMatrix:
     # subtract 1 from each diagonal entry whose index is outside the support
     f = M.field
-    data = [row if (support_mask >> i) & 1 else [*row[:i], f.sub(row[i], f.one_raw), *row[i + 1:]]
+    data = [row if (support_mask >> i) & 1 else [*row[:i], f.canon(row[i] - f.one_raw), *row[i + 1:]]
             for i, row in enumerate(M._d)]
     return DenseMatrix._wrap(f, data, M.rows, M.cols)
 

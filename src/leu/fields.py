@@ -57,10 +57,11 @@ def is_prime(n: int) -> bool:
 
 
 class FieldSpec:
-    """A field an element can belong to.  Subclasses implement the raw ops.
+    """A field an element can belong to.
 
-    Raw values are plain Python objects (int residues, ``Fraction``); the
-    methods here never allocate wrappers, so the matrix kernels stay fast.
+    Raw values are plain Python objects (int residues, ``Fraction``) that
+    combine with Python's own operators; ``canon`` brings any such result,
+    or an integer or exact rational from outside, to canonical form.
     """
 
     kind = ""
@@ -68,7 +69,7 @@ class FieldSpec:
     def __call__(self, value) -> "Scalar":
         return Scalar(self, value)
 
-    # subclasses: zero_raw, one_raw, canon, add, sub, neg, mul, inv, parse
+    # subclasses: zero_raw, one_raw, canon, inv, parse
 
 
 class PrimeField(FieldSpec):
@@ -106,18 +107,6 @@ class PrimeField(FieldSpec):
             except TypeError:
                 pass
         raise TypeError(f"GF({self.modulus}) values must be integers, got {type(v).__name__}")
-
-    def add(self, x, y):
-        return (x + y) % self.modulus
-
-    def sub(self, x, y):
-        return (x - y) % self.modulus
-
-    def neg(self, x):
-        return -x % self.modulus
-
-    def mul(self, x, y):
-        return x * y % self.modulus
 
     def inv(self, x):
         if x % self.modulus == 0:
@@ -162,18 +151,6 @@ class RationalField(FieldSpec):
             return _rational(v)
         except TypeError:
             raise TypeError(f"cannot interpret {type(v).__name__} as a rational") from None
-
-    def add(self, x, y):
-        return x + y
-
-    def sub(self, x, y):
-        return x - y
-
-    def neg(self, x):
-        return -x
-
-    def mul(self, x, y):
-        return x * y
 
     def inv(self, x):
         if not x:
@@ -227,26 +204,22 @@ class Scalar:
         return other
 
     def __add__(self, other):
-        other = self._coerce(other)
-        return Scalar(self.field, self.field.add(self.value, other.value))
+        return Scalar(self.field, self.value + self._coerce(other).value)
 
     def __sub__(self, other):
-        other = self._coerce(other)
-        return Scalar(self.field, self.field.sub(self.value, other.value))
+        return Scalar(self.field, self.value - self._coerce(other).value)
 
     def __mul__(self, other):
-        other = self._coerce(other)
-        return Scalar(self.field, self.field.mul(self.value, other.value))
+        return Scalar(self.field, self.value * self._coerce(other).value)
 
     def __neg__(self):
-        return Scalar(self.field, self.field.neg(self.value))
+        return Scalar(self.field, -self.value)
 
     def inv(self) -> "Scalar":
         return Scalar(self.field, self.field.inv(self.value))
 
     def __truediv__(self, other):
-        other = self._coerce(other)
-        return Scalar(self.field, self.field.mul(self.value, self.field.inv(other.value)))
+        return self * self._coerce(other).inv()
 
     def __bool__(self):
         return bool(self.value)

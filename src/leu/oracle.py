@@ -34,7 +34,7 @@ def _row_echelon(A: DenseMatrix):
     field = A.field
     m = [list(r) for r in A._d]
     nrows, ncols = A.rows, A.cols
-    mul, axpy = field.mul, _row_ops(field)[1]
+    axpy = _row_ops(field)[1]
     pivots = []
     prow = 0
     for col in range(ncols):
@@ -53,7 +53,7 @@ def _row_echelon(A: DenseMatrix):
             f = m[i][col]
             if f:
                 ri = m[i]
-                ri[col:] = axpy(ri[col:], mul(f, inv_p), pr)
+                ri[col:] = axpy(ri[col:], f * inv_p, pr)
         pivots.append(col)
         prow += 1
         if prow == nrows:
@@ -72,7 +72,7 @@ def gauss_kernel(A: DenseMatrix) -> DenseMatrix:
     m, pivots = _row_echelon(A)
     ncols = A.cols
     free = [j for j in range(ncols) if j not in pivots]
-    mul, inv = field.mul, field.inv
+    canon, inv = field.canon, field.inv
     z = field.zero_raw
     basis = []
     for f in free:
@@ -84,9 +84,9 @@ def gauss_kernel(A: DenseMatrix) -> DenseMatrix:
             row = m[r]
             for j in range(pc + 1, ncols):
                 if row[j] and x[j]:
-                    s = field.add(s, mul(row[j], x[j]))
+                    s = canon(s + row[j] * x[j])
             if s:
-                x[pc] = field.neg(mul(s, inv(row[pc])))
+                x[pc] = canon(-s * inv(row[pc]))
         basis.append(x)
     data = [[basis[k][i] for k in range(len(free))] for i in range(ncols)]
     return DenseMatrix._wrap(field, data, ncols, len(free))

@@ -13,7 +13,6 @@ from __future__ import annotations
 from operator import index as _index
 
 from .dense import DenseMatrix
-from .errors import ShapeError
 from .fields import FieldSpec
 
 
@@ -71,11 +70,6 @@ class TruncPerm:
         free_cols = [j for j in range(self.n) if j not in cols]
         return TruncPerm(self.n, list(zip(free_rows, free_cols)))
 
-    def union(self, other: "TruncPerm") -> "TruncPerm":
-        if other.n != self.n:
-            raise ShapeError("size mismatch")
-        return TruncPerm(self.n, self.ones + other.ones)
-
 
 def _integer(v, what: str) -> int:
     # any integral type (numbers.Integral implements __index__), not bool
@@ -113,9 +107,6 @@ class DiagIdem:
     def __repr__(self):
         bits = "".join("1" if (self.mask >> i) & 1 else "0" for i in range(self.n))
         return f"DiagIdem({self.n}, 0b{bits[::-1] or '0'})"
-
-    def indices(self) -> list:
-        return [i for i in range(self.n) if (self.mask >> i) & 1]
 
 
 def _row_mask(ones) -> int:

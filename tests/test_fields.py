@@ -157,6 +157,24 @@ def test_rational_axioms(a, b, c):
     assert a * (b + c) == a * b + a * c
 
 
+@given(st.sampled_from([65521, (1 << 61) - 1]), st.data())
+def test_wide_residue_scalar_ops_match_integer_arithmetic(p, data):
+    # the values themselves, not laws: each result is the residue of the
+    # integer result, across the wrap at p
+    F = GF(p)
+    x, y = (data.draw(st.integers(min_value=0, max_value=p - 1)) for _ in range(2))
+    a, b = F(x), F(y)
+    assert a + b == F((x + y) % p)
+    assert a - b == F((x - y) % p)
+    assert a * b == F((x * y) % p)
+    assert -a == F(-x % p)
+    if y:
+        assert a / b == F(x * pow(y, -1, p) % p)
+    else:
+        with pytest.raises(ZeroDivisionError):
+            a / b
+
+
 @given(gf7_scalars())
 def test_gf7_inverse_roundtrip(a):
     if a:

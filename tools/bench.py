@@ -165,7 +165,6 @@ def main(argv=None):
 
     out = {
         "python": platform.python_version(),
-        "rational_backend": type(leu.QQ.one_raw).__module__,
         "repeat": args.repeat,
         "seed": args.seed,
         "gfp": {"p": P, "decompose": {}, "product": {}, "verify": {}},
