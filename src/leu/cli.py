@@ -133,8 +133,8 @@ def _verify(A, counter, kw):
     except SingularError as exc:
         checks.append(("inverse-singular-agrees", exc.rank == oracle_rank))
     else:
-        checks.append(("inverse-oracle", inv == oracle.gauss_inverse(A)
-                       and oracle.check_inverse(A, inv)))
+        # over a field A * X = I alone makes X the inverse, so no elimination runs
+        checks.append(("inverse-oracle", oracle.check_inverse(A, inv)))
 
     report = VerifyReport(tuple(checks))
     return "".join(line + "\n" for line in report.lines()), 0 if report.passed else 1

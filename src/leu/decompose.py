@@ -25,10 +25,13 @@ Blocks travel through the recursion in the form of their field's block
 kernel (see :mod:`leu.dense`): rows of residues over GF(p), and over the
 rationals fraction-free integer rows with a scale per row and per column,
 turned into canonical fractions once at the end.  Work whose outcome is known
-without arithmetic is skipped but still counted: a product with a zero
-operand or with the identity block a node hands on, and a node whose block
-is zero (it gives L = U = I and an empty E).  So the count, like every
-value, does not depend on which shortcuts were taken.
+without arithmetic, or whose result no caller reads, is skipped but still
+counted: a product with a zero operand or with the identity block a node
+hands on, a node whose block is zero (it gives L = U = I and an empty E),
+and the six products that make a node's L, or its U, when nothing reads
+that factor (the rank and the block read only E, the kernel E and U, and a
+node asks each child for what it reads of it).  So the count, like every
+value that is returned, does not depend on which shortcuts were taken.
 
 :func:`leu_decompose` is the one entry point.  Its body pads the input with
 zeros once, to the next power-of-two square, and cuts L and U back in kernel
@@ -98,7 +101,8 @@ class _Plan:
     """Per-call context shared by every node of one decomposition: the block
     kernel, the count model, the counter and, if one is kept, the node log."""
 
-    __slots__ = ("k", "cutoff", "debug", "reverse", "counter", "log", "own", "_tree", "leaf")
+    __slots__ = ("k", "cutoff", "debug", "reverse", "counter", "log", "own", "_mults", "_tree",
+                 "leaf")
 
     def __init__(self, field, method, cutoff, debug, reverse, counter, log):
         # the classical count is Strassen's count of a product that never splits
@@ -115,24 +119,42 @@ class _Plan:
         self.counter = counter
         self.log = log
         self.own = 0  # counted by the products of the node now running
+        self._mults = {}
         self._tree = {1: 0}
         # GF(p) runs its nodes of n <= 4 on scalars; debug_checks keeps the recursion
         self.leaf = field.kind == "gfp" and not debug
 
+    def mults(self, h):
+        """The count of one h x h product, ``strassen_count(h, cutoff)``, kept per h."""
+        c = self._mults.get(h)
+        if c is None:
+            c = self._mults[h] = strassen_count(h, self.cutoff)
+        return c
+
     def mm(self, x, y, h):
-        """The product of two h x h blocks, counted as ``strassen_count(h, cutoff)``."""
-        c = strassen_count(h, self.cutoff)
+        """The product of two h x h blocks, counted."""
+        c = self.mults(h)
         self.counter.scalar_mults += c
         self.own += c
         return self.k.mul(x, y, h, h)
+
+    def unread(self, k, h):
+        """Count k products of h x h blocks whose results no caller reads."""
+        c = k * self.mults(h)
+        self.counter.scalar_mults += c
+        self.own += c
 
     def tree_mults(self, n):
         """Multiplications the recursion counts on an n x n block."""
         t = self._tree.get(n)
         if t is None:
             h = n >> 1
-            t = self._tree[n] = 17 * strassen_count(h, self.cutoff) + 4 * self.tree_mults(h)
+            t = self._tree[n] = 17 * self.mults(h) + 4 * self.tree_mults(h)
         return t
+
+
+# which factors besides E a caller reads: a bit each for L and U
+_E, _L, _U, _LU = 0, 1, 2, 3
 
 
 def _outside_support(rows, n, im, jm):
@@ -168,16 +190,17 @@ def _debug_node(l, e, u, n, im, jm, one):
     _ensure(_unit_outside(u, n, jm, one, True), "U has a non-unit column outside the support")
 
 
-def _zero_log(n, cutoff):
+def _zero_log(n, plan):
     # the log entries of a zero n x n block's subtree, in the order a visit
     # of every node would append them
     if n == 1:
         return []
-    return 4 * _zero_log(n >> 1, cutoff) + [(n, 17 * strassen_count(n >> 1, cutoff))]
+    return 4 * _zero_log(n >> 1, plan) + [(n, 17 * plan.mults(n >> 1))]
 
 
-def _leu_rec(a, n, im, jm, plan):
-    # a is a block in the form of plan.k; so are the returned L and U
+def _leu_rec(a, n, im, jm, plan, reads=_LU):
+    # a is a block in the form of plan.k; so are the returned L and U, but a
+    # factor that reads leaves out may be None
     K = plan.k
     if n == 1:
         inv = K.inverse1(a)
@@ -195,7 +218,7 @@ def _leu_rec(a, n, im, jm, plan):
         # every node below sees zeros only: L = U = I, E = 0, counted and logged in full
         plan.counter.scalar_mults += plan.tree_mults(n)
         if plan.log is not None:
-            plan.log.extend(_zero_log(n, plan.cutoff))
+            plan.log.extend(_zero_log(n, plan))
         one = K.identity(n)
         return one, [], one
     if plan.leaf and n <= 4:
@@ -229,13 +252,17 @@ def _leu_rec(a, n, im, jm, plan):
     t = K.perm_cols(b, e11, h)
     a1_22 = K.sub(a22, mm(t, q, h))
 
-    # the two middle recursions are independent: either order gives the same
+    # the two middle recursions are independent: either order gives the same.
+    # Each child returns what the rest of this node reads: g needs l21 and
+    # u12 for E, and l12 and u21 go only into this node's own L and U
+    reads12 = _U | reads & _L
+    reads21 = _L | reads & _U
     if plan.reverse:
-        l21, e21, u21 = _leu_rec(a1_21, h, i2, jb11 & j1, plan)
-        l12, e12, u12 = _leu_rec(a1_12, h, ib11 & i1, j2, plan)
+        l21, e21, u21 = _leu_rec(a1_21, h, i2, jb11 & j1, plan, reads21)
+        l12, e12, u12 = _leu_rec(a1_12, h, ib11 & i1, j2, plan, reads12)
     else:
-        l12, e12, u12 = _leu_rec(a1_12, h, ib11 & i1, j2, plan)
-        l21, e21, u21 = _leu_rec(a1_21, h, i2, jb11 & j1, plan)
+        l12, e12, u12 = _leu_rec(a1_12, h, ib11 & i1, j2, plan, reads12)
+        l21, e21, u21 = _leu_rec(a1_21, h, i2, jb11 & j1, plan, reads21)
 
     g = mm(mm(l21, a1_22, h), u12, h)
     i21 = _row_mask(e21)
@@ -245,24 +272,29 @@ def _leu_rec(a, n, im, jm, plan):
     gj = K.keep_cols(g, jb12, h)
     a2_22 = K.keep_rows(gj, ib21, h)
 
-    l22, e22, u22 = _leu_rec(a2_22, h, ib21 & i2, jb12 & j2, plan)
+    l22, e22, u22 = _leu_rec(a2_22, h, ib21 & i2, jb12 & j2, plan, reads)
 
-    ge = K.perm_cols(g, e12, h)
-    w = K.add(mm(ge, l12, h), mm(l21, t, h))
-    eg = K.perm_rows(e21, gj, h)
-    eq = K.perm_rows(e11, q, h)
-    v = K.add(mm(u21, eg, h), mm(eq, u12, h))
-
-    l_tl = mm(l12, l11, h)
-    l_bl = K.neg(mm(mm(l22, w, h), l11, h))
-    l_br = mm(l22, l21, h)
-    u_tl = mm(u11, u21, h)
-    u_tr = K.neg(mm(mm(u11, v, h), u22, h))
-    u_br = mm(u12, u22, h)
-
-    zero = K.zeros(h, h)
-    l = K.join(l_tl, zero, l_bl, l_br)
-    u = K.join(u_tl, u_tr, zero, u_br)
+    # L and U each take six more products, counted whether or not they run
+    l = u = None
+    if reads & _L:
+        ge = K.perm_cols(g, e12, h)
+        w = K.add(mm(ge, l12, h), mm(l21, t, h))
+        l_tl = mm(l12, l11, h)
+        l_bl = K.neg(mm(mm(l22, w, h), l11, h))
+        l_br = mm(l22, l21, h)
+        l = K.join(l_tl, K.zeros(h, h), l_bl, l_br)
+    else:
+        plan.unread(6, h)
+    if reads & _U:
+        eg = K.perm_rows(e21, gj, h)
+        eq = K.perm_rows(e11, q, h)
+        v = K.add(mm(u21, eg, h), mm(eq, u12, h))
+        u_tl = mm(u11, u21, h)
+        u_tr = K.neg(mm(mm(u11, v, h), u22, h))
+        u_br = mm(u12, u22, h)
+        u = K.join(u_tl, u_tr, K.zeros(h, h), u_br)
+    else:
+        plan.unread(6, h)
     e = list(e11)
     e += [(i, j + h) for i, j in e12]
     e += [(i + h, j) for i, j in e21]
@@ -369,7 +401,7 @@ def _leaf4(a, plan):
     s0, s1, _, s3 = _mul2(u11, u21, p)
     d0, d1, d2, d3 = _mul2(_mul2(u11, v, p), u22, p)
     f0, f1, _, f3 = _mul2(u12, u22, p)
-    c = 17 * strassen_count(2, plan.cutoff)
+    c = 17 * plan.mults(2)
     plan.counter.scalar_mults += c
     if plan.log is not None:
         plan.log.append((4, c))
@@ -397,8 +429,8 @@ def leu_decompose(
     independent middle recursions of every node in the opposite order; the
     result and the counts are the same.
     """
-    l, e, u, plan, s = _leu_blocks(_square(A), counter, method, cutoff, debug_checks, parallel,
-                                   _node_log)
+    l, e, u, plan, s = _leu_blocks(_square(A), _LU, counter, method, cutoff, debug_checks,
+                                   parallel, _node_log)
     store = plan.k.store
     return LeuResult(DenseMatrix._wrap(A.field, store(l), s, s), TruncPerm(s, e),
                      DenseMatrix._wrap(A.field, store(u), s, s), plan.counter.copy())
@@ -410,11 +442,14 @@ def _square(A):
     return A
 
 
-def _leu_blocks(A, counter, method, cutoff, debug_checks, parallel=False, node_log=None):
+def _leu_blocks(A, reads, counter, method, cutoff, debug_checks, parallel=False, node_log=None):
     # the body of leu_decompose for any shape, as (l, e, u, plan, s): A is padded
     # with zeros once, straight to the power-of-two square, and l and u are cut
     # back to s = max(rows, cols) in kernel form.  The root's masks are A's own
     # rows and columns, so its node checks cover the padding; E never leaves them.
+    # reads (_E, _L, _U or _LU) names the factors the caller reads; one it leaves
+    # out may come back as None.  The node checks read both, so debug_checks
+    # computes both.
     r, c = A.shape
     s = max(r, c)
     if s == 0:
@@ -428,9 +463,11 @@ def _leu_blocks(A, counter, method, cutoff, debug_checks, parallel=False, node_l
     z = field.zero_raw
     pad = [z] * (m - c)
     padded = [row + pad for row in A._d] + [[z] * m] * (m - r)
-    l, e, u = _leu_rec(K.load(padded), m, (1 << r) - 1, (1 << c) - 1, plan)
+    l, e, u = _leu_rec(K.load(padded), m, (1 << r) - 1, (1 << c) - 1, plan,
+                       _LU if debug_checks else reads)
     if m != s:
-        l, u = K.lead(l, s), K.lead(u, s)
+        l = None if l is None else K.lead(l, s)
+        u = None if u is None else K.lead(u, s)
     if m != r or m != c:
         _ensure(all(i < r and j < c for i, j in e), "support escaped the unpadded block")
     return l, e, u, plan, s

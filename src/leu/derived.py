@@ -6,14 +6,15 @@ the exact inverse U * E^T * L of a nonsingular matrix, the rank as the
 number of ones of E, a kernel basis read off the columns of U, and index
 sets of a nonsingular submatrix of maximal size.  The inverse and Bruhat's
 triangular inverses read L and U as kernel blocks, the kernel reads U alone
-and the rank and the block read E alone; only what they return is stored.
+and the rank and the block read E alone; the decomposition computes only the
+factors each reads, and only what they return is stored.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
 
-from .decompose import _Plan, _ensure, _leu_blocks, _square
+from .decompose import _E, _LU, _U, _Plan, _ensure, _leu_blocks, _square
 from .dense import DenseMatrix, MulCounter, blocks, invert_lower_block, mat_mul_classical
 from .errors import SingularError
 from .perms import TruncPerm, _col_mask, _row_mask
@@ -62,7 +63,7 @@ def bruhat_decompose(
     """
     s = M.rows
     rev = DenseMatrix._wrap(M.field, M._d[::-1], s, M.cols)
-    l, e, u, plan, _ = _leu_blocks(_square(rev), counter, method, cutoff, debug_checks)
+    l, e, u, plan, _ = _leu_blocks(_square(rev), _LU, counter, method, cutoff, debug_checks)
     K = plan.k
     l_inv = invert_lower_block(K, K.one_sided(l), s, plan.counter)
     ut_inv = invert_lower_block(K, K.one_sided(K.transpose(u)), s, plan.counter, unit=True)
@@ -89,7 +90,7 @@ def mat_inverse(
     product remains and is counted.  Raises SingularError carrying the rank
     when rank < n.
     """
-    l, e, u, plan, _ = _leu_blocks(_square(A), counter, method, cutoff, debug_checks, parallel)
+    l, e, u, plan, _ = _leu_blocks(_square(A), _LU, counter, method, cutoff, debug_checks, parallel)
     return _inverse_from(A, l, e, u, plan.counter)
 
 
@@ -123,7 +124,7 @@ def mat_rank(
     """
     s = max(A.shape)
     if min(A.shape) or not s:
-        return len(_leu_blocks(A, counter, method, cutoff, debug_checks)[1])
+        return len(_leu_blocks(A, _E, counter, method, cutoff, debug_checks)[1])
     plan = _Plan(A.field, method, cutoff, debug_checks, False, counter, None)
     if counter is not None:
         counter.scalar_mults += plan.tree_mults(1 << (s - 1).bit_length())
@@ -148,7 +149,7 @@ def kernel_basis(
     unitriangular U never reach below their index, so nothing is lost by
     truncating the padded coordinates).
     """
-    _, e, u, plan, _ = _leu_blocks(A, counter, method, cutoff, debug_checks)
+    _, e, u, plan, _ = _leu_blocks(A, _U, counter, method, cutoff, debug_checks)
     K = _kernel_from(A, e, plan.k.store(u))
     if debug_checks:
         prod = mat_mul_classical(A, K, MulCounter())
@@ -179,7 +180,7 @@ def largest_nonsingular_block(
     returned, each ascending.  With ``verify`` the submatrix is
     cross-checked nonsingular by the elimination oracle.
     """
-    e = _leu_blocks(_square(A), counter, method, cutoff, verify)[1]
+    e = _leu_blocks(_square(A), _E, counter, method, cutoff, verify)[1]
     rows = tuple(sorted(i for i, _ in e))
     cols = tuple(sorted(j for _, j in e))
     if verify:

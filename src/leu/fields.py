@@ -29,6 +29,10 @@ _MR_BASES = (2, 3, 5, 7, 11, 13, 17, 19, 23, 29, 31, 37)
 
 _GFP_TOKEN = re.compile(r"^[0-9]+$")
 _RAT_TOKEN = re.compile(r"^-?[0-9]+(?:/[0-9]+)?$")
+# a row of tokens joined by spaces that int() reads as written: ASCII digits
+# (with a leading minus over the rationals), not int()'s signs, _ or Unicode digits
+_GFP_ROW = re.compile(r"[0-9]+(?: [0-9]+)*")
+_INT_ROW = re.compile(r"-?[0-9]+(?: -?[0-9]+)*")
 
 
 def is_prime(n: int) -> bool:
@@ -69,7 +73,7 @@ class FieldSpec:
     def __call__(self, value) -> "Scalar":
         return Scalar(self, value)
 
-    # subclasses: zero_raw, one_raw, canon, inv, parse
+    # subclasses: zero_raw, one_raw, canon, inv, parse, parse_row
 
 
 class PrimeField(FieldSpec):
@@ -124,6 +128,19 @@ class PrimeField(FieldSpec):
             raise ParseError(f"residue {v} out of range for GF({self.modulus})")
         return v
 
+    def parse_row(self, tokens):
+        """``parse`` of each token, a row of residues in one conversion; any
+        other row goes token by token, so it raises ``parse``'s first error."""
+        if _GFP_ROW.fullmatch(" ".join(tokens)):
+            try:
+                row = list(map(int, tokens))
+            except ValueError:  # more digits than int() converts
+                pass
+            else:
+                if max(row) < self.modulus:
+                    return row
+        return [self.parse(t) for t in tokens]
+
 
 class RationalField(FieldSpec):
     """Arbitrary-precision rationals.  Raw values are reduced fractions."""
@@ -166,6 +183,16 @@ class RationalField(FieldSpec):
             raise ParseError(f"zero denominator in {token!r}") from None
         except ValueError:  # more digits than int() converts
             raise ParseError(f"rational of {len(token)} characters is too long to parse") from None
+
+    def parse_row(self, tokens):
+        """``parse`` of each token, a row of integers in one conversion; any
+        other row goes token by token, so it raises ``parse``'s first error."""
+        if _INT_ROW.fullmatch(" ".join(tokens)):
+            try:
+                return list(map(_rational, map(int, tokens)))
+            except ValueError:  # more digits than int() converts
+                pass
+        return [self.parse(t) for t in tokens]
 
 
 QQ = RationalField()

@@ -6,9 +6,12 @@ row echelon form, the inverse runs its own Gauss-Jordan elimination.
 Agreement between the two routes is therefore meaningful.  Nothing in
 the decomposition path calls into this module; it backs the test-suite,
 the CLI ``verify`` command and ``largest_nonsingular_block(verify=True)``
-only.  It is on the ``verify`` path, so its row operations are whole-row
-list expressions in plain integer or rational arithmetic, reduced mod p
-over GF(p), rather than the decomposition's kernels.
+only.  ``verify`` reads the rank, the nullity and :func:`check_inverse`,
+which checks an inverse by its definition, A * X = I; ``gauss_inverse``
+backs the tests.  The echelon form is on the ``verify`` path, so the row
+operations are whole-row list expressions in plain integer or rational
+arithmetic, reduced mod p over GF(p), rather than the decomposition's
+kernels.
 """
 
 from __future__ import annotations

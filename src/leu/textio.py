@@ -10,8 +10,10 @@ Matrix format, one token stream per line::
 
 Scalars are decimal residues over GF(p) and ``n`` or ``n/d`` fractions
 over the rationals.  Parsing is strict: wrong counts, out-of-range
-residues and trailing garbage are errors.  Formatting followed by parsing
-reproduces the input bit-exactly.
+residues and trailing garbage are errors.  A row of plain integers is
+converted in one go, any other row token by token, with the same values and
+the same first error.  Formatting followed by parsing reproduces the input
+bit-exactly.
 
 A truncated permutation prints as one line, ones sorted by row::
 
@@ -90,14 +92,14 @@ def read_matrix(lines, start: int = 0, field: FieldSpec | None = None):
     cols = _expect_count(lines[start + 2], "cols", start + 3)
     if len(lines) - start - 3 < rows:
         raise ParseError(f"expected {rows} data rows, found {len(lines) - start - 3}")
-    parse = field.parse
+    parse_row = field.parse_row
     data = []
     for k in range(rows):
         lineno = start + 4 + k
         tokens = lines[start + 3 + k].split()
         if len(tokens) != cols:
             raise ParseError(f"line {lineno}: expected {cols} entries, got {len(tokens)}")
-        data.append([parse(t) for t in tokens])
+        data.append(parse_row(tokens))
     M = DenseMatrix._wrap(field, data, rows, cols)
     return M, start + 3 + rows
 

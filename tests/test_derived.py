@@ -5,6 +5,7 @@ import random
 import pytest
 
 from leu import (
+    GF,
     QQ,
     DenseMatrix,
     InvariantError,
@@ -21,7 +22,8 @@ from leu import (
     tp_to_dense,
 )
 from leu import oracle
-from leu.dense import is_upper_triangular
+from leu.cli import bench_matrix
+from leu.dense import blocks, is_upper_triangular
 from helpers import FIELDS, GF7, GF65521, mul, planted_rank, rand_matrix
 
 rng = random.Random(0xB10C5)
@@ -270,3 +272,89 @@ def test_rational_derived_operations_store_only_what_they_return(monkeypatch):
         calls.clear()
         op(A)
         assert calls == want, op.__name__
+
+
+def _planted(field, rows, cols, r):
+    # a rows x cols matrix of rank at most r, seeded by its parameters: the
+    # product of two sparse factors, so that leading blocks are singular in
+    # ways that give the middle children of a node nonzero blocks
+    g = random.Random(f"{field!r} {rows} {cols} {r}")
+
+    def sparse(m, k):
+        return DenseMatrix(field, [[g.randrange(1, 10) if g.random() < 0.3 else 0 for _ in range(k)]
+                                   for _ in range(m)])
+
+    if r == 0:
+        return DenseMatrix.zeros(field, rows, cols)
+    return mul(sparse(rows, r), sparse(r, cols))
+
+
+def _padded(A):
+    # A with zero rows or columns added to make it square
+    s = max(A.shape)
+    z = A.field.zero_raw
+    data = [row + [z] * (s - A.cols) for row in A._d] + [[z] * s for _ in range(s - A.rows)]
+    return DenseMatrix._wrap(A.field, data, s, s)
+
+
+@pytest.mark.parametrize("field", [GF(2), GF7, GF65521, QQ], ids=["gf2", "gf7", "gf65521", "qq"])
+@pytest.mark.parametrize("shape", [(5, 5), (16, 16), (6, 11), (16, 9)], ids=str)
+@pytest.mark.parametrize("kw", _STRASSEN[:2], ids=["classical", "strassen-1"])
+def test_rank_kernel_and_block_read_the_full_decomposition(field, shape, kw):
+    # the rank and the block read only E and the kernel only E and U, so their
+    # nodes skip the products of the other factors; what they return and count,
+    # and every node's log entry, are those of the decomposition of A made square
+    from leu.decompose import _E, _L, _LU, _U, _leu_blocks
+    from leu.derived import _kernel_from
+
+    rows, cols = shape
+    for r in sorted({0, min(shape) // 2, min(shape)}):
+        A = _planted(field, rows, cols, r)
+        log = []
+        full = leu_decompose(_padded(A), **kw, _node_log=log)
+        c = MulCounter()
+        assert mat_rank(A, c, **kw) == full.rank
+        assert c == full.counter
+        c = MulCounter()
+        assert kernel_basis(A, c, **kw) == _kernel_from(A, full.E.ones, full.U._d)
+        assert c == full.counter
+        if rows == cols:
+            c = MulCounter()
+            assert largest_nonsingular_block(A, c, **kw) == (
+                tuple(sorted(i for i, _ in full.E.ones)), tuple(sorted(j for _, j in full.E.ones)))
+            assert c == full.counter
+        K = blocks(field)
+        for reads in (_E, _L, _U, _LU):
+            for parallel in (False, True):
+                got = []
+                c = MulCounter()
+                l, e, u, _, _ = _leu_blocks(A, reads, c, kw.get("method", "classical"),
+                                            kw.get("cutoff", 32), False, parallel, got)
+                assert (sorted(e), c, got) == (sorted(full.E.ones), full.counter, log)
+                if reads & _L:
+                    assert K.store(l) == full.L._d
+                if reads & _U:
+                    assert K.store(u) == full.U._d
+
+
+def test_rank_and_kernel_skip_the_unread_products(monkeypatch):
+    # on a full-rank input every product runs the kernel: the rank, which
+    # reads only E, runs fewer than the kernel, which reads E and U, and the
+    # kernel fewer than the decomposition, which reads both factors
+    from leu.dense import _PrimeBlocks
+
+    calls = []
+    real = _PrimeBlocks._classical
+
+    def counted(self, *args):
+        calls.append(1)
+        return real(self, *args)
+
+    monkeypatch.setattr(_PrimeBlocks, "_classical", counted)
+    A = bench_matrix(32, 1)
+    made = []
+    for op in (mat_rank, kernel_basis, leu_decompose):
+        calls.clear()
+        op(A)
+        made.append(len(calls))
+    assert made[0] < made[1] < made[2]

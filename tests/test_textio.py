@@ -14,7 +14,7 @@ from leu import (
     format_perm,
     parse_matrix,
 )
-from leu.textio import parse_field
+from leu.textio import format_field, parse_field
 from helpers import FIELDS, GF7, rand_matrix
 
 rng = random.Random(0x7E47)
@@ -105,3 +105,35 @@ def test_parse_field_spec():
 def test_perm_format():
     assert format_perm(TruncPerm(2, [(1, 0), (0, 1)])) == "perm n=2 ones=(0,1);(1,0)\n"
     assert format_perm(TruncPerm(3)) == "perm n=3 ones=\n"
+
+
+_ROWS = [
+    pytest.param("3 0 6", id="residues"),
+    pytest.param("007 -0 -4 5", id="signs-and-zeros"),
+    pytest.param("1 65520 3", id="above-7"),
+    pytest.param("1 2 x 4", id="bad-mid-row"),
+    pytest.param("1 2 9 65521", id="out-of-range-after-in-range"),
+    *(pytest.param(f"1 {t} 2", id=f"token-{i}")
+      for i, t in enumerate(("٣", "²", "+3", "3_0", "-", "--3", "3-4", "1/0", "1/2", "-4/6"))),
+    pytest.param("1 " + "5" * 5000, id="5000-digits"),
+    pytest.param("", id="cols-0"),
+]
+
+
+@pytest.mark.parametrize("row", _ROWS)
+@pytest.mark.parametrize("field", [GF7, GF(65521), QQ], ids=["gf7", "gf65521", "qq"])
+def test_rows_parse_as_their_tokens(field, row):
+    # a row of plain integers is converted in one go; every row gives the
+    # values, or the first error, of parsing its tokens one by one
+    tokens = row.split()
+    text = f"field {format_field(field)}\nrows 2\ncols {len(tokens)}\n{row}\n{row}\n"
+    try:
+        want = [field.parse(t) for t in tokens]
+    except ParseError as exc:
+        with pytest.raises(ParseError) as got:
+            parse_matrix(text)
+        assert str(got.value) == str(exc)
+    else:
+        got = parse_matrix(text)._d
+        assert got == [want, want]
+        assert [type(v) for v in got[1]] == [type(v) for v in want]

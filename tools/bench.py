@@ -4,19 +4,22 @@
 ``bench`` command's full-rank matrices, at n = 16, 32, 64, 128, 256
 (``decompose``, with the rank and the model multiplication count; at n = 16
 and 32 the nodes of n <= 4 take a larger share of an op than at n >= 64),
-one ``mat_mul_classical`` product of two seeded h x h matrices of residues at
-h = 8 to 128 (``product``), and one in-process ``leu verify`` on the n = 40
-bench matrix (``verify``), failing if a run reports a failed check.  ``qq`` times
-``leu_decompose`` at n = 16 to 64 (``decompose``, with the rank) and
-``mat_inverse`` at n = 32, 48, 64 (``inverse``) and ``bruhat_decompose`` at
-n = 32 (``bruhat``, the path of the two triangular inverses) on one seeded
-full-rank integer matrix per size, the product of two random n x n matrices
-with entries in [-9, 9] (the rational inputs of acceptance criterion 1),
-each with the largest bit length of an entry of its result, and one
-``mat_mul_classical`` product of two seeded h x h integer matrices with
-entries in [-9, 9] at h = 8 to 64 (``product``).  Every case is timed
-REPEAT times after one untimed warm-up, and reported as the median and
-quartiles.  Ranks, counts and entry bits are what no speed-up may change.
+``mat_rank``, which reads E alone, on the same matrices at n = 64 and 128
+(``rank``, with the rank and the count), one ``mat_mul_classical`` product
+of two seeded h x h matrices of residues at h = 8 to 128 (``product``), and
+one in-process ``leu verify`` on the n = 40 bench matrix (``verify``),
+failing if a run reports a failed check.  ``qq`` times ``leu_decompose`` at
+n = 16 to 64 (``decompose``, with the rank), ``mat_inverse`` at n = 32, 48,
+64 (``inverse``) and ``bruhat_decompose`` at n = 32 (``bruhat``, the path of
+the two triangular inverses) on one seeded full-rank integer matrix per
+size, the product of two random n x n matrices with entries in [-9, 9] (the
+rational inputs of acceptance criterion 1), each with the largest bit length
+of an entry of its result, ``mat_rank`` on the n = 32 one (``rank``, with the
+rank and the count), and one ``mat_mul_classical`` product of two seeded
+h x h integer matrices with entries in [-9, 9] at h = 8 to 64 (``product``).
+Every case is timed REPEAT times after one untimed warm-up, and reported as
+the median and quartiles.  Ranks, counts and entry bits are what no speed-up
+may change.
 
     python tools/bench.py [--src DIR] [--against DIR] [--repeat 5] [--seed 1]
 
@@ -47,9 +50,11 @@ import time
 
 P = 65521
 GFP_DECOMPOSE = (16, 32, 64, 128, 256)
+GFP_RANK = (64, 128)
 GFP_PRODUCT = (8, 16, 32, 64, 128)
 GFP_VERIFY = 40
 QQ_DECOMPOSE = (16, 32, 48, 64)
+QQ_RANK = (32,)
 QQ_INVERSE = (32, 48, 64)
 QQ_BRUHAT = (32,)
 QQ_PRODUCT = (8, 16, 32, 64)
@@ -105,10 +110,16 @@ def _cases(leu, seed, tmp):
     def case(part, section, key, run, facts=lambda res: {}):
         out.append((part, section, str(key), run, facts))
 
+    def rank(A):
+        c = leu.MulCounter()
+        return {"rank": leu.mat_rank(A, c), "scalar_mults": c.scalar_mults}
+
     for n in GFP_DECOMPOSE:
         A = cli.bench_matrix(n, seed, P)
         case("gfp", "decompose", n, lambda A=A: leu.leu_decompose(A),
              lambda res: {"rank": res.rank, "scalar_mults": res.counter.scalar_mults})
+    for n in GFP_RANK:
+        case("gfp", "rank", n, lambda A=cli.bench_matrix(n, seed, P): rank(A), dict)
     rng = random.Random(seed)
     for h in GFP_PRODUCT:
         X, Y = (DenseMatrix(GF(P), [[rng.randrange(P) for _ in range(h)] for _ in range(h)])
@@ -135,6 +146,8 @@ def _cases(leu, seed, tmp):
         A = inputs[n] = mat_mul_classical(X, Y)
         case("qq", "decompose", n, lambda A=A: leu.leu_decompose(A),
              lambda res: {"rank": res.rank, "max_entry_bits": _max_entry_bits(res.L, res.U)})
+    for n in QQ_RANK:
+        case("qq", "rank", n, lambda A=inputs[n]: rank(A), dict)
     for n in QQ_INVERSE:
         case("qq", "inverse", n, lambda A=inputs[n]: leu.mat_inverse(A),
              lambda X: {"max_entry_bits": _max_entry_bits(X)})
@@ -167,8 +180,8 @@ def main(argv=None):
         "python": platform.python_version(),
         "repeat": args.repeat,
         "seed": args.seed,
-        "gfp": {"p": P, "decompose": {}, "product": {}, "verify": {}},
-        "qq": {"decompose": {}, "inverse": {}, "bruhat": {}, "product": {}},
+        "gfp": {"p": P, "decompose": {}, "rank": {}, "product": {}, "verify": {}},
+        "qq": {"decompose": {}, "rank": {}, "inverse": {}, "bruhat": {}, "product": {}},
     }
     with tempfile.TemporaryDirectory() as tmp:
         sides = {"src": _cases(leu, args.seed, tmp)}

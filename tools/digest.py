@@ -5,9 +5,10 @@ Over GF(7), GF(65521), GF(2^31 - 1) and the rationals, at n = 1, 2, 3, 5,
 is decomposed with classical products and with Strassen products at cutoff
 1.  Each decomposition feeds L, E, U, the MulCounter totals and the node
 log into the hash.  The classical run also feeds in the inverse (or the rank
-that the SingularError carries), the rank, the kernel basis and the Bruhat
-factors, each with its counter, except over the rationals at n = 64, where
-those four alone take twice as long as all the rest.  Any change to a
+that the SingularError carries), the rank, the kernel basis, the rows and
+columns of the largest nonsingular block and the Bruhat factors, each with
+its counter, except over the rationals at n = 64, where those alone take
+twice as long as all the rest.  Any change to a
 value, a count or the order of the node log changes the hash.
 
     python tools/digest.py [--src DIR] [--debug-checks]
@@ -15,10 +16,12 @@ value, a count or the order of the node log changes the hash.
 ``--src`` is the directory that holds the ``leu`` package (default: ``src``
 next to this script), so a parent and a changed checkout can be compared
 with one copy of this script.  ``--debug-checks`` passes
-``debug_checks=True`` to every decomposition and derived operation; that
-runs the plain recursion with every node check, where the default run takes
-the fast paths (over GF(p), the nodes of n <= 4 run on scalars), so the two
-must print the same hash.
+``debug_checks=True`` to every decomposition and derived operation (to the
+block as ``verify=True``); that runs the plain recursion with every node
+check and both factors, where the default run takes the fast paths (over
+GF(p), the nodes of n <= 4 run on scalars, and the rank, the kernel and the
+block skip the products of the factors they do not read), so the two must
+print the same hash.
 ``digest.sha256`` next to it holds the hash of the committed source.
 """
 
@@ -43,7 +46,7 @@ def main(argv=None):
     sys.path.insert(0, os.path.abspath(args.src))
     from leu import (
         GF, QQ, DenseMatrix, MulCounter, SingularError, bruhat_decompose, kernel_basis,
-        leu_decompose, mat_inverse, mat_mul_classical, mat_rank,
+        largest_nonsingular_block, leu_decompose, mat_inverse, mat_mul_classical, mat_rank,
     )
 
     dc = {"debug_checks": args.debug_checks}
@@ -89,6 +92,8 @@ def main(argv=None):
                 feed(mat_rank(A, c, **dc), c)
                 c = MulCounter()
                 feed(kernel_basis(A, c, **dc), c)
+                c = MulCounter()
+                feed(*largest_nonsingular_block(A, c, verify=args.debug_checks), c)
                 c = MulCounter()
                 b = bruhat_decompose(A, c, **dc)
                 feed(b.V1, b.w.ones, b.V2, c)
