@@ -14,12 +14,12 @@ products plus additions and sparse permutation/diagonal applications,
 which are free of counted multiplications.  The scalar base case inverts
 one nonzero entry.  Over GF(p) the nodes of n <= 4 run on scalars: a nonzero
 4 x 4 (or 2 x 2 root) block is one leaf on flat 2 x 2 blocks of residues,
-the node's own operations in the same order, so the same values, E, counts
-and node log, without the block glue; ``debug_checks`` keeps the plain
-recursion and its node checks.  Every other product is computed by the
-field's one product kernel; ``method`` and ``cutoff`` choose only what the
-recursion adds to the supplied MulCounter for it: n^3 for a classical
-product, and ``strassen_count(n, cutoff)`` for a Strassen one.
+the node's own operations in the same order, so the same values and E
+without the block glue; ``debug_checks`` keeps the plain recursion and its
+node checks.  Every other product is computed by the field's one product
+kernel; ``method`` and ``cutoff`` choose only what the recursion adds to the
+supplied MulCounter for it: n^3 for a classical product, and
+``strassen_count(n, cutoff)`` for a Strassen one.
 
 Blocks travel through the recursion in the form of their field's block
 kernel (see :mod:`leu.dense`): rows of residues over GF(p), and over the
@@ -27,11 +27,12 @@ rationals fraction-free integer rows with a scale per row and per column,
 turned into canonical fractions once at the end.  Work whose outcome is known
 without arithmetic, or whose result no caller reads, is skipped but still
 counted: a product with a zero operand or with the identity block a node
-hands on, a node whose block is zero (it gives L = U = I and an empty E),
-and the six products that make a node's L, or its U, when nothing reads
-that factor (the rank and the block read only E, the kernel E and U, and a
-node asks each child for what it reads of it).  So the count, like every
-value that is returned, does not depend on which shortcuts were taken.
+hands on, and the six products that make a node's L, or its U, when nothing
+reads that factor (the rank and the block read only E, the kernel E and U,
+and a node asks each child for what it reads of it).  A subtree that runs no
+product, a zero block (L = U = I, E empty) or a GF(p) leaf, which computes
+and never counts, is counted and logged in one place, from the model of the
+whole subtree.  So the count does not depend on which shortcuts were taken.
 
 :func:`leu_decompose` is the one entry point.  Its body pads the input with
 zeros once, to the next power-of-two square, and cuts L and U back in kernel
@@ -52,6 +53,7 @@ place nonzero entries.
 from __future__ import annotations
 
 from dataclasses import dataclass
+from functools import lru_cache
 from math import inf
 
 from .dense import (
@@ -101,8 +103,7 @@ class _Plan:
     """Per-call context shared by every node of one decomposition: the block
     kernel, the count model, the counter and, if one is kept, the node log."""
 
-    __slots__ = ("k", "cutoff", "debug", "reverse", "counter", "log", "own", "_mults", "_tree",
-                 "leaf")
+    __slots__ = ("k", "cutoff", "debug", "reverse", "counter", "log", "own", "leaf")
 
     def __init__(self, field, method, cutoff, debug, reverse, counter, log):
         # the classical count is Strassen's count of a product that never splits
@@ -119,38 +120,41 @@ class _Plan:
         self.counter = counter
         self.log = log
         self.own = 0  # counted by the products of the node now running
-        self._mults = {}
-        self._tree = {1: 0}
         # GF(p) runs its nodes of n <= 4 on scalars; debug_checks keeps the recursion
         self.leaf = field.kind == "gfp" and not debug
 
-    def mults(self, h):
-        """The count of one h x h product, ``strassen_count(h, cutoff)``, kept per h."""
-        c = self._mults.get(h)
-        if c is None:
-            c = self._mults[h] = strassen_count(h, self.cutoff)
-        return c
-
     def mm(self, x, y, h):
         """The product of two h x h blocks, counted."""
-        c = self.mults(h)
+        c = strassen_count(h, self.cutoff)
         self.counter.scalar_mults += c
         self.own += c
         return self.k.mul(x, y, h, h)
 
     def unread(self, k, h):
         """Count k products of h x h blocks whose results no caller reads."""
-        c = k * self.mults(h)
+        c = k * strassen_count(h, self.cutoff)
         self.counter.scalar_mults += c
         self.own += c
 
-    def tree_mults(self, n):
-        """Multiplications the recursion counts on an n x n block."""
-        t = self._tree.get(n)
-        if t is None:
-            h = n >> 1
-            t = self._tree[n] = 17 * self.mults(h) + 4 * self.tree_mults(h)
-        return t
+    def model(self, n):
+        """Count, and log if a log is kept, an n x n subtree that runs no product."""
+        self.counter.scalar_mults += _tree_count(n, self.cutoff)
+        if self.log is not None:
+            self.log.extend(_model_log(n, self.cutoff))
+
+
+@lru_cache(maxsize=256)
+def _tree_count(n, cutoff):
+    # multiplications the recursion counts on an n x n block
+    return 0 if n == 1 else 17 * strassen_count(n >> 1, cutoff) + 4 * _tree_count(n >> 1, cutoff)
+
+
+def _model_log(n, cutoff):
+    # the log entries of an n x n block's subtree, in the order a visit of
+    # every node would append them
+    if n == 1:
+        return []
+    return 4 * _model_log(n >> 1, cutoff) + [(n, 17 * strassen_count(n >> 1, cutoff))]
 
 
 # which factors besides E a caller reads: a bit each for L and U
@@ -190,14 +194,6 @@ def _debug_node(l, e, u, n, im, jm, one):
     _ensure(_unit_outside(u, n, jm, one, True), "U has a non-unit column outside the support")
 
 
-def _zero_log(n, plan):
-    # the log entries of a zero n x n block's subtree, in the order a visit
-    # of every node would append them
-    if n == 1:
-        return []
-    return 4 * _zero_log(n >> 1, plan) + [(n, 17 * plan.mults(n >> 1))]
-
-
 def _leu_rec(a, n, im, jm, plan, reads=_LU):
     # a is a block in the form of plan.k; so are the returned L and U, but a
     # factor that reads leaves out may be None
@@ -214,20 +210,22 @@ def _leu_rec(a, n, im, jm, plan, reads=_LU):
         _ensure(not _outside_support(K.store(a), n, im, jm),
                 "block has entries outside its (I, J) support")
 
+    # a zero block (every node below sees zeros only: L = U = I, E = 0) and
+    # a GF(p) scalar leaf run no product: the model counts and logs them
     if K.is_zero(a):
-        # every node below sees zeros only: L = U = I, E = 0, counted and logged in full
-        plan.counter.scalar_mults += plan.tree_mults(n)
-        if plan.log is not None:
-            plan.log.extend(_zero_log(n, plan))
+        plan.model(n)
         one = K.identity(n)
         return one, [], one
     if plan.leaf and n <= 4:
+        plan.model(n)
         if n == 4:
-            return _leaf4(a, plan)
-        # only a 2 x 2 root gets here: the n = 4 leaf runs every other n = 2 node
-        (x0, x1), (x2, x3) = a
-        (l0, _, l2, l3), e, (_, u1, _, _) = _leaf2((x0, x1, x2, x3), plan)
-        return [[l0, 0], [l2, l3]], [ij for ij, f in zip(_CELLS, e) if f], [[1, u1], [0, 1]]
+            l, e, u = _leaf4(a, K.p, K.field.inv)
+        else:  # a 2 x 2 root: the n = 4 leaf runs every other n = 2 node
+            (x0, x1), (x2, x3) = a
+            (l0, _, l2, l3), f, (_, u1, _, _) = _leaf2((x0, x1, x2, x3), K.p, K.field.inv)
+            l, e, u = [[l0, 0], [l2, l3]], [ij for ij, g in zip(_CELLS, f) if g], [[1, u1], [0, 1]]
+        plan.counter.scalar_invs += len(e)
+        return l, e, u
 
     h = n >> 1
     hm = (1 << h) - 1
@@ -308,18 +306,13 @@ def _leu_rec(a, n, im, jm, plan, reads=_LU):
     return l, e, u
 
 
-def _leaf2(a, plan):
+def _leaf2(a, p, inv):
     # _leu_rec's node at n = 2 over GF(p) on a flat block (x11, x12, x21, x22)
     # of residues: the same operations in the same order.  L and U come back
-    # flat, E as flags in that order, its 17 products counted and logged by the model
+    # flat, E as flags in that order; the caller counts the node from the model
     a11, a12, a21, a22 = a
-    p, inv = plan.k.p, plan.k.field.inv
-    c = plan.tree_mults(2)
-    plan.counter.scalar_mults += c
-    if plan.log is not None:
-        plan.log.append((2, c))
     if not (a11 or a12 or a21 or a22):
-        return _I2, _NO_ONES, _I2  # as _leu_rec's zero block: L = U = I, E = 0
+        return _I2, (False,) * 4, _I2  # as _leu_rec's zero block: L = U = I, E = 0
     # an n = 1 node's l inverts a nonzero pivot (1 stays 1), which E takes
     l11 = inv(a11) if a11 > 1 else 1
     q = l11 * a12 % p
@@ -334,7 +327,6 @@ def _leaf2(a, plan):
     w = (ge * l12 + l21 * t) % p
     v = (gj if x21 else 0) + (q if a11 else 0)
     e = (a11 != 0, x12 != 0, x21 != 0, x22 != 0)
-    plan.counter.scalar_invs += sum(e)
     return (l12 * l11 % p, 0, -l22 * w * l11 % p, l22 * l21 % p), e, (1, -v % p, 0, 1)
 
 
@@ -342,7 +334,6 @@ _CELLS = ((0, 0), (0, 1), (1, 0), (1, 1))  # the flat order of a 2 x 2 block
 # a 4 x 4's cells by quadrant in the order E11, E12, E21, E22, each in flat order
 _CELLS4 = tuple((2 * bi + i, 2 * bj + j) for bi, bj in _CELLS for i, j in _CELLS)
 _I2 = (1, 0, 0, 1)
-_NO_ONES = (False,) * 4
 
 
 def _mul2(x, y, p):
@@ -373,24 +364,23 @@ def _keep2(x, e, cols):
     return (x0 if k0 else 0, x1 if k0 else 0, x2 if k1 else 0, x3 if k1 else 0)
 
 
-def _leaf4(a, plan):
+def _leaf4(a, p, inv):
     # _leu_rec's node at n = 4 over GF(p) on flat 2 x 2 blocks: the same
-    # operations in the same order, its four children through _leaf2 and its
-    # own 17 products counted and logged by the model
-    p = plan.k.p
+    # operations in the same order, its four children through _leaf2; the
+    # caller counts the node and its children from the model
     (r00, r01, r02, r03), (r10, r11, r12, r13), (r20, r21, r22, r23), (r30, r31, r32, r33) = a
-    l11, e11, u11 = _leaf2((r00, r01, r10, r11), plan)
+    l11, e11, u11 = _leaf2((r00, r01, r10, r11), p, inv)
     et11 = (e11[0], e11[2], e11[1], e11[3])  # E11^T, as perm_cols and perm_rows apply it
     q = _mul2(l11, (r02, r03, r12, r13), p)
     b = _mul2((r20, r21, r30, r31), u11, p)
     t = _mul2(b, et11, p)
     a1_22 = _add2((r22, r23, r32, r33), _mul2(t, q, p), p, -1)
-    # both middle children log (2, the model's count), so plan.reverse cannot show
-    l12, e12, u12 = _leaf2(_keep2(q, e11, False), plan)
-    l21, e21, u21 = _leaf2(_keep2(b, e11, True), plan)
+    # the model logs both middle children alike, so plan.reverse cannot show
+    l12, e12, u12 = _leaf2(_keep2(q, e11, False), p, inv)
+    l21, e21, u21 = _leaf2(_keep2(b, e11, True), p, inv)
     g = _mul2(_mul2(l21, a1_22, p), u12, p)
     gj = _keep2(g, e12, True)
-    l22, e22, u22 = _leaf2(_keep2(gj, e21, False), plan)
+    l22, e22, u22 = _leaf2(_keep2(gj, e21, False), p, inv)
     ge = _mul2(g, (e12[0], e12[2], e12[1], e12[3]), p)
     w = _add2(_mul2(ge, l12, p), _mul2(l21, t, p), p)
     eg = _mul2((e21[0], e21[2], e21[1], e21[3]), gj, p)
@@ -401,10 +391,6 @@ def _leaf4(a, plan):
     s0, s1, _, s3 = _mul2(u11, u21, p)
     d0, d1, d2, d3 = _mul2(_mul2(u11, v, p), u22, p)
     f0, f1, _, f3 = _mul2(u12, u22, p)
-    c = 17 * plan.mults(2)
-    plan.counter.scalar_mults += c
-    if plan.log is not None:
-        plan.log.append((4, c))
     e = [ij for ij, f in zip(_CELLS4, e11 + e12 + e21 + e22) if f]
     l = [[t0, 0, 0, 0], [t2, t3, 0, 0], [-b0 % p, -b1 % p, c0, 0], [-b2 % p, -b3 % p, c2, c3]]
     u = [[s0, s1, -d0 % p, -d1 % p], [0, s3, -d2 % p, -d3 % p], [0, 0, f0, f1], [0, 0, 0, f3]]
@@ -459,6 +445,10 @@ def _leu_blocks(A, reads, counter, method, cutoff, debug_checks, parallel=False,
     if counter is None:
         counter = MulCounter()
     plan = _Plan(field, method, cutoff, debug_checks, parallel, counter, node_log)
+    if not (r and c) and reads == _E:
+        # an empty dimension has rank 0: the padded zero block is counted, never built
+        plan.model(m)
+        return None, [], None, plan, s
     K = plan.k
     z = field.zero_raw
     pad = [z] * (m - c)

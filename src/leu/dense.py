@@ -310,6 +310,7 @@ def _quarters(rows, h):
     return [r[:h] for r in top], [r[h:] for r in top], [r[:h] for r in bot], [r[h:] for r in bot]
 
 
+@lru_cache(maxsize=256)
 def strassen_count(n: int, cutoff: int) -> int:
     """Scalar multiplications of one n x n Strassen product at ``cutoff``."""
     if n <= cutoff:

@@ -14,7 +14,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 
-from .decompose import _E, _LU, _U, _Plan, _ensure, _leu_blocks, _square
+from .decompose import _E, _LU, _U, _ensure, _leu_blocks, _square
 from .dense import DenseMatrix, MulCounter, blocks, invert_lower_block, mat_mul_classical
 from .errors import SingularError
 from .perms import TruncPerm, _col_mask, _row_mask
@@ -119,16 +119,10 @@ def mat_rank(
 ) -> int:
     """Rank of a matrix; rectangular input is padded square with zeros.
 
-    A matrix with one empty dimension has rank 0 and is not padded; the
-    counter gets what the recursion counts on the padded zero block.
+    Read off E alone.  A matrix with one empty dimension has rank 0 and is
+    not padded; the counter gets the model's count of the padded zero block.
     """
-    s = max(A.shape)
-    if min(A.shape) or not s:
-        return len(_leu_blocks(A, _E, counter, method, cutoff, debug_checks)[1])
-    plan = _Plan(A.field, method, cutoff, debug_checks, False, counter, None)
-    if counter is not None:
-        counter.scalar_mults += plan.tree_mults(1 << (s - 1).bit_length())
-    return 0
+    return len(_leu_blocks(A, _E, counter, method, cutoff, debug_checks)[1])
 
 
 def kernel_basis(

@@ -8,7 +8,7 @@ from __future__ import annotations
 
 import random
 
-from leu import QQ, DenseMatrix, GF, MulCounter, mat_mul_classical
+from leu import QQ, DenseMatrix, GF, MulCounter, TruncPerm, mat_mul_classical
 
 GF7 = GF(7)
 GF65521 = GF(65521)
@@ -31,6 +31,27 @@ def planted_rank(field, n: int, r: int, rng: random.Random) -> DenseMatrix:
     P = rand_matrix(field, n, r, rng)
     Q = rand_matrix(field, r, n, rng)
     return mat_mul_classical(P, Q, MulCounter())
+
+
+def profiled(field, n: int, r: int, rng: random.Random) -> tuple:
+    """(L0 * P * U0, P): L0 random n x n lower triangular with a nonzero
+    diagonal, P a random truncated permutation of rank r and U0 random unit
+    upper triangular.  P is the rank profile matrix of the product, so the
+    decomposition's E is P; and unlike planted_rank's, the leading blocks need
+    not have generic rank, so the middle recursions of a node do real work."""
+
+    def entry(nonzero=False):
+        if field.kind == "gfp":
+            return rng.randrange(nonzero, field.modulus)
+        return rng.choice((-1, 1)) * rng.randint(1, 9) if nonzero else rng.randint(-9, 9)
+
+    lo = [[entry(True) if i == j else entry() if j < i else 0 for j in range(n)] for i in range(n)]
+    up = [[1 if i == j else entry() if j > i else 0 for j in range(n)] for i in range(n)]
+    P = TruncPerm(n, zip(rng.sample(range(n), r), rng.sample(range(n), r)))
+    pu = [[0] * n for _ in range(n)]
+    for i, j in P.ones:
+        pu[i] = up[j]
+    return mul(DenseMatrix(field, lo), DenseMatrix(field, pu)), P
 
 
 def mul(A: DenseMatrix, B: DenseMatrix) -> DenseMatrix:

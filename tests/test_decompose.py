@@ -30,7 +30,7 @@ from leu import (
     tp_to_dense,
 )
 from leu import oracle
-from helpers import FIELDS, GF7, GF65521, mul, planted_rank, rand_matrix
+from helpers import FIELDS, GF7, GF65521, mul, planted_rank, profiled, rand_matrix
 
 rng = random.Random(0x1EAF)
 
@@ -136,6 +136,21 @@ def test_reconstruction_random(field):
         assert res.rank == oracle.gauss_rank(A)
 
 
+@pytest.mark.parametrize("field", FIELDS + (GF(2), GF(3)))
+def test_e_is_p_on_profiled_inputs(field):
+    # L0 * P * U0 has the rank profile matrix P, so E == P at every size and
+    # rank, and the middle recursions of its nodes get nonzero blocks
+    r = random.Random(0x1F)
+    for n in range(1, 34):
+        for rank in sorted({0, 1, n // 2, n - 1, n}):
+            A, P = profiled(field, n, rank, r)
+            res = leu_decompose(A)
+            assert res.E == P, (A._d, rank)
+            assert reconstructs(A, res)
+            if n <= 12:
+                assert leu_decompose(A, debug_checks=True).E == P
+
+
 def test_block_support_disjointness():
     # quadrants of E occupy disjoint rows/columns pairwise as the recursion
     # distributes zero rows and columns
@@ -236,9 +251,9 @@ def test_gfp_leaf_matches_the_recursion_on_every_2x2(p, monkeypatch):
     leaves = [0]
     real = decompose._leaf2
 
-    def counted(a, plan):
+    def counted(a, p, inv):
         leaves[0] += 1
-        return real(a, plan)
+        return real(a, p, inv)
 
     monkeypatch.setattr(decompose, "_leaf2", counted)
     for A in _all_matrices(GF(p), 2):
@@ -262,9 +277,9 @@ def test_gfp_leaf4_matches_the_recursion_on_every_4x4(monkeypatch):
     leaves = [0]
     real = decompose._leaf4
 
-    def counted(a, plan):
+    def counted(a, p, inv):
         leaves[0] += 1
-        return real(a, plan)
+        return real(a, p, inv)
 
     monkeypatch.setattr(decompose, "_leaf4", counted)
     for A in _all_matrices(GF(2), 4):
@@ -300,6 +315,15 @@ def test_gfp_leaf4_matches_the_recursion_under_larger_nodes():
     for n in range(5, 17):
         for rank in sorted({0, 1, n // 2, n - 1, n}):
             assert_leaf_matches_the_recursion(planted_rank(GF(2), n, rank, r))
+
+
+@pytest.mark.parametrize("p", (2, 7, 65521))
+def test_gfp_leaf_matches_the_recursion_on_profiled_inputs(p):
+    # n = 4 to 16: the leaves run under nodes whose middle children are nonzero
+    r = random.Random(0x1EAF6 + p)
+    for n in range(4, 17):
+        for rank in sorted({0, 1, n // 2, n - 1, n}):
+            assert_leaf_matches_the_recursion(profiled(GF(p), n, rank, r)[0])
 
 
 @pytest.mark.parametrize("p", (7, 65521))

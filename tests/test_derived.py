@@ -24,7 +24,7 @@ from leu import (
 from leu import oracle
 from leu.cli import bench_matrix
 from leu.dense import blocks, is_upper_triangular
-from helpers import FIELDS, GF7, GF65521, mul, planted_rank, rand_matrix
+from helpers import FIELDS, GF7, GF65521, mul, planted_rank, profiled, rand_matrix
 
 rng = random.Random(0xB10C5)
 
@@ -308,8 +308,13 @@ def test_rank_kernel_and_block_read_the_full_decomposition(field, shape, kw):
     from leu.derived import _kernel_from
 
     rows, cols = shape
-    for r in sorted({0, min(shape) // 2, min(shape)}):
-        A = _planted(field, rows, cols, r)
+    s = max(shape)
+    g = random.Random(f"profiled {field!r} {shape}")
+    inputs = [_planted(field, rows, cols, r) for r in sorted({0, min(shape) // 2, min(shape)})]
+    # the leading block of L0 * P * U0 is the same kind of product, of a smaller P
+    inputs += [profiled(field, s, r, g)[0].select(range(rows), range(cols))
+               for r in sorted({0, s // 2, s - 1, s})]
+    for A in inputs:
         log = []
         full = leu_decompose(_padded(A), **kw, _node_log=log)
         c = MulCounter()

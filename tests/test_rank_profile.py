@@ -23,7 +23,7 @@ from operator import mul
 
 from leu import GF, QQ, DenseMatrix, MulCounter, leu_decompose, mat_inverse, tp_to_dense
 from leu.oracle import gauss_rank
-from helpers import planted_rank
+from helpers import planted_rank, profiled
 
 P61 = 2**61 - 1
 GF61 = GF(P61)
@@ -81,6 +81,7 @@ def test_e_is_the_rank_profile_of_every_3x3_over_gf2():
 
 def test_e_is_the_rank_profile_at_every_rank():
     rng = random.Random(0xE)
+    lp = random.Random(0x10B0)
     for field in (GF(3), GF(7), QQ):
         def entry():
             return rng.randrange(field.modulus) if field.kind == "gfp" else rng.randint(-9, 9)
@@ -91,6 +92,11 @@ def test_e_is_the_rank_profile_at_every_rank():
                     A = planted_rank(field, n, rank, rng)
                 else:
                     A = DenseMatrix(field, _profiled(n, rank, entry, rng))
+                _assert_rank_profile(A)
+                # L0 * P * U0 with any nonzero diagonal in L0: the oracle
+                # confirms that P is its rank profile, and E takes it
+                A, P = profiled(field, n, rank, lp)
+                assert leu_decompose(A).E == P, A._d
                 _assert_rank_profile(A)
 
 

@@ -4,11 +4,16 @@
 ``bench`` command's full-rank matrices, at n = 16, 32, 64, 128, 256
 (``decompose``, with the rank and the model multiplication count; at n = 16
 and 32 the nodes of n <= 4 take a larger share of an op than at n >= 64),
-``mat_rank``, which reads E alone, on the same matrices at n = 64 and 128
-(``rank``, with the rank and the count), one ``mat_mul_classical`` product
-of two seeded h x h matrices of residues at h = 8 to 128 (``product``), and
-one in-process ``leu verify`` on the n = 40 bench matrix (``verify``),
-failing if a run reports a failed check.  ``qq`` times ``leu_decompose`` at
+``leu_decompose`` at n = 128 and 256 on a seeded full-rank L0 * P * U0, with
+L0 random lower triangular with a nonzero diagonal, P a random permutation
+and U0 random unit upper triangular (``profile``, with the rank and the
+count: the paper's general case, where the leading blocks are singular and
+the middle recursions of a node do real work, against the bench matrices'
+generic ranks), ``mat_rank``, which reads E alone, on the bench matrices at
+n = 64 and 128 (``rank``, with the rank and the count), one
+``mat_mul_classical`` product of two seeded h x h matrices of residues at
+h = 8 to 128 (``product``), and one in-process ``leu verify`` on the n = 40
+bench matrix (``verify``), failing if a run reports a failed check.  ``qq`` times ``leu_decompose`` at
 n = 16 to 64 (``decompose``, with the rank), ``mat_inverse`` at n = 32, 48,
 64 (``inverse``) and ``bruhat_decompose`` at n = 32 (``bruhat``, the path of
 the two triangular inverses) on one seeded full-rank integer matrix per
@@ -50,6 +55,7 @@ import time
 
 P = 65521
 GFP_DECOMPOSE = (16, 32, 64, 128, 256)
+GFP_PROFILE = (128, 256)
 GFP_RANK = (64, 128)
 GFP_PRODUCT = (8, 16, 32, 64, 128)
 GFP_VERIFY = 40
@@ -98,6 +104,16 @@ def _max_entry_bits(*mats):
     )
 
 
+def _profiled(leu, n, rng):
+    # a full-rank L0 * P * U0 over GF(P): P * U0 is U0 with its rows shuffled
+    lo = [[rng.randrange(1, P) if j == i else rng.randrange(P) if j < i else 0 for j in range(n)]
+          for i in range(n)]
+    up = [[1 if j == i else rng.randrange(P) if j > i else 0 for j in range(n)] for i in range(n)]
+    rng.shuffle(up)
+    F = leu.GF(P)
+    return leu.mat_mul_classical(leu.DenseMatrix(F, lo), leu.DenseMatrix(F, up))
+
+
 def _cases(leu, seed, tmp):
     """(part, section, key, run, facts) for every case, on one leu package:
     run times one op, facts reads what no speed-up may change off its result."""
@@ -110,14 +126,19 @@ def _cases(leu, seed, tmp):
     def case(part, section, key, run, facts=lambda res: {}):
         out.append((part, section, str(key), run, facts))
 
+    def counts(res):
+        return {"rank": res.rank, "scalar_mults": res.counter.scalar_mults}
+
     def rank(A):
         c = leu.MulCounter()
         return {"rank": leu.mat_rank(A, c), "scalar_mults": c.scalar_mults}
 
     for n in GFP_DECOMPOSE:
         A = cli.bench_matrix(n, seed, P)
-        case("gfp", "decompose", n, lambda A=A: leu.leu_decompose(A),
-             lambda res: {"rank": res.rank, "scalar_mults": res.counter.scalar_mults})
+        case("gfp", "decompose", n, lambda A=A: leu.leu_decompose(A), counts)
+    rng = random.Random(seed)
+    for n in GFP_PROFILE:
+        case("gfp", "profile", n, lambda A=_profiled(leu, n, rng): leu.leu_decompose(A), counts)
     for n in GFP_RANK:
         case("gfp", "rank", n, lambda A=cli.bench_matrix(n, seed, P): rank(A), dict)
     rng = random.Random(seed)
@@ -180,7 +201,7 @@ def main(argv=None):
         "python": platform.python_version(),
         "repeat": args.repeat,
         "seed": args.seed,
-        "gfp": {"p": P, "decompose": {}, "rank": {}, "product": {}, "verify": {}},
+        "gfp": {"p": P, "decompose": {}, "profile": {}, "rank": {}, "product": {}, "verify": {}},
         "qq": {"decompose": {}, "rank": {}, "inverse": {}, "bruhat": {}, "product": {}},
     }
     with tempfile.TemporaryDirectory() as tmp:

@@ -1,15 +1,21 @@
 """One sha256 over what leu computes, for comparing two checkouts.
 
 Over GF(7), GF(65521), GF(2^31 - 1) and the rationals, at n = 1, 2, 3, 5,
-8, 16, 33 and 64, one seeded n x n matrix of each planted rank 0, n/2 and n
-is decomposed with classical products and with Strassen products at cutoff
-1.  Each decomposition feeds L, E, U, the MulCounter totals and the node
-log into the hash.  The classical run also feeds in the inverse (or the rank
-that the SingularError carries), the rank, the kernel basis, the rows and
-columns of the largest nonsingular block and the Bruhat factors, each with
-its counter, except over the rationals at n = 64, where those alone take
-twice as long as all the rest.  Any change to a
-value, a count or the order of the node log changes the hash.
+8, 16, 33 and 64, two seeded n x n matrices of each rank r = 0, n/2 and n
+are decomposed with classical products and with Strassen products at
+cutoff 1.  The planted one is the product of an n x r and an r x n matrix;
+its leading blocks have generic rank, so the middle recursions of a node
+mostly see zero blocks.  The profiled one is L0 * P * U0, with L0 random
+lower triangular with a nonzero diagonal, P a random truncated permutation
+of rank r and U0 random unit upper triangular; its rank profile matrix is
+P, and its middle recursions do real work.  Each decomposition feeds L, E,
+U, the MulCounter totals and the node log into the hash.  The classical run
+also feeds in the inverse (or the rank that the SingularError carries), the
+rank, the kernel basis, the rows and columns of the largest nonsingular
+block and the Bruhat factors, each with its counter, except over the
+rationals at n = 64, where those alone take twice as long as all the rest.
+Any change to a value, a count or the order of the node log changes the
+hash.
 
     python tools/digest.py [--src DIR] [--debug-checks]
 
@@ -72,31 +78,52 @@ def main(argv=None):
         Q = DenseMatrix(field, [[entry() for _ in range(n)] for _ in range(r)])
         return mat_mul_classical(P, Q)
 
-    for field in [*map(GF, PRIMES), QQ]:
+    def profiled(field, n, r, rng):
+        # L0 * P * U0, whose rank profile matrix is the rank r permutation P
+        def entry(nonzero=False):
+            if field.kind == "gfp":
+                return rng.randrange(nonzero, field.modulus)
+            return rng.choice((-1, 1)) * rng.randint(1, 9) if nonzero else rng.randint(-9, 9)
+
+        lo = [[entry(True) if i == j else entry() if j < i else 0 for j in range(n)]
+              for i in range(n)]
+        up = [[1 if i == j else entry() if j > i else 0 for j in range(n)] for i in range(n)]
+        pu = [[0] * n for _ in range(n)]
+        for i, j in zip(rng.sample(range(n), r), rng.sample(range(n), r)):
+            pu[i] = up[j]
+        return mat_mul_classical(DenseMatrix(field, lo), DenseMatrix(field, pu))
+
+    def inputs(field):
+        # (n, r, kind, A) for every input of one field that the hash covers
         for n in SIZES:
             for r in sorted({0, n // 2, n}):
-                A = planted(field, n, r, random.Random(f"{field!r} {n} {r}"))
-                feed(field, n, r, A)
-                for method, cutoff in METHODS:
-                    log = []
-                    res = leu_decompose(A, method=method, cutoff=cutoff, _node_log=log, **dc)
-                    feed(method, res.L, res.E.ones, res.U, res.counter, log)
-                if field == QQ and n > RATIONAL_DERIVED:
-                    continue
-                c = MulCounter()
-                try:
-                    feed(mat_inverse(A, c, **dc), c)
-                except SingularError as e:
-                    feed("singular", e.rank, c)
-                c = MulCounter()
-                feed(mat_rank(A, c, **dc), c)
-                c = MulCounter()
-                feed(kernel_basis(A, c, **dc), c)
-                c = MulCounter()
-                feed(*largest_nonsingular_block(A, c, verify=args.debug_checks), c)
-                c = MulCounter()
-                b = bruhat_decompose(A, c, **dc)
-                feed(b.V1, b.w.ones, b.V2, c)
+                yield n, r, "planted", planted(field, n, r, random.Random(f"{field!r} {n} {r}"))
+                rng = random.Random(f"profiled {field!r} {n} {r}")
+                yield n, r, "profiled", profiled(field, n, r, rng)
+
+    for field in [*map(GF, PRIMES), QQ]:
+        for n, r, kind, A in inputs(field):
+            feed(field, n, r, kind, A)
+            for method, cutoff in METHODS:
+                log = []
+                res = leu_decompose(A, method=method, cutoff=cutoff, _node_log=log, **dc)
+                feed(method, res.L, res.E.ones, res.U, res.counter, log)
+            if field == QQ and n > RATIONAL_DERIVED:
+                continue
+            c = MulCounter()
+            try:
+                feed(mat_inverse(A, c, **dc), c)
+            except SingularError as e:
+                feed("singular", e.rank, c)
+            c = MulCounter()
+            feed(mat_rank(A, c, **dc), c)
+            c = MulCounter()
+            feed(kernel_basis(A, c, **dc), c)
+            c = MulCounter()
+            feed(*largest_nonsingular_block(A, c, verify=args.debug_checks), c)
+            c = MulCounter()
+            b = bruhat_decompose(A, c, **dc)
+            feed(b.V1, b.w.ones, b.V2, c)
     print(h.hexdigest())
 
 
