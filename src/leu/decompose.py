@@ -34,20 +34,27 @@ product, a zero block (L = U = I, E empty) or a GF(p) leaf, which computes
 and never counts, is counted and logged in one place, from the model of the
 whole subtree.  So the count does not depend on which shortcuts were taken.
 
-:func:`leu_decompose` is the one entry point.  Its body pads the input with
-zeros once, to the next power-of-two square, and cuts L and U back in kernel
-form, which the entry point stores.  The derived operations read the body's
-blocks and store only their own results (see :mod:`leu.derived`); the rank
-and the kernel of a rectangular matrix are padded straight from their shape.
+:func:`leu_decompose` is the one entry point.  Its body runs the recursion
+at the next power-of-two order, with the input's own entries as the root's
+real block: every node splits at half its order, as the padded square would,
+but holds and multiplies only the real rows and columns of its quarters, and
+returns L and U as the leading blocks of its factors, which are the identity
+beyond them.  So the padding is counted and never stored.  A node whose
+real block fits in its top-left quarter runs that child alone, and counts
+its own 17 products and its three zero children.  The derived operations
+read the body's blocks and store only their own results (see
+:mod:`leu.derived`); the rank and the kernel of a rectangular matrix run on
+its own shape as well.
 
 The support masks (i, j) threaded through the recursion express which rows
 and columns of a block may be nonzero.  At the root they are the rows and
-columns of the unpadded input, so the root's own checks cover the padding;
-below it they are narrowed by the ones of E that the earlier sub-blocks
-found.  They never influence the computed values; they exist so that each
-sub-result can be checked against its support contract when
-``debug_checks`` is on, and they document where the algorithm is allowed to
-place nonzero entries.
+columns of the input, so the root's own checks read its real block; below
+it they are narrowed by the ones of E that the earlier sub-blocks found.
+They never influence the computed values: a block with an empty mask is
+zero and is skipped without a scan, which changes no value and no count.
+With ``debug_checks`` on, each sub-result is checked against its support
+contract, before any such skip, and the masks document where the algorithm
+is allowed to place nonzero entries.
 """
 
 from __future__ import annotations
@@ -128,10 +135,11 @@ class _Plan:
         c = strassen_count(h, self.cutoff)
         self.counter.scalar_mults += c
         self.own += c
-        return self.k.mul(x, y, h, h)
+        return self.k.mul(x, y)
 
-    def unread(self, k, h):
-        """Count k products of h x h blocks whose results no caller reads."""
+    def skip(self, k, h):
+        """Count k products of h x h blocks that do not run: no caller reads
+        them, or a zero or identity operand makes them known."""
         c = k * strassen_count(h, self.cutoff)
         self.counter.scalar_mults += c
         self.own += c
@@ -161,9 +169,10 @@ def _model_log(n, cutoff):
 _E, _L, _U, _LU = 0, 1, 2, 3
 
 
-def _outside_support(rows, n, im, jm):
-    """True if some entry lives in a row outside im or a column outside jm."""
-    return _keep_cols(_keep_rows(rows, im, [0] * n), jm, n) != rows
+def _outside_support(rows, c, im, jm):
+    """True if some entry of the c columns wide rows lives in a row outside
+    im or a column outside jm."""
+    return _keep_cols(_keep_rows(rows, im, [0] * c), jm, c) != rows
 
 
 def _unit_outside(rows, n, mask, one, cols):
@@ -184,50 +193,82 @@ def _ensure(ok, what):
 
 
 def _debug_node(l, e, u, n, im, jm, one):
+    # the checks of an n x n node on its real r x r L and c x c U: the
+    # node's factors are the identity beyond them, which no check need read
     i_e = _row_mask(e)
     j_e = _col_mask(e)
+    r, c = len(l), len(u)
     _ensure(i_e & im == i_e, "row support escapes its contract")
     _ensure(j_e & jm == j_e, "column support escapes its contract")
-    _ensure(_unit_outside(l, n, i_e, one, True), "L has a non-unit column outside the support")
-    _ensure(_unit_outside(l, n, im, one, False), "L has a non-unit row outside the support")
-    _ensure(_unit_outside(u, n, j_e, one, False), "U has a non-unit row outside the support")
-    _ensure(_unit_outside(u, n, jm, one, True), "U has a non-unit column outside the support")
+    _ensure(_unit_outside(l, r, i_e, one, True), "L has a non-unit column outside the support")
+    _ensure(_unit_outside(l, r, im, one, False), "L has a non-unit row outside the support")
+    _ensure(_unit_outside(u, c, j_e, one, False), "U has a non-unit row outside the support")
+    _ensure(_unit_outside(u, c, jm, one, True), "U has a non-unit column outside the support")
 
 
-def _leu_rec(a, n, im, jm, plan, reads=_LU):
-    # a is a block in the form of plan.k; so are the returned L and U, but a
-    # factor that reads leaves out may be None
+def _leu_rec(a, n, im, jm, plan, reads=_LU, r=None, c=None):
+    # a is the real r x c block (by default n x n) of an n x n node whose
+    # other entries are zero, in the form of plan.k.  The node's L and U are
+    # the identity beyond their leading r x r and c x c blocks, which come
+    # back in the same form, unless reads leaves the factor out: then it may
+    # be None.  Splits and counts are those of the n x n node
+    if r is None:
+        r = c = n
     K = plan.k
     if n == 1:
-        inv = K.inverse1(a)
+        inv = K.inverse1(a) if r and c else None
         if inv is not None:
             plan.counter.scalar_invs += 1
             return inv, [(0, 0)], K.identity(1)
-        one = K.identity(1)
-        return one, [], one
+        return K.identity(r), [], K.identity(c)
 
     if plan.debug:
-        _ensure(not _outside_support(K.store(a), n, im, jm),
+        _ensure(not _outside_support(K.store(a), c, im, jm),
                 "block has entries outside its (I, J) support")
 
     # a zero block (every node below sees zeros only: L = U = I, E = 0) and
-    # a GF(p) scalar leaf run no product: the model counts and logs them
-    if K.is_zero(a):
+    # a GF(p) scalar leaf run no product: the model counts and logs them.
+    # The masks bound the block's support, so an empty one needs no scan
+    if not (im and jm) or K.is_zero(a):
         plan.model(n)
-        one = K.identity(n)
-        return one, [], one
+        return K.identity(r), [], K.identity(c)
     if plan.leaf and n <= 4:
         plan.model(n)
+        cut = r < n or c < n
+        if cut:  # the leaf runs on the whole n x n block
+            a = [row + [0] * (n - c) for row in a] + [[0] * n] * (n - r)
         if n == 4:
             l, e, u = _leaf4(a, K.p, K.field.inv)
         else:  # a 2 x 2 root: the n = 4 leaf runs every other n = 2 node
             (x0, x1), (x2, x3) = a
             (l0, _, l2, l3), f, (_, u1, _, _) = _leaf2((x0, x1, x2, x3), K.p, K.field.inv)
             l, e, u = [[l0, 0], [l2, l3]], [ij for ij, g in zip(_CELLS, f) if g], [[1, u1], [0, 1]]
+        if cut:
+            l, u = [row[:r] for row in l[:r]], [row[:c] for row in u[:c]]
         plan.counter.scalar_invs += len(e)
         return l, e, u
 
     h = n >> 1
+    if r <= h and c <= h:
+        # only a11 is real: its factors and E are the node's, the other three
+        # children are zero blocks, and every product meets one of them or
+        # the identity they return
+        outer, plan.own = plan.own, 0
+        l, e, u = _leu_rec(a, h, im, jm, plan, reads, r, c)
+        plan.skip(17, h)
+        for _ in range(3):
+            plan.model(h)
+        if plan.debug:
+            _debug_node(K.store(l), e, K.store(u), n, im, jm, K.field.one_raw)
+        if plan.log is not None:
+            plan.log.append((n, plan.own))
+        plan.own = outer
+        return l, e, u
+
+    # each quarter's real shape: the top rows (left columns) fill before the
+    # bottom (right) ones get any
+    r1, c1 = min(r, h), min(c, h)
+    r2, c2 = r - r1, c - c1
     hm = (1 << h) - 1
     i1, i2 = im & hm, im >> h
     j1, j2 = jm & hm, jm >> h
@@ -236,18 +277,18 @@ def _leu_rec(a, n, im, jm, plan, reads=_LU):
     # this node's own count leaves out what its four children count
     outer, plan.own = plan.own, 0
 
-    l11, e11, u11 = _leu_rec(a11, h, i1, j1, plan)
+    l11, e11, u11 = _leu_rec(a11, h, i1, j1, plan, _LU, r1, c1)
 
     q = mm(l11, a12, h)
     b = mm(a21, u11, h)
 
     i11 = _row_mask(e11)
     j11 = _col_mask(e11)
-    ib11 = i11 ^ hm
-    jb11 = j11 ^ hm
-    a1_12 = K.keep_rows(q, ib11, h)
-    a1_21 = K.keep_cols(b, jb11, h)
-    t = K.perm_cols(b, e11, h)
+    ib11 = i11 ^ ((1 << r1) - 1)
+    jb11 = j11 ^ ((1 << c1) - 1)
+    a1_12 = K.keep_rows(q, ib11, c2)
+    a1_21 = K.keep_cols(b, jb11, c1)
+    t = K.perm_cols(b, e11, r1)
     a1_22 = K.sub(a22, mm(t, q, h))
 
     # the two middle recursions are independent: either order gives the same.
@@ -256,43 +297,44 @@ def _leu_rec(a, n, im, jm, plan, reads=_LU):
     reads12 = _U | reads & _L
     reads21 = _L | reads & _U
     if plan.reverse:
-        l21, e21, u21 = _leu_rec(a1_21, h, i2, jb11 & j1, plan, reads21)
-        l12, e12, u12 = _leu_rec(a1_12, h, ib11 & i1, j2, plan, reads12)
+        l21, e21, u21 = _leu_rec(a1_21, h, i2, jb11 & j1, plan, reads21, r2, c1)
+        l12, e12, u12 = _leu_rec(a1_12, h, ib11 & i1, j2, plan, reads12, r1, c2)
     else:
-        l12, e12, u12 = _leu_rec(a1_12, h, ib11 & i1, j2, plan, reads12)
-        l21, e21, u21 = _leu_rec(a1_21, h, i2, jb11 & j1, plan, reads21)
+        l12, e12, u12 = _leu_rec(a1_12, h, ib11 & i1, j2, plan, reads12, r1, c2)
+        l21, e21, u21 = _leu_rec(a1_21, h, i2, jb11 & j1, plan, reads21, r2, c1)
 
     g = mm(mm(l21, a1_22, h), u12, h)
     i21 = _row_mask(e21)
     j12 = _col_mask(e12)
-    ib21 = i21 ^ hm
-    jb12 = j12 ^ hm
-    gj = K.keep_cols(g, jb12, h)
-    a2_22 = K.keep_rows(gj, ib21, h)
+    ib21 = i21 ^ ((1 << r2) - 1)
+    jb12 = j12 ^ ((1 << c2) - 1)
+    gj = K.keep_cols(g, jb12, c2)
+    a2_22 = K.keep_rows(gj, ib21, c2)
 
-    l22, e22, u22 = _leu_rec(a2_22, h, ib21 & i2, jb12 & j2, plan, reads)
+    l22, e22, u22 = _leu_rec(a2_22, h, ib21 & i2, jb12 & j2, plan, reads, r2, c2)
 
     # L and U each take six more products, counted whether or not they run
     l = u = None
     if reads & _L:
-        ge = K.perm_cols(g, e12, h)
+        ge = K.perm_cols(g, e12, r1)
         w = K.add(mm(ge, l12, h), mm(l21, t, h))
         l_tl = mm(l12, l11, h)
         l_bl = K.neg(mm(mm(l22, w, h), l11, h))
         l_br = mm(l22, l21, h)
-        l = K.join(l_tl, K.zeros(h, h), l_bl, l_br)
+        l = K.join(l_tl, K.zeros(r1, r2), l_bl, l_br)
     else:
-        plan.unread(6, h)
+        plan.skip(6, h)
     if reads & _U:
-        eg = K.perm_rows(e21, gj, h)
-        eq = K.perm_rows(e11, q, h)
+        eg = K.perm_rows(e21, gj, c1, c2)
+        eq = K.perm_rows(e11, q, c1, c2)
         v = K.add(mm(u21, eg, h), mm(eq, u12, h))
         u_tl = mm(u11, u21, h)
         u_tr = K.neg(mm(mm(u11, v, h), u22, h))
         u_br = mm(u12, u22, h)
-        u = K.join(u_tl, u_tr, K.zeros(h, h), u_br)
+        u = K.join(u_tl, u_tr, K.zeros(c2, c1), u_br)
     else:
-        plan.unread(6, h)
+        plan.skip(6, h)
+    # a right (bottom) quarter holds a one only when the left (top) is whole
     e = list(e11)
     e += [(i, j + h) for i, j in e12]
     e += [(i + h, j) for i, j in e21]
@@ -407,17 +449,17 @@ def leu_decompose(
     debug_checks: bool = False,
     _node_log=None,
 ) -> LeuResult:
-    """Decompose any square matrix, padding to a power of two internally.
+    """Decompose any square matrix by the recursion of its power-of-two square.
 
-    The padded factors carry the identity on the padded region, so the
-    leading s x s blocks of L, E, U are returned and satisfy every
-    invariant for the original matrix.  ``parallel=True`` evaluates the two
-    independent middle recursions of every node in the opposite order; the
-    result and the counts are the same.
+    The factors of the zero-padded square are the identity on the padded
+    region, so only their leading s x s blocks of L, E, U are computed; they
+    satisfy every invariant for the original matrix.  ``parallel=True``
+    evaluates the two independent middle recursions of every node in the
+    opposite order; the result and the counts are the same.
     """
-    l, e, u, plan, s = _leu_blocks(_square(A), _LU, counter, method, cutoff, debug_checks,
-                                   parallel, _node_log)
-    store = plan.k.store
+    l, e, u, plan = _leu_blocks(_square(A), _LU, counter, method, cutoff, debug_checks, parallel,
+                                _node_log)
+    store, s = plan.k.store, A.rows
     return LeuResult(DenseMatrix._wrap(A.field, store(l), s, s), TruncPerm(s, e),
                      DenseMatrix._wrap(A.field, store(u), s, s), plan.counter.copy())
 
@@ -429,10 +471,11 @@ def _square(A):
 
 
 def _leu_blocks(A, reads, counter, method, cutoff, debug_checks, parallel=False, node_log=None):
-    # the body of leu_decompose for any shape, as (l, e, u, plan, s): A is padded
-    # with zeros once, straight to the power-of-two square, and l and u are cut
-    # back to s = max(rows, cols) in kernel form.  The root's masks are A's own
-    # rows and columns, so its node checks cover the padding; E never leaves them.
+    # the body of leu_decompose for any shape, as (l, e, u, plan): the root is
+    # the power-of-two square of order m >= max(rows, cols), and A's own
+    # r x c entries are its real block, so the padding is never stored.  l is
+    # r x r and u is c x c, in kernel form.  The root's masks are A's rows and
+    # columns, so its node checks run on the real block; E never leaves it.
     # reads (_E, _L, _U or _LU) names the factors the caller reads; one it leaves
     # out may come back as None.  The node checks read both, so debug_checks
     # computes both.
@@ -440,27 +483,18 @@ def _leu_blocks(A, reads, counter, method, cutoff, debug_checks, parallel=False,
     s = max(r, c)
     if s == 0:
         raise ShapeError("empty matrix")
-    field = A.field
     m = 1 << (s - 1).bit_length()
     if counter is None:
         counter = MulCounter()
-    plan = _Plan(field, method, cutoff, debug_checks, parallel, counter, node_log)
+    plan = _Plan(A.field, method, cutoff, debug_checks, parallel, counter, node_log)
     if not (r and c) and reads == _E:
-        # an empty dimension has rank 0: the padded zero block is counted, never built
+        # an empty dimension has rank 0: the zero root is counted, never visited
         plan.model(m)
-        return None, [], None, plan, s
-    K = plan.k
-    z = field.zero_raw
-    pad = [z] * (m - c)
-    padded = [row + pad for row in A._d] + [[z] * m] * (m - r)
-    l, e, u = _leu_rec(K.load(padded), m, (1 << r) - 1, (1 << c) - 1, plan,
-                       _LU if debug_checks else reads)
-    if m != s:
-        l = None if l is None else K.lead(l, s)
-        u = None if u is None else K.lead(u, s)
-    if m != r or m != c:
-        _ensure(all(i < r and j < c for i, j in e), "support escaped the unpadded block")
-    return l, e, u, plan, s
+        return None, [], None, plan
+    l, e, u = _leu_rec(plan.k.load(A._d), m, (1 << r) - 1, (1 << c) - 1, plan,
+                       _LU if debug_checks else reads, r, c)
+    _ensure(all(i < r and j < c for i, j in e), "support escaped the unpadded block")
+    return l, e, u, plan
 
 
 def leu_verify(A: DenseMatrix, r: LeuResult) -> VerifyReport:

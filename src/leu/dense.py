@@ -340,9 +340,9 @@ def _keep_rows(rows, mask, fill):
     return [r if (mask >> i) & 1 else fill for i, r in enumerate(rows)]
 
 
-def _perm_rows(ones, rows, fill):
-    # E^T * X: row j of the result is row i of X for each one (i, j)
-    out = [fill] * len(rows)
+def _perm_rows(ones, rows, fill, m):
+    # E^T * X, m rows high: row j of the result is row i of X for each one (i, j)
+    out = [fill] * m
     for i, j in ones:
         out[j] = rows[i]
     return out
@@ -351,12 +351,16 @@ def _perm_rows(ones, rows, fill):
 def _keep_cols(rows, mask, c):
     if mask == (1 << c) - 1:
         return rows
+    if not mask:
+        return [[0] * c] * len(rows)
     keep = [(mask >> j) & 1 for j in range(c)]
     return [[v if k else 0 for v, k in zip(r, keep)] for r in rows]
 
 
 def _perm_cols(rows, ones, c):
     # X * E^T: column i of the result is column j of X for each one (i, j)
+    if not ones:
+        return [[0] * c] * len(rows)
     out = []
     for r in rows:
         nr = [0] * c
@@ -389,18 +393,19 @@ class _Blocks:
             eye = self._eye[n] = self._identity(n)
         return eye
 
-    def mul(self, x, y, k, c):
+    def mul(self, x, y):
         """The product of x (r x k) and y (k x c)."""
         # the recursions hand the cached identity on as it is, so one
-        # identity test by object comes before any scan
-        eye = self._eye.get(k)
+        # identity test by object, keyed by k, comes before any scan; the
+        # result's shape is read only once the product is zero or runs
+        eye = self._eye.get(self.height(y))
         if x is eye:
             return y
         if y is eye:
             return x
         if self.is_zero(x) or self.is_zero(y):
-            return self.zeros(self.height(x), c)
-        return self._classical(x, y, k, c)
+            return self.zeros(self.height(x), self.width(y))
+        return self._classical(x, y)
 
     def add(self, x, y):
         if self.is_zero(y):
@@ -437,14 +442,16 @@ class _PrimeBlocks(_Blocks):
     def zeros(self, r, c):
         return [[0] * c] * r
 
+    def width(self, x):
+        # rows keep their width, no rows none: a product of the recursions
+        # with k = 0 has a factor of order 0 on the right, so c = 0 there
+        return len(x[0]) if x else 0
+
     def inverse1(self, x):
         v = x[0][0]
         if not v:
             return None
         return self.identity(1) if v == 1 else [[self.field.inv(v)]]
-
-    def lead(self, x, s):
-        return [r[:s] for r in x[:s]]
 
     def transpose(self, x):
         return [list(t) for t in zip(*x)]
@@ -463,11 +470,11 @@ class _PrimeBlocks(_Blocks):
     def keep_rows(self, x, mask, c):
         return _keep_rows(x, mask, [0] * c)
 
-    def perm_rows(self, ones, x, c):
-        return _perm_rows(ones, x, [0] * c)
+    def perm_rows(self, ones, x, m, c):
+        return _perm_rows(ones, x, [0] * c, m)
 
-    def _classical(self, x, y, k, c):
-        return _gfp_classical(x, y, k, c, self.p)
+    def _classical(self, x, y):
+        return _gfp_classical(x, y, len(y), len(y[0]), self.p)
 
 
 def _fraction_free(rows):
@@ -585,7 +592,10 @@ class _RationalBlocks(_Blocks):
         ]
 
     def height(self, x):
-        return len(x[0])
+        return len(x[1])
+
+    def width(self, x):
+        return len(x[2])
 
     def is_zero(self, x):
         return not any(map(any, x[0]))
@@ -625,9 +635,6 @@ class _RationalBlocks(_Blocks):
             d.append(m)
         return out, d, [1] * len(c)
 
-    def lead(self, x, s):
-        return [r[:s] for r in x[0][:s]], x[1][:s], x[2][:s]
-
     def transpose(self, x):
         return [list(t) for t in zip(*x[0])], x[2], x[1]
 
@@ -658,8 +665,8 @@ class _RationalBlocks(_Blocks):
     def keep_rows(self, x, mask, c):
         return _keep_rows(x[0], mask, [0] * c), _keep_rows(x[1], mask, 1), x[2]
 
-    def perm_rows(self, ones, x, c):
-        return _perm_rows(ones, x[0], [0] * c), _perm_rows(ones, x[1], 1), x[2]
+    def perm_rows(self, ones, x, m, c):
+        return _perm_rows(ones, x[0], [0] * c, m), _perm_rows(ones, x[1], 1, m), x[2]
 
     def keep_cols(self, x, mask, c):
         return _keep_cols(x[0], mask, c), x[1], x[2]
@@ -670,7 +677,7 @@ class _RationalBlocks(_Blocks):
             cc[i] = x[2][j]
         return _perm_cols(x[0], ones, c), x[1], cc
 
-    def _classical(self, x, y, k, c):
+    def _classical(self, x, y):
         # x * y = diag(1/rx) nx diag(1/m) ny diag(1/cy) with m = cx * ry;
         # the rows of ny are brought over the common multiple of m
         nx, rx, cx = x
@@ -679,7 +686,7 @@ class _RationalBlocks(_Blocks):
         big = lcm(*m)
         if big != 1:
             ny = [row if d == big else [v * (big // d) for v in row] for row, d in zip(ny, m)]
-        return _reduced(_int_classical(nx, ny, k, c), [a * big for a in rx], cy)
+        return _reduced(_int_classical(nx, ny, len(ry), len(cy)), [a * big for a in rx], cy)
 
 
 def blocks(field: FieldSpec):
@@ -701,8 +708,10 @@ def mat_mul_classical(A: DenseMatrix, B: DenseMatrix, counter: MulCounter | None
         counter = MulCounter()
     k, c = A.cols, B.cols
     counter.scalar_mults += A.rows * k * c
+    if not k:  # a GF(p) block of no rows keeps no width (see _PrimeBlocks.width)
+        return DenseMatrix.zeros(A.field, A.rows, c)
     K = blocks(A.field)
-    data = K.store(K.mul(K.load(A._d), K.load_cols(B._d), k, c))
+    data = K.store(K.mul(K.load(A._d), K.load_cols(B._d)))
     return DenseMatrix._wrap(A.field, data, A.rows, c)
 
 
@@ -720,7 +729,7 @@ def _inv_lower(K, x, n, counter, unit=False):
     ib = _inv_lower(K, b, n - h, counter, unit)
     # two classical products: c * ia, then ib times that
     counter.scalar_mults += (n - h) * h * h + (n - h) * (n - h) * h
-    m = K.mul(ib, K.mul(c, ia, h, h), n - h, h)
+    m = K.mul(ib, K.mul(c, ia))
     return K.join(ia, K.zeros(h, n - h), K.neg(m), ib)
 
 

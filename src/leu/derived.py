@@ -63,7 +63,7 @@ def bruhat_decompose(
     """
     s = M.rows
     rev = DenseMatrix._wrap(M.field, M._d[::-1], s, M.cols)
-    l, e, u, plan, _ = _leu_blocks(_square(rev), _LU, counter, method, cutoff, debug_checks)
+    l, e, u, plan = _leu_blocks(_square(rev), _LU, counter, method, cutoff, debug_checks)
     K = plan.k
     l_inv = invert_lower_block(K, K.one_sided(l), s, plan.counter)
     ut_inv = invert_lower_block(K, K.one_sided(K.transpose(u)), s, plan.counter, unit=True)
@@ -90,7 +90,7 @@ def mat_inverse(
     product remains and is counted.  Raises SingularError carrying the rank
     when rank < n.
     """
-    l, e, u, plan, _ = _leu_blocks(_square(A), _LU, counter, method, cutoff, debug_checks, parallel)
+    l, e, u, plan = _leu_blocks(_square(A), _LU, counter, method, cutoff, debug_checks, parallel)
     return _inverse_from(A, l, e, u, plan.counter)
 
 
@@ -104,8 +104,8 @@ def _inverse_from(A: DenseMatrix, l, ones, u, counter: MulCounter) -> DenseMatri
     # with the scales moved there, neither is put over the other direction's lcms
     counter.scalar_mults += n * n * n
     K = blocks(A.field)
-    etl = K.perm_rows(ones, K.one_sided(l), n)
-    data = K.store(K.mul(K.one_sided(u, cols=True), etl, n, n))
+    etl = K.perm_rows(ones, K.one_sided(l), n, n)
+    data = K.store(K.mul(K.one_sided(u, cols=True), etl))
     return DenseMatrix._wrap(A.field, data, n, n)
 
 
@@ -117,10 +117,10 @@ def mat_rank(
     cutoff: int = 32,
     debug_checks: bool = False,
 ) -> int:
-    """Rank of a matrix; rectangular input is padded square with zeros.
+    """Rank of a matrix; rectangular input is counted as its zero-padded square.
 
     Read off E alone.  A matrix with one empty dimension has rank 0 and is
-    not padded; the counter gets the model's count of the padded zero block.
+    not visited; the counter gets the model's count of the padded zero block.
     """
     return len(_leu_blocks(A, _E, counter, method, cutoff, debug_checks)[1])
 
@@ -137,13 +137,12 @@ def kernel_basis(
 
     With L*A*U = E, each zero column j of E gives A * (U e_j) =
     L^-1 * E * e_j = 0, and those columns of U are linearly independent
-    because U is invertible.  Rectangular input is padded with zeros, once,
-    to the power-of-two square the recursion runs on; only zero columns
-    inside the original domain contribute (the basis columns of a
-    unitriangular U never reach below their index, so nothing is lost by
-    truncating the padded coordinates).
+    because U is invertible.  Rectangular input runs the recursion of its
+    zero-padded power-of-two square on its own rows and columns, so U is
+    n x n: the padded square's U is the identity beyond it, and a padded
+    column's basis vector would lie outside A's domain.
     """
-    _, e, u, plan, _ = _leu_blocks(A, _U, counter, method, cutoff, debug_checks)
+    _, e, u, plan = _leu_blocks(A, _U, counter, method, cutoff, debug_checks)
     K = _kernel_from(A, e, plan.k.store(u))
     if debug_checks:
         prod = mat_mul_classical(A, K, MulCounter())
@@ -152,7 +151,7 @@ def kernel_basis(
 
 
 def _kernel_from(A: DenseMatrix, ones, ud) -> DenseMatrix:
-    # the kernel basis read off E's ones and the stored U of A padded square
+    # the kernel basis read off E's ones and the stored cols x cols U of A
     cols = A.cols
     covered = {j for _, j in ones}
     free = [j for j in range(cols) if j not in covered]

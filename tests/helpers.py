@@ -58,6 +58,22 @@ def mul(A: DenseMatrix, B: DenseMatrix) -> DenseMatrix:
     return mat_mul_classical(A, B, MulCounter())
 
 
+def pow2_padded(A: DenseMatrix) -> DenseMatrix:
+    """A as the leading block of its power-of-two square, zeros elsewhere."""
+    m = 1 << (max(A.shape) - 1).bit_length()
+    z = A.field.zero_raw
+    data = [row + [z] * (m - A.cols) for row in A._d] + [[z] * m for _ in range(m - A.rows)]
+    return DenseMatrix._wrap(A.field, data, m, m)
+
+
+def beside_identity(rows: list, k: int, field) -> list:
+    """The raw rows of diag(X, I_k) for the raw rows X (of any shape)."""
+    z, o = field.zero_raw, field.one_raw
+    width = len(rows[0]) if rows else 0
+    return [row + [z] * k for row in rows] + [
+        [z] * width + [o if j == i else z for j in range(k)] for i in range(k)]
+
+
 def diag(field, n: int, mask: int) -> DenseMatrix:
     """Dense n x n diagonal 0/1 matrix: a one at (i, i) for each bit i of mask."""
     z, o = field.zero_raw, field.one_raw

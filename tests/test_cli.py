@@ -369,8 +369,9 @@ def test_debug_checks_reach_the_node_checks(monkeypatch, capsys):
 
 
 def test_the_root_node_checks_the_padding(monkeypatch):
-    # a 3 x 5 input pads to 8 x 8; the root is entered with the masks of its
-    # own rows and columns, so its node checks cover the padded region
+    # a 3 x 5 input is the real block of an 8 x 8 root, entered with the
+    # masks of its own rows and columns: the padded region is never stored,
+    # and the root's node checks run on the real block
     from leu import kernel_basis
     from leu.textio import parse_matrix
 

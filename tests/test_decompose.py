@@ -30,7 +30,8 @@ from leu import (
     tp_to_dense,
 )
 from leu import oracle
-from helpers import FIELDS, GF7, GF65521, mul, planted_rank, profiled, rand_matrix
+from helpers import (FIELDS, GF7, GF65521, beside_identity, mul, planted_rank, pow2_padded, profiled,
+                     rand_matrix)
 
 rng = random.Random(0x1EAF)
 
@@ -494,6 +495,68 @@ def test_padding_truncation_roundtrip():
         assert reconstructs(A, res)
 
 
+@pytest.mark.parametrize("field", [GF(2), GF7, GF65521, QQ], ids=["gf2", "gf7", "gf65521", "qq"])
+@pytest.mark.parametrize("kw", [{}, {"method": "strassen", "cutoff": 1}], ids=["classical", "strassen-1"])
+@pytest.mark.parametrize("debug", [False, True], ids=["plain", "debug"])
+def test_the_decomposition_is_that_of_the_padded_square(field, kw, debug):
+    # the recursion runs on each block's real rows and columns and never
+    # stores the padding: L, E, U, the count and every node's log entry are
+    # those of A padded with zeros, by hand, to its power-of-two square,
+    # whose factors are the identity beyond A's
+    g = random.Random(f"padded {field!r}")
+    for s in (3, 5, 6, 12, 17, 33):
+        for A in (rand_matrix(field, s, s, g), profiled(field, s, s // 2, g)[0]):
+            P = pow2_padded(A)
+            log, full_log = [], []
+            res = leu_decompose(A, **kw, debug_checks=debug, _node_log=log)
+            full = leu_decompose(P, **kw, debug_checks=debug, _node_log=full_log)
+            assert full.L._d == beside_identity(res.L._d, P.rows - s, field)
+            assert full.U._d == beside_identity(res.U._d, P.rows - s, field)
+            assert (res.E.n, sorted(res.E.ones)) == (s, sorted(full.E.ones))
+            assert (res.counter, log) == (full.counter, full_log)
+
+
+def test_a_33x33_costs_the_kernel_about_what_its_32x32_does(monkeypatch):
+    # the padded 64 x 64 square of a full-rank 33 x 33 is never multiplied:
+    # the kernel's r * k * c stays near that of the leading 32 x 32 block
+    from leu import dense
+    from leu.cli import bench_matrix
+
+    work = []
+    real = dense._gfp_classical
+
+    def counted(x, y, k, c, p):
+        work.append(len(x) * k * c)
+        return real(x, y, k, c, p)
+
+    monkeypatch.setattr(dense, "_gfp_classical", counted)
+    A = bench_matrix(33, 1)
+    totals = []
+    for B in (A, A.select(range(32), range(32))):
+        work.clear()
+        assert leu_decompose(B).rank == B.rows
+        totals.append(sum(work))
+    assert totals[1] <= totals[0] <= 1.25 * totals[1]
+
+
+def test_the_root_checks_read_only_the_real_block(monkeypatch):
+    # under debug_checks the support check of a 3 x 5 input's 8 x 8 root
+    # reads A's own rows, not a padded square
+    from leu import decompose
+
+    calls = []
+    real = decompose._outside_support
+
+    def recorded(rows, c, im, jm):
+        calls.append((rows, c, im, jm))
+        return real(rows, c, im, jm)
+
+    monkeypatch.setattr(decompose, "_outside_support", recorded)
+    A = rand_matrix(GF7, 3, 5, rng)
+    kernel_basis(A, debug_checks=True)
+    assert calls[0] == (A._d, 5, 0b111, 0b11111)
+
+
 def test_leu_pow2_respects_support_contract():
     # a matrix that vanishes outside rows I and columns J decomposes with E
     # inside (I, J), and the contract checks at every node hold
@@ -706,8 +769,8 @@ _O_SCRIPT = textwrap.dedent("""
     real = leu.derived._leu_blocks
 
     def wrong_u(A, *args):
-        l, e, u, plan, s = real(A, *args)
-        return l, e, plan.k.identity(s), plan, s
+        l, e, u, plan = real(A, *args)
+        return l, e, plan.k.identity(A.cols), plan
 
     leu.derived._leu_blocks = wrong_u
     try:

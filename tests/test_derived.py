@@ -24,7 +24,8 @@ from leu import (
 from leu import oracle
 from leu.cli import bench_matrix
 from leu.dense import blocks, is_upper_triangular
-from helpers import FIELDS, GF7, GF65521, mul, planted_rank, profiled, rand_matrix
+from helpers import (FIELDS, GF7, GF65521, beside_identity, mul, planted_rank, pow2_padded, profiled,
+                     rand_matrix)
 
 rng = random.Random(0xB10C5)
 
@@ -333,13 +334,36 @@ def test_rank_kernel_and_block_read_the_full_decomposition(field, shape, kw):
             for parallel in (False, True):
                 got = []
                 c = MulCounter()
-                l, e, u, _, _ = _leu_blocks(A, reads, c, kw.get("method", "classical"),
-                                            kw.get("cutoff", 32), False, parallel, got)
+                l, e, u, _ = _leu_blocks(A, reads, c, kw.get("method", "classical"),
+                                         kw.get("cutoff", 32), False, parallel, got)
                 assert (sorted(e), c, got) == (sorted(full.E.ones), full.counter, log)
                 if reads & _L:
-                    assert K.store(l) == full.L._d
+                    assert beside_identity(K.store(l), s - rows, field) == full.L._d
                 if reads & _U:
-                    assert K.store(u) == full.U._d
+                    assert beside_identity(K.store(u), s - cols, field) == full.U._d
+
+
+@pytest.mark.parametrize("field", [GF(2), GF7, GF65521, QQ], ids=["gf2", "gf7", "gf65521", "qq"])
+@pytest.mark.parametrize("shape", [(1, 5), (6, 11), (16, 9), (33, 2)], ids=str)
+@pytest.mark.parametrize("kw", _STRASSEN[:2], ids=["classical", "strassen-1"])
+@pytest.mark.parametrize("debug", [False, True], ids=["plain", "debug"])
+def test_rank_and_kernel_of_a_rectangle_are_those_of_its_padded_square(field, shape, kw, debug):
+    # the recursion runs on A's own rows and columns: the rank, the kernel and
+    # the count are those of A padded with zeros, by hand, to its power-of-two
+    # square, whose extra columns are free and add the identity to the basis
+    rows, cols = shape
+    for A in (rand_matrix(field, rows, cols, random.Random(f"{field!r} {shape}")),
+              _planted(field, rows, cols, min(shape) // 2)):
+        P = pow2_padded(A)
+        got, want = MulCounter(), MulCounter()
+        assert mat_rank(A, got, **kw, debug_checks=debug) == mat_rank(P, want, **kw,
+                                                                       debug_checks=debug)
+        assert got == want
+        got, want = MulCounter(), MulCounter()
+        K = kernel_basis(A, got, **kw, debug_checks=debug)
+        assert kernel_basis(P, want, **kw, debug_checks=debug)._d == beside_identity(
+            K._d, P.cols - cols, field)
+        assert got == want
 
 
 def test_rank_and_kernel_skip_the_unread_products(monkeypatch):

@@ -1,9 +1,11 @@
 """Wall time of leu over GF(65521) and over the rationals, as one JSON object.
 
 ``gfp`` times ``leu_decompose`` on ``cli.bench_matrix(n, seed, 65521)``, the
-``bench`` command's full-rank matrices, at n = 16, 32, 64, 128, 256
+``bench`` command's full-rank matrices, at n = 16, 32, 33, 40, 64, 128, 256
 (``decompose``, with the rank and the model multiplication count; at n = 16
-and 32 the nodes of n <= 4 take a larger share of an op than at n >= 64),
+and 32 the nodes of n <= 4 take a larger share of an op than at n >= 64, and
+n = 33 and 40 run the recursion of the 64 x 64 square on their own rows and
+columns),
 ``leu_decompose`` at n = 128 and 256 on a seeded full-rank L0 * P * U0, with
 L0 random lower triangular with a nonzero diagonal, P a random permutation
 and U0 random unit upper triangular (``profile``, with the rank and the
@@ -54,7 +56,7 @@ import tempfile
 import time
 
 P = 65521
-GFP_DECOMPOSE = (16, 32, 64, 128, 256)
+GFP_DECOMPOSE = (16, 32, 33, 40, 64, 128, 256)
 GFP_PROFILE = (128, 256)
 GFP_RANK = (64, 128)
 GFP_PRODUCT = (8, 16, 32, 64, 128)
