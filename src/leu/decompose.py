@@ -13,10 +13,10 @@ Each recursion node on a 2n x 2n block performs exactly 17 dense n x n
 products plus additions and sparse permutation/diagonal applications,
 which are free of counted multiplications.  The scalar base case inverts
 one nonzero entry.  Over GF(p) the nodes of n <= 4 run on scalars: a nonzero
-4 x 4 (or 2 x 2 root) block is one leaf on flat 2 x 2 blocks of residues,
-the node's own operations in the same order, so the same values and E
-without the block glue; ``debug_checks`` keeps the plain recursion and its
-node checks.  Every other product is computed by the field's one product
+4 x 4 block (a 2 x 2 root padded to one) is one leaf on flat 2 x 2 blocks of
+residues, the node's own operations in the same order, so the same values
+and E without the block glue; ``debug_checks`` keeps the plain recursion and
+its node checks.  Every other product is computed by the field's one product
 kernel; ``method`` and ``cutoff`` choose only what the recursion adds to the
 supplied MulCounter for it: n^3 for a classical product, and
 ``strassen_count(n, cutoff)`` for a Strassen one.
@@ -30,9 +30,10 @@ counted: a product with a zero operand or with the identity block a node
 hands on, and the six products that make a node's L, or its U, when nothing
 reads that factor (the rank and the block read only E, the kernel E and U,
 and a node asks each child for what it reads of it).  A subtree that runs no
-product, a zero block (L = U = I, E empty) or a GF(p) leaf, which computes
-and never counts, is counted and logged in one place, from the model of the
-whole subtree.  So the count does not depend on which shortcuts were taken.
+product, a zero block (E empty, and L = U = I, built only if read) or a GF(p)
+leaf, which computes and never counts, is counted and logged in one place,
+from the model of the whole subtree.  So the count does not depend on which
+shortcuts were taken.
 
 :func:`leu_decompose` is the one entry point.  Its body runs the recursion
 at the next power-of-two order, with the input's own entries as the root's
@@ -61,6 +62,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from functools import lru_cache
+from itertools import product
 from math import inf
 
 from .dense import (
@@ -192,8 +194,8 @@ def _ensure(ok, what):
         raise InvariantError(what)
 
 
-def _debug_node(l, e, u, n, im, jm, one):
-    # the checks of an n x n node on its real r x r L and c x c U: the
+def _debug_node(l, e, u, im, jm, one):
+    # the checks of a node on its real r x r L and c x c U: the
     # node's factors are the identity beyond them, which no check need read
     i_e = _row_mask(e)
     j_e = _col_mask(e)
@@ -206,22 +208,13 @@ def _debug_node(l, e, u, n, im, jm, one):
     _ensure(_unit_outside(u, c, jm, one, True), "U has a non-unit column outside the support")
 
 
-def _leu_rec(a, n, im, jm, plan, reads=_LU, r=None, c=None):
-    # a is the real r x c block (by default n x n) of an n x n node whose
-    # other entries are zero, in the form of plan.k.  The node's L and U are
-    # the identity beyond their leading r x r and c x c blocks, which come
-    # back in the same form, unless reads leaves the factor out: then it may
-    # be None.  Splits and counts are those of the n x n node
-    if r is None:
-        r = c = n
+def _leu_rec(a, n, im, jm, plan, reads, r, c):
+    # a is the real r x c block of an n x n node whose other entries are zero,
+    # in the form of plan.k.  The node's L and U are the identity beyond their
+    # leading r x r and c x c blocks, which come back in the same form, unless
+    # reads leaves the factor out: then it may be None.  Splits and counts are
+    # those of the n x n node.  The support check comes before every shortcut
     K = plan.k
-    if n == 1:
-        inv = K.inverse1(a) if r and c else None
-        if inv is not None:
-            plan.counter.scalar_invs += 1
-            return inv, [(0, 0)], K.identity(1)
-        return K.identity(r), [], K.identity(c)
-
     if plan.debug:
         _ensure(not _outside_support(K.store(a), c, im, jm),
                 "block has entries outside its (I, J) support")
@@ -231,117 +224,110 @@ def _leu_rec(a, n, im, jm, plan, reads=_LU, r=None, c=None):
     # The masks bound the block's support, so an empty one needs no scan
     if not (im and jm) or K.is_zero(a):
         plan.model(n)
-        return K.identity(r), [], K.identity(c)
+        return K.identity(r) if reads & _L else None, [], K.identity(c) if reads & _U else None
+    if n == 1:  # a nonzero pivot
+        plan.counter.scalar_invs += 1
+        return K.inverse1(a), [(0, 0)], K.identity(1)
     if plan.leaf and n <= 4:
+        # the leaf runs on the whole 4 x 4 block: a 2 x 2 root is the
+        # top-left quarter of a 4 x 4 whose other quarters are zero
         plan.model(n)
-        cut = r < n or c < n
-        if cut:  # the leaf runs on the whole n x n block
-            a = [row + [0] * (n - c) for row in a] + [[0] * n] * (n - r)
-        if n == 4:
-            l, e, u = _leaf4(a, K.p, K.field.inv)
-        else:  # a 2 x 2 root: the n = 4 leaf runs every other n = 2 node
-            (x0, x1), (x2, x3) = a
-            (l0, _, l2, l3), f, (_, u1, _, _) = _leaf2((x0, x1, x2, x3), K.p, K.field.inv)
-            l, e, u = [[l0, 0], [l2, l3]], [ij for ij, g in zip(_CELLS, f) if g], [[1, u1], [0, 1]]
+        cut = r < 4 or c < 4
+        if cut:
+            a = [row + [0] * (4 - c) for row in a] + [[0] * 4] * (4 - r)
+        l, e, u = _leaf4(a, K.p, K.field.inv)
         if cut:
             l, u = [row[:r] for row in l[:r]], [row[:c] for row in u[:c]]
         plan.counter.scalar_invs += len(e)
         return l, e, u
 
     h = n >> 1
+    # this node's own count leaves out what its four children count
+    outer, plan.own = plan.own, 0
     if r <= h and c <= h:
         # only a11 is real: its factors and E are the node's, the other three
         # children are zero blocks, and every product meets one of them or
         # the identity they return
-        outer, plan.own = plan.own, 0
         l, e, u = _leu_rec(a, h, im, jm, plan, reads, r, c)
         plan.skip(17, h)
         for _ in range(3):
             plan.model(h)
-        if plan.debug:
-            _debug_node(K.store(l), e, K.store(u), n, im, jm, K.field.one_raw)
-        if plan.log is not None:
-            plan.log.append((n, plan.own))
-        plan.own = outer
-        return l, e, u
-
-    # each quarter's real shape: the top rows (left columns) fill before the
-    # bottom (right) ones get any
-    r1, c1 = min(r, h), min(c, h)
-    r2, c2 = r - r1, c - c1
-    hm = (1 << h) - 1
-    i1, i2 = im & hm, im >> h
-    j1, j2 = jm & hm, jm >> h
-    a11, a12, a21, a22 = K.split(a, h)
-    mm = plan.mm
-    # this node's own count leaves out what its four children count
-    outer, plan.own = plan.own, 0
-
-    l11, e11, u11 = _leu_rec(a11, h, i1, j1, plan, _LU, r1, c1)
-
-    q = mm(l11, a12, h)
-    b = mm(a21, u11, h)
-
-    i11 = _row_mask(e11)
-    j11 = _col_mask(e11)
-    ib11 = i11 ^ ((1 << r1) - 1)
-    jb11 = j11 ^ ((1 << c1) - 1)
-    a1_12 = K.keep_rows(q, ib11, c2)
-    a1_21 = K.keep_cols(b, jb11, c1)
-    t = K.perm_cols(b, e11, r1)
-    a1_22 = K.sub(a22, mm(t, q, h))
-
-    # the two middle recursions are independent: either order gives the same.
-    # Each child returns what the rest of this node reads: g needs l21 and
-    # u12 for E, and l12 and u21 go only into this node's own L and U
-    reads12 = _U | reads & _L
-    reads21 = _L | reads & _U
-    if plan.reverse:
-        l21, e21, u21 = _leu_rec(a1_21, h, i2, jb11 & j1, plan, reads21, r2, c1)
-        l12, e12, u12 = _leu_rec(a1_12, h, ib11 & i1, j2, plan, reads12, r1, c2)
     else:
-        l12, e12, u12 = _leu_rec(a1_12, h, ib11 & i1, j2, plan, reads12, r1, c2)
-        l21, e21, u21 = _leu_rec(a1_21, h, i2, jb11 & j1, plan, reads21, r2, c1)
+        # each quarter's real shape: the top rows (left columns) fill before
+        # the bottom (right) ones get any
+        r1, c1 = min(r, h), min(c, h)
+        r2, c2 = r - r1, c - c1
+        hm = (1 << h) - 1
+        i1, i2 = im & hm, im >> h
+        j1, j2 = jm & hm, jm >> h
+        a11, a12, a21, a22 = K.split(a, h)
+        mm = plan.mm
 
-    g = mm(mm(l21, a1_22, h), u12, h)
-    i21 = _row_mask(e21)
-    j12 = _col_mask(e12)
-    ib21 = i21 ^ ((1 << r2) - 1)
-    jb12 = j12 ^ ((1 << c2) - 1)
-    gj = K.keep_cols(g, jb12, c2)
-    a2_22 = K.keep_rows(gj, ib21, c2)
+        l11, e11, u11 = _leu_rec(a11, h, i1, j1, plan, _LU, r1, c1)
 
-    l22, e22, u22 = _leu_rec(a2_22, h, ib21 & i2, jb12 & j2, plan, reads, r2, c2)
+        q = mm(l11, a12, h)
+        b = mm(a21, u11, h)
 
-    # L and U each take six more products, counted whether or not they run
-    l = u = None
-    if reads & _L:
-        ge = K.perm_cols(g, e12, r1)
-        w = K.add(mm(ge, l12, h), mm(l21, t, h))
-        l_tl = mm(l12, l11, h)
-        l_bl = K.neg(mm(mm(l22, w, h), l11, h))
-        l_br = mm(l22, l21, h)
-        l = K.join(l_tl, K.zeros(r1, r2), l_bl, l_br)
-    else:
-        plan.skip(6, h)
-    if reads & _U:
-        eg = K.perm_rows(e21, gj, c1, c2)
-        eq = K.perm_rows(e11, q, c1, c2)
-        v = K.add(mm(u21, eg, h), mm(eq, u12, h))
-        u_tl = mm(u11, u21, h)
-        u_tr = K.neg(mm(mm(u11, v, h), u22, h))
-        u_br = mm(u12, u22, h)
-        u = K.join(u_tl, u_tr, K.zeros(c2, c1), u_br)
-    else:
-        plan.skip(6, h)
-    # a right (bottom) quarter holds a one only when the left (top) is whole
-    e = list(e11)
-    e += [(i, j + h) for i, j in e12]
-    e += [(i + h, j) for i, j in e21]
-    e += [(i + h, j + h) for i, j in e22]
+        i11 = _row_mask(e11)
+        j11 = _col_mask(e11)
+        ib11 = i11 ^ ((1 << r1) - 1)
+        jb11 = j11 ^ ((1 << c1) - 1)
+        a1_12 = K.keep_rows(q, ib11, c2)
+        a1_21 = K.keep_cols(b, jb11, c1)
+        t = K.perm_cols(b, e11, r1)
+        a1_22 = K.sub(a22, mm(t, q, h))
+
+        # the two middle recursions are independent: either order gives the
+        # same.  Each child returns what the rest of this node reads: g needs
+        # l21 and u12 for E, and l12 and u21 go only into this node's L and U
+        reads12 = _U | reads & _L
+        reads21 = _L | reads & _U
+        if plan.reverse:
+            l21, e21, u21 = _leu_rec(a1_21, h, i2, jb11 & j1, plan, reads21, r2, c1)
+            l12, e12, u12 = _leu_rec(a1_12, h, ib11 & i1, j2, plan, reads12, r1, c2)
+        else:
+            l12, e12, u12 = _leu_rec(a1_12, h, ib11 & i1, j2, plan, reads12, r1, c2)
+            l21, e21, u21 = _leu_rec(a1_21, h, i2, jb11 & j1, plan, reads21, r2, c1)
+
+        g = mm(mm(l21, a1_22, h), u12, h)
+        i21 = _row_mask(e21)
+        j12 = _col_mask(e12)
+        ib21 = i21 ^ ((1 << r2) - 1)
+        jb12 = j12 ^ ((1 << c2) - 1)
+        gj = K.keep_cols(g, jb12, c2)
+        a2_22 = K.keep_rows(gj, ib21, c2)
+
+        l22, e22, u22 = _leu_rec(a2_22, h, ib21 & i2, jb12 & j2, plan, reads, r2, c2)
+
+        # L and U each take six more products, counted whether or not they run
+        l = u = None
+        if reads & _L:
+            ge = K.perm_cols(g, e12, r1)
+            w = K.add(mm(ge, l12, h), mm(l21, t, h))
+            l_tl = mm(l12, l11, h)
+            l_bl = K.neg(mm(mm(l22, w, h), l11, h))
+            l_br = mm(l22, l21, h)
+            l = K.join(l_tl, K.zeros(r1, r2), l_bl, l_br)
+        else:
+            plan.skip(6, h)
+        if reads & _U:
+            eg = K.perm_rows(e21, gj, c1, c2)
+            eq = K.perm_rows(e11, q, c1, c2)
+            v = K.add(mm(u21, eg, h), mm(eq, u12, h))
+            u_tl = mm(u11, u21, h)
+            u_tr = K.neg(mm(mm(u11, v, h), u22, h))
+            u_br = mm(u12, u22, h)
+            u = K.join(u_tl, u_tr, K.zeros(c2, c1), u_br)
+        else:
+            plan.skip(6, h)
+        # a right (bottom) quarter holds a one only when the left (top) is whole
+        e = list(e11)
+        e += [(i, j + h) for i, j in e12]
+        e += [(i + h, j) for i, j in e21]
+        e += [(i + h, j + h) for i, j in e22]
 
     if plan.debug:
-        _debug_node(K.store(l), e, K.store(u), n, im, jm, K.field.one_raw)
+        _debug_node(K.store(l), e, K.store(u), im, jm, K.field.one_raw)
     if plan.log is not None:
         plan.log.append((n, plan.own))
     plan.own = outer
@@ -372,9 +358,9 @@ def _leaf2(a, p, inv):
     return (l12 * l11 % p, 0, -l22 * w * l11 % p, l22 * l21 % p), e, (1, -v % p, 0, 1)
 
 
-_CELLS = ((0, 0), (0, 1), (1, 0), (1, 1))  # the flat order of a 2 x 2 block
-# a 4 x 4's cells by quadrant in the order E11, E12, E21, E22, each in flat order
-_CELLS4 = tuple((2 * bi + i, 2 * bj + j) for bi, bj in _CELLS for i, j in _CELLS)
+# a 4 x 4's cells by quadrant in the order E11, E12, E21, E22, each in the
+# flat order of a 2 x 2 block
+_CELLS4 = tuple((2 * bi + i, 2 * bj + j) for bi, bj, i, j in product((0, 1), repeat=4))
 _I2 = (1, 0, 0, 1)
 
 

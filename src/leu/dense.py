@@ -449,8 +449,6 @@ class _PrimeBlocks(_Blocks):
 
     def inverse1(self, x):
         v = x[0][0]
-        if not v:
-            return None
         return self.identity(1) if v == 1 else [[self.field.inv(v)]]
 
     def transpose(self, x):
@@ -608,8 +606,6 @@ class _RationalBlocks(_Blocks):
 
     def inverse1(self, x):
         v = x[0][0][0]
-        if not v:
-            return None
         d = x[1][0] * x[2][0]
         if v == d:
             return self.identity(1)

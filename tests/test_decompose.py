@@ -91,6 +91,27 @@ def test_zero_matrix(n):
     assert res.U == DenseMatrix.identity(GF7, n)
 
 
+@pytest.mark.parametrize("field", [GF7, QQ], ids=str)
+def test_a_zero_block_builds_only_the_factors_its_caller_reads(field):
+    # L = U = I, E empty: each factor that reads leaves out comes back as
+    # None, each one it asks for as the identity of the real block's order
+    from leu.decompose import _E, _L, _LU, _U, _leu_rec, _Plan, _tree_count
+
+    for n, r, c, im, jm in [(1, 1, 1, 1, 1), (4, 3, 2, 0b111, 0b11), (8, 5, 8, 0, 0xFF),
+                            (8, 0, 6, 0, 0b111111)]:
+        for reads in (_E, _L, _U, _LU):
+            plan = _Plan(field, "classical", 32, False, False, MulCounter(), None)
+            a = plan.k.load(DenseMatrix.zeros(field, r, c)._d)
+            l, e, u = _leu_rec(a, n, im, jm, plan, reads, r, c)
+            assert e == []
+            for got, k, bit in ((l, r, _L), (u, c, _U)):
+                if reads & bit:
+                    assert plan.k.store(got) == DenseMatrix.identity(field, k)._d
+                else:
+                    assert got is None
+            assert plan.counter.scalar_mults == _tree_count(n, plan.cutoff)
+
+
 def test_identity_any_size():
     for n in (1, 3, 5, 8):
         res = leu_decompose(DenseMatrix.identity(QQ, n))
@@ -250,16 +271,17 @@ def test_gfp_leaf_matches_the_recursion_on_every_2x2(p, monkeypatch):
     from leu import decompose
 
     leaves = [0]
-    real = decompose._leaf2
+    real = decompose._leaf4
 
     def counted(a, p, inv):
         leaves[0] += 1
         return real(a, p, inv)
 
-    monkeypatch.setattr(decompose, "_leaf2", counted)
+    monkeypatch.setattr(decompose, "_leaf4", counted)
     for A in _all_matrices(GF(p), 2):
         assert_leaf_matches_the_recursion(A)
-    # each nonzero matrix takes the leaf once per mode, and only without debug_checks
+    # each nonzero matrix takes the one leaf entry, padded to 4 x 4, once per
+    # mode, and only without debug_checks
     assert leaves[0] == (p**4 - 1) * len(LEAF_MODES)
 
 
@@ -740,27 +762,27 @@ _BAD = [[1, 5], [5, 1]]  # neither a unit row nor a unit column anywhere
 def test_debug_node_rejects_corrupted_nodes(l, e, u, im, jm, what):
     from leu.decompose import _debug_node
 
-    _debug_node(_I2, [(0, 0)], _I2, 2, 0b11, 0b11, 1)  # a sound node passes
+    _debug_node(_I2, [(0, 0)], _I2, 0b11, 0b11, 1)  # a sound node passes
     with pytest.raises(InvariantError, match=what):
-        _debug_node(l, e, u, 2, im, jm, 1)
+        _debug_node(l, e, u, im, jm, 1)
 
 
 _O_SCRIPT = textwrap.dedent("""
     import sys
     from leu import GF, DenseMatrix, InvariantError, MulCounter
     import leu.derived
-    from leu.decompose import _debug_node, _leu_rec, _Plan
+    from leu.decompose import _LU, _debug_node, _leu_rec, _Plan
 
     assert sys.flags.optimize and not __debug__
     caught = []
     try:
-        _debug_node([[1, 0], [0, 1]], [(1, 0)], [[1, 0], [0, 1]], 2, 0b01, 0b11, 1)
+        _debug_node([[1, 0], [0, 1]], [(1, 0)], [[1, 0], [0, 1]], 0b01, 0b11, 1)
     except InvariantError as exc:
         caught.append(str(exc))
     # a node entered with an entry outside its column support
     try:
         plan = _Plan(GF(7), "classical", 32, True, False, MulCounter(), None)
-        _leu_rec([[0, 1], [0, 0]], 2, 0b11, 0b01, plan)
+        _leu_rec([[0, 1], [0, 0]], 2, 0b11, 0b01, plan, _LU, 2, 2)
     except InvariantError as exc:
         caught.append(str(exc))
 
