@@ -29,11 +29,14 @@ without arithmetic, or whose result no caller reads, is skipped but still
 counted: a product with a zero operand or with the identity block a node
 hands on, and the six products that make a node's L, or its U, when nothing
 reads that factor (the rank and the block read only E, the kernel E and U,
-and a node asks each child for what it reads of it).  A subtree that runs no
-product, a zero block (E empty, and L = U = I, built only if read) or a GF(p)
-leaf, which computes and never counts, is counted and logged in one place,
-from the model of the whole subtree.  So the count does not depend on which
-shortcuts were taken.
+and a node asks each child for what it reads of it, so a node with no rows
+below or columns right of its top-left quarter builds no factor that meets
+only an empty block).  Every L is lower and every U upper triangular, and
+each product says which of its operands is, so that the GF(p) kernel skips
+the zero triangle.  A subtree that runs no product, a zero block (E empty,
+and L = U = I, built only if read) or a GF(p) leaf, which computes and
+never counts, is counted and logged in one place, from the model of the
+whole subtree.  So the count does not depend on which shortcuts were taken.
 
 :func:`leu_decompose` is the one entry point.  Its body runs the recursion
 at the next power-of-two order, with the input's own entries as the root's
@@ -66,12 +69,15 @@ from itertools import product
 from math import inf
 
 from .dense import (
+    _LOWER,
+    _UPPER,
     DenseMatrix,
     MulCounter,
     _keep_cols,
     _keep_rows,
     blocks,
     is_lower_triangular,
+    is_upper_triangular,
     is_upper_unitriangular,
     mat_mul_classical,
     strassen_count,
@@ -132,16 +138,25 @@ class _Plan:
         # GF(p) runs its nodes of n <= 4 on scalars; debug_checks keeps the recursion
         self.leaf = field.kind == "gfp" and not debug
 
-    def mm(self, x, y, h):
-        """The product of two h x h blocks, counted."""
+    def mm(self, x, y, h, tri=0):
+        """The product of two h x h blocks, counted.  tri declares x lower or y
+        upper triangular; a factor not built (None) meets only an empty block."""
+        if x is None or y is None:
+            self.skip(1, h)
+            return y if x is None else x
         c = strassen_count(h, self.cutoff)
         self.counter.scalar_mults += c
         self.own += c
-        return self.k.mul(x, y)
+        if self.debug and tri:
+            t = self.k.store(x if tri == _LOWER else y)
+            t = DenseMatrix._wrap(self.k.field, t, len(t), len(t))
+            _ensure(is_lower_triangular(t) if tri == _LOWER else is_upper_triangular(t),
+                    "an operand declared triangular is not")
+        return self.k.mul(x, y, tri)
 
     def skip(self, k, h):
         """Count k products of h x h blocks that do not run: no caller reads
-        them, or a zero or identity operand makes them known."""
+        them, or a zero, identity or empty operand makes them known."""
         c = k * strassen_count(h, self.cutoff)
         self.counter.scalar_mults += c
         self.own += c
@@ -262,11 +277,16 @@ def _leu_rec(a, n, im, jm, plan, reads, r, c):
         j1, j2 = jm & hm, jm >> h
         a11, a12, a21, a22 = K.split(a, h)
         mm = plan.mm
+        # a child builds what the rest of this node reads of it: u11 and u12
+        # meet the r2 rows below (b, g), l11 and l21 the c2 columns to the
+        # right (q, g), and every factor goes into this node's own L or U
+        reads12 = reads | _U if r2 else reads
+        reads21 = reads | _L if c2 else reads
 
-        l11, e11, u11 = _leu_rec(a11, h, i1, j1, plan, _LU, r1, c1)
+        l11, e11, u11 = _leu_rec(a11, h, i1, j1, plan, reads12 | reads21, r1, c1)
 
-        q = mm(l11, a12, h)
-        b = mm(a21, u11, h)
+        q = mm(l11, a12, h, _LOWER)
+        b = mm(a21, u11, h, _UPPER)
 
         i11 = _row_mask(e11)
         j11 = _col_mask(e11)
@@ -277,11 +297,7 @@ def _leu_rec(a, n, im, jm, plan, reads, r, c):
         t = K.perm_cols(b, e11, r1)
         a1_22 = K.sub(a22, mm(t, q, h))
 
-        # the two middle recursions are independent: either order gives the
-        # same.  Each child returns what the rest of this node reads: g needs
-        # l21 and u12 for E, and l12 and u21 go only into this node's L and U
-        reads12 = _U | reads & _L
-        reads21 = _L | reads & _U
+        # the two middle recursions are independent: either order gives the same
         if plan.reverse:
             l21, e21, u21 = _leu_rec(a1_21, h, i2, jb11 & j1, plan, reads21, r2, c1)
             l12, e12, u12 = _leu_rec(a1_12, h, ib11 & i1, j2, plan, reads12, r1, c2)
@@ -289,7 +305,7 @@ def _leu_rec(a, n, im, jm, plan, reads, r, c):
             l12, e12, u12 = _leu_rec(a1_12, h, ib11 & i1, j2, plan, reads12, r1, c2)
             l21, e21, u21 = _leu_rec(a1_21, h, i2, jb11 & j1, plan, reads21, r2, c1)
 
-        g = mm(mm(l21, a1_22, h), u12, h)
+        g = mm(mm(l21, a1_22, h, _LOWER), u12, h, _UPPER)
         i21 = _row_mask(e21)
         j12 = _col_mask(e12)
         ib21 = i21 ^ ((1 << r2) - 1)
@@ -303,20 +319,20 @@ def _leu_rec(a, n, im, jm, plan, reads, r, c):
         l = u = None
         if reads & _L:
             ge = K.perm_cols(g, e12, r1)
-            w = K.add(mm(ge, l12, h), mm(l21, t, h))
-            l_tl = mm(l12, l11, h)
-            l_bl = K.neg(mm(mm(l22, w, h), l11, h))
-            l_br = mm(l22, l21, h)
+            w = K.add(mm(ge, l12, h), mm(l21, t, h, _LOWER))
+            l_tl = mm(l12, l11, h, _LOWER)
+            l_bl = K.neg(mm(mm(l22, w, h, _LOWER), l11, h))
+            l_br = mm(l22, l21, h, _LOWER)
             l = K.join(l_tl, K.zeros(r1, r2), l_bl, l_br)
         else:
             plan.skip(6, h)
         if reads & _U:
             eg = K.perm_rows(e21, gj, c1, c2)
             eq = K.perm_rows(e11, q, c1, c2)
-            v = K.add(mm(u21, eg, h), mm(eq, u12, h))
-            u_tl = mm(u11, u21, h)
-            u_tr = K.neg(mm(mm(u11, v, h), u22, h))
-            u_br = mm(u12, u22, h)
+            v = K.add(mm(u21, eg, h), mm(eq, u12, h, _UPPER))
+            u_tl = mm(u11, u21, h, _UPPER)
+            u_tr = K.neg(mm(mm(u11, v, h), u22, h, _UPPER))
+            u_br = mm(u12, u22, h, _UPPER)
             u = K.join(u_tl, u_tr, K.zeros(c2, c1), u_br)
         else:
             plan.skip(6, h)

@@ -27,6 +27,15 @@ slots are cut by byte slices.  Narrow rows keep the rounding because the
 strided copies that drop the padding cost more there than the shorter
 integers save; other widths keep it until a gain there is measured (see
 ``_slots``).
+A caller may declare x lower (``_LOWER``) or y upper (``_UPPER``)
+triangular, and the kernel then skips the zero triangle: row i of a lower x
+sums only its first i + 1 packed rows, and an upper y is packed in reverse
+slot order, so that its row t is c - t slots long, summed shortest first so
+that the running sum stays short, and each cut row is read back reversed.
+The skipped terms are zero, so no value changes.  Products with fewer than
+``_EXACT_COLS`` rows, inner or columns ignore the hint, which cost more there
+than it saved.  The rational kernel takes none: on its packed sums a hint
+read 1.00x on a 64 x 64 decomposition and 1.05x on a 64 x 64 inverse.
 Over the rationals products are fraction-free: a block is integer rows with
 a scale per row and per column, the form the recursions keep throughout
 (see the block kernels below).  The public product loads each row of its
@@ -195,6 +204,7 @@ def _raw_classical(x, y, out_cols):
 
 _STRUCT_CODES = {1: "B", 2: "H", 4: "I", 8: "Q"}
 _EXACT_COLS = 32  # the fewest slots per row that take exact-width slots
+_LOWER, _UPPER = 1, 2  # a product's hint: x is lower, or y upper, triangular
 
 
 @lru_cache(maxsize=64)
@@ -261,17 +271,28 @@ def _slots(width, k, c):
     return pack, cut, size
 
 
-def _gfp_classical(x, y, k, c, p):
+def _gfp_classical(x, y, k, c, p, tri):
     # Canonical rows of x * y (r x k times k x c) for residues in [0, p).
     # Each row of y is packed into one integer of c slots, so row i of the
     # product is one multiply-accumulate of x[i] against the packed rows.
     # A slot sums k products of residues, at most k(p-1)^2, and its width
-    # holds that, so no slot carries into the next.
+    # holds that, so no slot carries into the next.  tri skips a zero
+    # triangle once r, k and c reach _EXACT_COLS (see the module docstring).
     pack, cut, _ = _slots(((k * (p - 1) ** 2).bit_length() + 7) // 8, k, c)
-    packed = pack(y)
-    sums = [sum(map(_mul, r, packed)) for r in x]
+    if tri and min(len(x), k, c) < _EXACT_COLS:
+        tri = 0
+    if not tri:
+        packed = pack(y)
+        sums = [sum(map(_mul, r, packed)) for r in x]
+    elif tri == _LOWER:
+        packed = pack(y)
+        sums = [sum(map(_mul, r[: i + 1], packed)) for i, r in enumerate(x)]
+    else:
+        packed = pack([row[::-1] for row in y])
+        sums = [sum(map(_mul, reversed(r), reversed(packed))) for r in x]
     zrow = [0] * c
-    return [[v % p for v in t] if z else zrow for z, t in zip(sums, cut(sums))]
+    out = [[v % p for v in t] if z else zrow for z, t in zip(sums, cut(sums))]
+    return [row[::-1] for row in out] if tri == _UPPER else out
 
 
 _SIGNED_COLS = 16  # the fewest columns whose integer products are packed
@@ -393,8 +414,9 @@ class _Blocks:
             eye = self._eye[n] = self._identity(n)
         return eye
 
-    def mul(self, x, y):
-        """The product of x (r x k) and y (k x c)."""
+    def mul(self, x, y, tri=0):
+        """The product of x (r x k) and y (k x c).  tri may declare x lower
+        (_LOWER) or y upper (_UPPER) triangular, which only GF(p) reads."""
         # the recursions hand the cached identity on as it is, so one
         # identity test by object, keyed by k, comes before any scan; the
         # result's shape is read only once the product is zero or runs
@@ -405,7 +427,7 @@ class _Blocks:
             return x
         if self.is_zero(x) or self.is_zero(y):
             return self.zeros(self.height(x), self.width(y))
-        return self._classical(x, y)
+        return self._classical(x, y, tri)
 
     def add(self, x, y):
         if self.is_zero(y):
@@ -471,8 +493,8 @@ class _PrimeBlocks(_Blocks):
     def perm_rows(self, ones, x, m, c):
         return _perm_rows(ones, x, [0] * c, m)
 
-    def _classical(self, x, y):
-        return _gfp_classical(x, y, len(y), len(y[0]), self.p)
+    def _classical(self, x, y, tri):
+        return _gfp_classical(x, y, len(y), len(y[0]), self.p, tri)
 
 
 def _fraction_free(rows):
@@ -673,7 +695,7 @@ class _RationalBlocks(_Blocks):
             cc[i] = x[2][j]
         return _perm_cols(x[0], ones, c), x[1], cc
 
-    def _classical(self, x, y):
+    def _classical(self, x, y, tri):
         # x * y = diag(1/rx) nx diag(1/m) ny diag(1/cy) with m = cx * ry;
         # the rows of ny are brought over the common multiple of m
         nx, rx, cx = x

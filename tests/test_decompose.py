@@ -112,6 +112,40 @@ def test_a_zero_block_builds_only_the_factors_its_caller_reads(field):
             assert plan.counter.scalar_mults == _tree_count(n, plan.cutoff)
 
 
+@pytest.mark.parametrize("field", [GF7, QQ], ids=str)
+@pytest.mark.parametrize("shape", [(1, 600), (600, 1)])
+def test_a_row_or_a_column_builds_no_factor_that_nothing_reads(field, shape, monkeypatch):
+    # the rank reads E alone.  No node of a row has rows below its top half
+    # (r2 = 0), so no U of it meets a nonempty block; no node of a column has
+    # columns right of its left half (c2 = 0), so no L does.  Only a GF(p)
+    # leaf, which makes both its factors, returns one, of order 4 at most
+    from math import inf
+
+    from leu import decompose
+    from leu.decompose import _model_log, _tree_count
+
+    real = decompose._leu_rec
+    orders = []
+
+    def recorded(a, n, im, jm, plan, reads, r, c):
+        l, e, u = real(a, n, im, jm, plan, reads, r, c)
+        unread = u if shape[0] == 1 else l
+        if unread is not None:
+            orders.append(plan.k.height(unread))
+        return l, e, u
+
+    monkeypatch.setattr(decompose, "_leu_rec", recorded)
+    A = rand_matrix(field, *shape, random.Random(600))
+    assert not A.is_zero()
+    c = MulCounter()
+    assert mat_rank(A, c) == 1
+    assert max(orders, default=0) <= 4
+    assert c.scalar_mults == _tree_count(1024, inf)
+    log = []
+    decompose._leu_blocks(A, decompose._E, MulCounter(), "classical", 32, False, False, log)
+    assert log == _model_log(1024, inf)
+
+
 def test_identity_any_size():
     for n in (1, 3, 5, 8):
         res = leu_decompose(DenseMatrix.identity(QQ, n))
@@ -222,11 +256,11 @@ def test_2x2_entries_are_measured(field, monkeypatch):
     real = _Plan.mm
     runs = [0]  # 1 x 1 products performed
 
-    def twice(self, x, y, h):
+    def twice(self, x, y, h, tri=0):
         if h == 1:
             runs[0] += 1
-            real(self, x, y, h)
-        return real(self, x, y, h)
+            real(self, x, y, h, tri)
+        return real(self, x, y, h, tri)
 
     monkeypatch.setattr(_Plan, "mm", twice)
     r = random.Random(0x2B2)
@@ -547,9 +581,9 @@ def test_a_33x33_costs_the_kernel_about_what_its_32x32_does(monkeypatch):
     work = []
     real = dense._gfp_classical
 
-    def counted(x, y, k, c, p):
+    def counted(x, y, k, c, p, tri):
         work.append(len(x) * k * c)
-        return real(x, y, k, c, p)
+        return real(x, y, k, c, p, tri)
 
     monkeypatch.setattr(dense, "_gfp_classical", counted)
     A = bench_matrix(33, 1)
@@ -765,6 +799,34 @@ def test_debug_node_rejects_corrupted_nodes(l, e, u, im, jm, what):
     _debug_node(_I2, [(0, 0)], _I2, 0b11, 0b11, 1)  # a sound node passes
     with pytest.raises(InvariantError, match=what):
         _debug_node(l, e, u, im, jm, 1)
+
+
+@pytest.mark.parametrize("field", [GF7, QQ], ids=str)
+@pytest.mark.parametrize("which", ["l", "u"])
+def test_debug_checks_hold_a_declared_triangle(field, which, monkeypatch):
+    # the root's l11 is declared lower triangular in q = l11 a12, and its u11
+    # upper in b = a21 u11: with one entry above l11's diagonal (below u11's)
+    # debug_checks raises before the kernel could skip that entry
+    from leu import decompose
+
+    real = decompose._leu_rec
+
+    def corrupted(a, n, im, jm, plan, reads, r, c):
+        l, e, u = real(a, n, im, jm, plan, reads, r, c)
+        if n == 4:  # the first node of n = 4 to return is the 8 x 8 root's a11
+            x = l if which == "l" else u
+            rows = [row[:] for row in (x[0] if field == QQ else x)]
+            i, j = (0, 1) if which == "l" else (1, 0)
+            rows[i][j] = 1
+            x = (rows, *x[1:]) if field == QQ else rows
+            l, u = (x, u) if which == "l" else (l, x)
+        return l, e, u
+
+    A = rand_matrix(field, 8, 8, random.Random(2901))
+    assert leu_decompose(A, debug_checks=True).rank == 8
+    monkeypatch.setattr(decompose, "_leu_rec", corrupted)
+    with pytest.raises(InvariantError, match="declared triangular"):
+        leu_decompose(A, debug_checks=True)
 
 
 _O_SCRIPT = textwrap.dedent("""

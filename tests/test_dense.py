@@ -416,6 +416,37 @@ def test_gfp_classical_at_slot_width_steps(p, step):
             _assert_same_residues(mat_mul_classical(x, y)._d, want)
 
 
+def _triangle(p, n, lower, r):
+    # a seeded n x n triangular matrix of residues with two zero rows
+    t = [[r.randrange(p) if (j <= i if lower else j >= i) else 0 for j in range(n)]
+         for i in range(n)]
+    t[r.randrange(n)] = t[r.randrange(n)] = [0] * n
+    return t
+
+
+@pytest.mark.parametrize("p", (2, 7, 65521, 2**61 - 1))
+def test_a_triangular_hint_changes_no_product(p):
+    # the kernel skips the zero triangle of a lower x (each row sums its
+    # first i + 1 terms) or an upper y (packed in reverse slot order and
+    # read back reversed) once r, k and c are all at least _EXACT_COLS = 32:
+    # on both sides of that gate the hinted product is the unhinted one.
+    # 2^61 - 1 takes slots of 17 bytes, which go through byte slices
+    from leu.dense import _LOWER, _UPPER, _gfp_classical
+
+    r = random.Random(2900 + p)
+    for n, other in ((31, 40), (32, 32), (32, 31), (33, 5), (33, 70), (64, 64), (100, 33)):
+        x = _triangle(p, n, True, r)
+        y, _ = _gfp_operands(p, n, other, 1, r, "random")
+        want = _gfp_schoolbook(x, y, n, other, p)
+        _assert_same_residues(_gfp_classical(x, y, n, other, p, 0), want)
+        _assert_same_residues(_gfp_classical(x, y, n, other, p, _LOWER), want)
+        x, _ = _gfp_operands(p, other, n, 1, r, "random")
+        y = _triangle(p, n, False, r)
+        want = _gfp_schoolbook(x, y, n, n, p)
+        _assert_same_residues(_gfp_classical(x, y, n, n, p, 0), want)
+        _assert_same_residues(_gfp_classical(x, y, n, n, p, _UPPER), want)
+
+
 # --- packed integer products (the ℚ kernel) ----------------------------------
 #
 # Over ℚ the integer product of two fraction-free blocks packs the right

@@ -82,7 +82,7 @@ def test_check_inverse_does_not_use_the_product_kernel(monkeypatch):
         wrong._d[2][3] = field.canon(wrong._d[2][3] + 1)
         cases.append((A, inv, wrong))
     monkeypatch.setattr(leu.dense, "_gfp_classical",
-                        lambda x, y, k, c, p: [[1] * c for _ in x])
+                        lambda x, y, k, c, p, tri: [[1] * c for _ in x])
     monkeypatch.setattr(leu.dense, "_int_classical",
                         lambda x, y, k, c: [[1] * c for _ in x])
     for A, inv, wrong in cases:

@@ -1,14 +1,16 @@
 """One sha256 over what leu computes, for comparing two checkouts.
 
 Over GF(7), GF(65521), GF(2^31 - 1) and the rationals, at n = 1, 2, 3, 5,
-8, 16, 33 and 64, two seeded n x n matrices of each rank r = 0, n/2 and n
-are decomposed with classical products and with Strassen products at
-cutoff 1.  The planted one is the product of an n x r and an r x n matrix;
-its leading blocks have generic rank, so the middle recursions of a node
-mostly see zero blocks.  The profiled one is L0 * P * U0, with L0 random
-lower triangular with a nonzero diagonal, P a random truncated permutation
-of rank r and U0 random unit upper triangular; its rank profile matrix is
-P, and its middle recursions do real work.  Each decomposition feeds L, E,
+8, 16, 33 and 64, and over GF(65521) also at n = 128, where the recursion's
+products are wide enough to skip the zero triangle of a triangular operand,
+two seeded n x n matrices of each rank r = 0, n/2 and n are decomposed with
+classical products and with Strassen products at cutoff 1.  The planted one
+is the product of an n x r and an r x n matrix; its leading blocks have
+generic rank, so the middle recursions of a node mostly see zero blocks.
+The profiled one is L0 * P * U0, with L0 random lower triangular with a
+nonzero diagonal, P a random truncated permutation of rank r and U0 random
+unit upper triangular; its rank profile matrix is P, and its middle
+recursions do real work.  Each decomposition feeds L, E,
 U, the MulCounter totals and the node log into the hash.  The classical run
 also feeds in the inverse (or the rank that the SingularError carries), the
 rank, the kernel basis, the rows and columns of the largest nonsingular
@@ -39,6 +41,7 @@ import sys
 
 PRIMES = (7, 65521, 2**31 - 1)
 SIZES = (1, 2, 3, 5, 8, 16, 33, 64)
+LARGE = (65521, 128)  # one prime, and the size it adds to SIZES
 METHODS = (("classical", 32), ("strassen", 1))
 RATIONAL_DERIVED = 33  # the largest rational n whose derived results are hashed
 
@@ -95,7 +98,7 @@ def main(argv=None):
 
     def inputs(field):
         # (n, r, kind, A) for every input of one field that the hash covers
-        for n in SIZES:
+        for n in SIZES + ((LARGE[1],) if field == GF(LARGE[0]) else ()):
             for r in sorted({0, n // 2, n}):
                 yield n, r, "planted", planted(field, n, r, random.Random(f"{field!r} {n} {r}"))
                 rng = random.Random(f"profiled {field!r} {n} {r}")
