@@ -10,23 +10,23 @@ are independent of each other, so they can be evaluated in either order with
 bitwise-identical results; ``parallel=True`` runs them in the opposite order.
 
 Each recursion node on a 2n x 2n block performs exactly 17 dense n x n
-products plus additions and sparse permutation/diagonal applications,
-which are free of counted multiplications.  The scalar base case inverts
-one nonzero entry.  Over GF(p) the nodes of n <= 4 run on scalars: a nonzero
-4 x 4 block (a 2 x 2 root padded to one) is one leaf on flat 2 x 2 blocks of
-residues, the node's own operations in the same order, so the same values
-and E without the block glue; ``debug_checks`` keeps the plain recursion and
-its node checks.  Every other product is computed by the field's one product
-kernel; ``method`` and ``cutoff`` choose only what the recursion adds to the
-supplied MulCounter for it: n^3 for a classical product, and
-``strassen_count(n, cutoff)`` for a Strassen one.
+products plus additions and sparse permutation/diagonal applications, which
+are free of counted multiplications.  Over GF(p) the nodes of n <= 4 run on
+scalars: a nonzero 4 x 4 block (a 2 x 2 root padded to one) is one leaf on
+flat 2 x 2 blocks of residues, the node's own operations in the same order,
+so the same values and E without the block glue; ``debug_checks`` keeps the
+plain recursion and its node checks.  Every other product is computed by the
+field's one product kernel.  A node tallies its 17 products, run or skipped,
+and prices the tally once as it exits, each at ``strassen_count(n, cutoff)``
+(n^3 classical): the only choice ``method`` and ``cutoff`` make.  The body
+counts one inversion, of one nonzero pivot, per one of E.
 
 Blocks travel through the recursion in the form of their field's block
 kernel (see :mod:`leu.dense`): rows of residues over GF(p), and over the
 rationals fraction-free integer rows with a scale per row and per column,
 turned into canonical fractions once at the end.  Work whose outcome is known
 without arithmetic, or whose result no caller reads, is skipped but still
-counted: a product with a zero operand or with the identity block a node
+tallied: a product with a zero operand or with the identity block a node
 hands on, and the six products that make a node's L, or its U, when nothing
 reads that factor (the rank and the block read only E, the kernel E and U,
 and a node asks each child for what it reads of it, so a node with no rows
@@ -44,8 +44,8 @@ real block: every node splits at half its order, as the padded square would,
 but holds and multiplies only the real rows and columns of its quarters, and
 returns L and U as the leading blocks of its factors, which are the identity
 beyond them.  So the padding is counted and never stored.  A node whose
-real block fits in its top-left quarter runs that child alone, and counts
-its own 17 products and its three zero children.  The derived operations
+real block fits in its top-left quarter runs that child alone, tallies its
+own 17 products and counts its three zero children.  The derived operations
 read the body's blocks and store only their own results (see
 :mod:`leu.derived`); the rank and the kernel of a rectangular matrix run on
 its own shape as well.
@@ -116,7 +116,8 @@ class VerifyReport:
 
 class _Plan:
     """Per-call context shared by every node of one decomposition: the block
-    kernel, the count model, the counter and, if one is kept, the node log."""
+    kernel, the count model, the counter, the node log if one is kept, and the
+    running node's tally of products, which the node prices as it exits."""
 
     __slots__ = ("k", "cutoff", "debug", "reverse", "counter", "log", "own", "leaf")
 
@@ -134,32 +135,22 @@ class _Plan:
         self.reverse = reverse
         self.counter = counter
         self.log = log
-        self.own = 0  # counted by the products of the node now running
+        self.own = 0  # products, run or skipped, of the node now running
         # GF(p) runs its nodes of n <= 4 on scalars; debug_checks keeps the recursion
         self.leaf = field.kind == "gfp" and not debug
 
-    def mm(self, x, y, h, tri=0):
-        """The product of two h x h blocks, counted.  tri declares x lower or y
-        upper triangular; a factor not built (None) meets only an empty block."""
+    def mm(self, x, y, tri=0):
+        """The product of two blocks, tallied.  tri declares x lower or y upper
+        triangular; a factor not built (None) meets only an empty block."""
+        self.own += 1
         if x is None or y is None:
-            self.skip(1, h)
             return y if x is None else x
-        c = strassen_count(h, self.cutoff)
-        self.counter.scalar_mults += c
-        self.own += c
         if self.debug and tri:
             t = self.k.store(x if tri == _LOWER else y)
             t = DenseMatrix._wrap(self.k.field, t, len(t), len(t))
             _ensure(is_lower_triangular(t) if tri == _LOWER else is_upper_triangular(t),
                     "an operand declared triangular is not")
         return self.k.mul(x, y, tri)
-
-    def skip(self, k, h):
-        """Count k products of h x h blocks that do not run: no caller reads
-        them, or a zero, identity or empty operand makes them known."""
-        c = k * strassen_count(h, self.cutoff)
-        self.counter.scalar_mults += c
-        self.own += c
 
     def model(self, n):
         """Count, and log if a log is kept, an n x n subtree that runs no product."""
@@ -241,7 +232,6 @@ def _leu_rec(a, n, im, jm, plan, reads, r, c):
         plan.model(n)
         return K.identity(r) if reads & _L else None, [], K.identity(c) if reads & _U else None
     if n == 1:  # a nonzero pivot
-        plan.counter.scalar_invs += 1
         return K.inverse1(a), [(0, 0)], K.identity(1)
     if plan.leaf and n <= 4:
         # the leaf runs on the whole 4 x 4 block: a 2 x 2 root is the
@@ -253,18 +243,17 @@ def _leu_rec(a, n, im, jm, plan, reads, r, c):
         l, e, u = _leaf4(a, K.p, K.field.inv)
         if cut:
             l, u = [row[:r] for row in l[:r]], [row[:c] for row in u[:c]]
-        plan.counter.scalar_invs += len(e)
         return l, e, u
 
     h = n >> 1
-    # this node's own count leaves out what its four children count
+    # this node's own tally of products leaves out its four children's
     outer, plan.own = plan.own, 0
     if r <= h and c <= h:
         # only a11 is real: its factors and E are the node's, the other three
         # children are zero blocks, and every product meets one of them or
         # the identity they return
         l, e, u = _leu_rec(a, h, im, jm, plan, reads, r, c)
-        plan.skip(17, h)
+        plan.own += 17
         for _ in range(3):
             plan.model(h)
     else:
@@ -285,8 +274,8 @@ def _leu_rec(a, n, im, jm, plan, reads, r, c):
 
         l11, e11, u11 = _leu_rec(a11, h, i1, j1, plan, reads12 | reads21, r1, c1)
 
-        q = mm(l11, a12, h, _LOWER)
-        b = mm(a21, u11, h, _UPPER)
+        q = mm(l11, a12, _LOWER)
+        b = mm(a21, u11, _UPPER)
 
         i11 = _row_mask(e11)
         j11 = _col_mask(e11)
@@ -294,8 +283,8 @@ def _leu_rec(a, n, im, jm, plan, reads, r, c):
         jb11 = j11 ^ ((1 << c1) - 1)
         a1_12 = K.keep_rows(q, ib11, c2)
         a1_21 = K.keep_cols(b, jb11, c1)
-        t = K.perm_cols(b, e11, r1)
-        a1_22 = K.sub(a22, mm(t, q, h))
+        t = K.perm_cols(b, e11, r1) if c2 or reads & _L else None
+        a1_22 = K.sub(a22, mm(t, q))
 
         # the two middle recursions are independent: either order gives the same
         if plan.reverse:
@@ -305,7 +294,7 @@ def _leu_rec(a, n, im, jm, plan, reads, r, c):
             l12, e12, u12 = _leu_rec(a1_12, h, ib11 & i1, j2, plan, reads12, r1, c2)
             l21, e21, u21 = _leu_rec(a1_21, h, i2, jb11 & j1, plan, reads21, r2, c1)
 
-        g = mm(mm(l21, a1_22, h, _LOWER), u12, h, _UPPER)
+        g = mm(mm(l21, a1_22, _LOWER), u12, _UPPER)
         i21 = _row_mask(e21)
         j12 = _col_mask(e12)
         ib21 = i21 ^ ((1 << r2) - 1)
@@ -315,27 +304,27 @@ def _leu_rec(a, n, im, jm, plan, reads, r, c):
 
         l22, e22, u22 = _leu_rec(a2_22, h, ib21 & i2, jb12 & j2, plan, reads, r2, c2)
 
-        # L and U each take six more products, counted whether or not they run
+        # L and U each take six more products, tallied whether or not they run
         l = u = None
         if reads & _L:
             ge = K.perm_cols(g, e12, r1)
-            w = K.add(mm(ge, l12, h), mm(l21, t, h, _LOWER))
-            l_tl = mm(l12, l11, h, _LOWER)
-            l_bl = K.neg(mm(mm(l22, w, h, _LOWER), l11, h))
-            l_br = mm(l22, l21, h, _LOWER)
+            w = K.add(mm(ge, l12), mm(l21, t, _LOWER))
+            l_tl = mm(l12, l11, _LOWER)
+            l_bl = K.neg(mm(mm(l22, w, _LOWER), l11))
+            l_br = mm(l22, l21, _LOWER)
             l = K.join(l_tl, K.zeros(r1, r2), l_bl, l_br)
         else:
-            plan.skip(6, h)
+            plan.own += 6
         if reads & _U:
             eg = K.perm_rows(e21, gj, c1, c2)
             eq = K.perm_rows(e11, q, c1, c2)
-            v = K.add(mm(u21, eg, h), mm(eq, u12, h, _UPPER))
-            u_tl = mm(u11, u21, h, _UPPER)
-            u_tr = K.neg(mm(mm(u11, v, h), u22, h, _UPPER))
-            u_br = mm(u12, u22, h, _UPPER)
+            v = K.add(mm(u21, eg), mm(eq, u12, _UPPER))
+            u_tl = mm(u11, u21, _UPPER)
+            u_tr = K.neg(mm(mm(u11, v), u22, _UPPER))
+            u_br = mm(u12, u22, _UPPER)
             u = K.join(u_tl, u_tr, K.zeros(c2, c1), u_br)
         else:
-            plan.skip(6, h)
+            plan.own += 6
         # a right (bottom) quarter holds a one only when the left (top) is whole
         e = list(e11)
         e += [(i, j + h) for i, j in e12]
@@ -344,8 +333,10 @@ def _leu_rec(a, n, im, jm, plan, reads, r, c):
 
     if plan.debug:
         _debug_node(K.store(l), e, K.store(u), im, jm, K.field.one_raw)
+    own = plan.own * strassen_count(h, plan.cutoff)
+    plan.counter.scalar_mults += own
     if plan.log is not None:
-        plan.log.append((n, plan.own))
+        plan.log.append((n, own))
     plan.own = outer
     return l, e, u
 
@@ -496,6 +487,7 @@ def _leu_blocks(A, reads, counter, method, cutoff, debug_checks, parallel=False,
     l, e, u = _leu_rec(plan.k.load(A._d), m, (1 << r) - 1, (1 << c) - 1, plan,
                        _LU if debug_checks else reads, r, c)
     _ensure(all(i < r and j < c for i, j in e), "support escaped the unpadded block")
+    plan.counter.scalar_invs += len(e)  # each one of E is one pivot inverted
     return l, e, u, plan
 
 

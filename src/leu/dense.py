@@ -747,7 +747,7 @@ def _inv_lower(K, x, n, counter, unit=False):
     ib = _inv_lower(K, b, n - h, counter, unit)
     # two classical products: c * ia, then ib times that
     counter.scalar_mults += (n - h) * h * h + (n - h) * (n - h) * h
-    m = K.mul(ib, K.mul(c, ia))
+    m = K.mul(ib, K.mul(c, ia), _LOWER)
     return K.join(ia, K.zeros(h, n - h), K.neg(m), ib)
 
 

@@ -118,14 +118,25 @@ def test_a_row_or_a_column_builds_no_factor_that_nothing_reads(field, shape, mon
     # the rank reads E alone.  No node of a row has rows below its top half
     # (r2 = 0), so no U of it meets a nonempty block; no node of a column has
     # columns right of its left half (c2 = 0), so no L does.  Only a GF(p)
-    # leaf, which makes both its factors, returns one, of order 4 at most
+    # leaf, which makes both its factors, returns one, of order 4 at most.
+    # Nor does a column build t = b * E11^T, which then meets only the empty
+    # q: no block with permuted columns gets a row
     from math import inf
 
     from leu import decompose
     from leu.decompose import _model_log, _tree_count
+    from leu.dense import blocks
 
     real = decompose._leu_rec
     orders = []
+    kernel = blocks(field)
+    real_perm_cols = kernel.perm_cols
+    heights = []
+
+    def perm_cols(self, x, ones, c):
+        out = real_perm_cols(x, ones, c)
+        heights.append(self.height(out))
+        return out
 
     def recorded(a, n, im, jm, plan, reads, r, c):
         l, e, u = real(a, n, im, jm, plan, reads, r, c)
@@ -135,11 +146,13 @@ def test_a_row_or_a_column_builds_no_factor_that_nothing_reads(field, shape, mon
         return l, e, u
 
     monkeypatch.setattr(decompose, "_leu_rec", recorded)
+    monkeypatch.setattr(type(kernel), "perm_cols", perm_cols)
     A = rand_matrix(field, *shape, random.Random(600))
     assert not A.is_zero()
     c = MulCounter()
     assert mat_rank(A, c) == 1
     assert max(orders, default=0) <= 4
+    assert not any(heights)
     assert c.scalar_mults == _tree_count(1024, inf)
     log = []
     decompose._leu_blocks(A, decompose._E, MulCounter(), "classical", 32, False, False, log)
@@ -247,21 +260,31 @@ def test_exact_17_products_per_node():
 
 @pytest.mark.parametrize("field", FIELDS)
 def test_2x2_entries_are_measured(field, monkeypatch):
-    # a 2 x 2 node that runs logs what its products counted, not the model's
-    # 17: count each of its 1 x 1 products twice and its entry must read 34.
-    # Over GF(p) only debug_checks runs that node through _Plan.mm; the leaf
-    # that replaces it otherwise is held to that node by the leaf tests below
+    # a 2 x 2 node that runs logs what its products tallied, not the model's
+    # 17: make each of its products twice and its entry must read 34.  The
+    # node that runs is the innermost one entered and not yet left.  Over
+    # GF(p) only debug_checks runs that node through _Plan.mm; the leaf that
+    # replaces it otherwise is held to that node by the leaf tests below
+    from leu import decompose
     from leu.decompose import _Plan
 
-    real = _Plan.mm
-    runs = [0]  # 1 x 1 products performed
+    real, rec = _Plan.mm, decompose._leu_rec
+    runs = [0]  # products of 2 x 2 nodes performed
+    sizes = []  # the orders of the nodes entered and not yet left
 
-    def twice(self, x, y, h, tri=0):
-        if h == 1:
+    def tracked(a, n, *rest):
+        sizes.append(n)
+        out = rec(a, n, *rest)
+        sizes.pop()
+        return out
+
+    def twice(self, x, y, tri=0):
+        if sizes[-1] == 2:
             runs[0] += 1
-            real(self, x, y, h, tri)
-        return real(self, x, y, h, tri)
+            real(self, x, y, tri)
+        return real(self, x, y, tri)
 
+    monkeypatch.setattr(decompose, "_leu_rec", tracked)
     monkeypatch.setattr(_Plan, "mm", twice)
     r = random.Random(0x2B2)
     for A in (planted_rank(field, 16, 5, r), planted_rank(field, 12, 12, r)):

@@ -692,10 +692,11 @@ def test_transpose_of_a_matrix_with_no_rows(field):
 
 # --- Strassen-mode products ---------------------------------------------------
 #
-# Strassen mode changes only the count: a decomposition plan's ``mm`` adds
-# ``strassen_count(n, cutoff)`` and takes the product from the field's one
-# kernel.  So the operands that mode multiplies are checked on the kernel,
-# and the count once per (n, cutoff), whatever the kernel skipped.
+# Strassen mode changes only the count: a decomposition plan's ``mm`` takes
+# the product from the field's one kernel and tallies it, and each node of
+# order n prices its tally at ``strassen_count(n // 2, cutoff)``.  So the
+# operands that mode multiplies are checked on the kernel, and the count once
+# per (n, cutoff), whatever the kernel skipped.
 
 
 def _zero_quarter(x, n, which, zero):
@@ -766,9 +767,11 @@ def test_structured_operands_match_schoolbook(field):
 
 
 def test_strassen_counts():
-    # a plan's mm counts its n x n product as strassen_count(n, cutoff),
-    # zero quarters and zero operands included, and returns the kernel's
-    # product
+    # a plan's mm returns the kernel's product, zero quarters and zero
+    # operands included, and hands a factor not built (None) the other
+    # operand; each call tallies one product of the running node and counts
+    # nothing.  A node of order n prices each product it tallied as one
+    # strassen_count(n // 2, cutoff)
     from leu.decompose import _Plan
     from leu.dense import strassen_count
 
@@ -781,19 +784,23 @@ def test_strassen_counts():
     r = random.Random(901)
     for field in [GF(p) for p in GFP_PRIMES] + [QQ]:
         for n, cutoffs in grid.items():
-            A = rand_matrix(field, n, n, r)._d
+            A = rand_matrix(field, n, n, r)
             Z = [[field.zero_raw] * n for _ in range(n)]
-            pairs = [(A, A), (Z, A), (A, Z)]
+            pairs = [(A._d, A._d), (Z, A._d), (A._d, Z)]
             for which in range(4) if n > 1 else ():
-                q = _zero_quarter(A, n, which, field.zero_raw)
-                pairs += [(q, A), (A, q)]
+                q = _zero_quarter(A._d, n, which, field.zero_raw)
+                pairs += [(q, A._d), (A._d, q)]
             plans = [_Plan(field, "strassen", m, False, False, MulCounter(), None) for m in cutoffs]
             K = plans[0].k
             for x, y in pairs:
                 x, y = K.load(x), K.load(y)
                 want = K.mul(x, y)
                 for plan in plans:
-                    before = plan.counter.scalar_mults
-                    assert plan.mm(x, y, n) == want
-                    count = strassen_count(n, plan.cutoff)
-                    assert plan.counter.scalar_mults - before == count, (n, plan.cutoff)
+                    assert plan.mm(x, y) == want
+            for plan in plans:
+                assert plan.mm(None, x) is x and plan.mm(x, None) is x
+                assert (plan.own, plan.counter.scalar_mults) == (len(pairs) + 2, 0)
+                log = []
+                leu_decompose(A, method="strassen", cutoff=plan.cutoff, _node_log=log)
+                assert all(own == 17 * strassen_count(size // 2, plan.cutoff) for size, own in log)
+                assert log[-1:] == ([(n, 17 * strassen_count(n // 2, plan.cutoff))] if n > 1 else [])

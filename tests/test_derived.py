@@ -366,6 +366,29 @@ def test_rank_and_kernel_of_a_rectangle_are_those_of_its_padded_square(field, sh
         assert got == want
 
 
+@pytest.mark.parametrize("field", [GF(2), GF7, GF65521, QQ], ids=str)
+@pytest.mark.parametrize("debug", [False, True], ids=["fast", "debug"])
+def test_each_one_of_e_counts_one_inversion(field, debug):
+    # each one of E is one nonzero pivot inverted, by an n = 1 node or a
+    # GF(p) leaf, and nothing else inverts: scalar_invs is the rank for every
+    # operation that runs the decomposition body and reads no inverse
+    r = random.Random(0x1A5)
+    inputs = []
+    for n in (1, 2, 5, 12, 19):
+        inputs.append(rand_matrix(field, n, n, r))
+        inputs += [profiled(field, n, k, r)[0] for k in (0, n // 2, n)]
+    for A in inputs:
+        counts = []
+        for op in (leu_decompose, mat_rank, kernel_basis):
+            c = MulCounter()
+            op(A, c, debug_checks=debug)
+            counts.append(c.scalar_invs)
+        c = MulCounter()
+        largest_nonsingular_block(A, c, verify=debug)
+        counts.append(c.scalar_invs)
+        assert counts == [oracle.gauss_rank(A)] * 4
+
+
 def test_rank_and_kernel_skip_the_unread_products(monkeypatch):
     # on a full-rank input every product runs the kernel: the rank, which
     # reads only E, runs fewer than the kernel, which reads E and U, and the
