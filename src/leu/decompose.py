@@ -16,27 +16,26 @@ scalars: a nonzero 4 x 4 block (a 2 x 2 root padded to one) is one leaf on
 flat 2 x 2 blocks of residues, the node's own operations in the same order,
 so the same values and E without the block glue; ``debug_checks`` keeps the
 plain recursion and its node checks.  Every other product is computed by the
-field's one product kernel.  A node tallies its 17 products, run or skipped,
-and prices the tally once as it exits, each at ``strassen_count(n, cutoff)``
-(n^3 classical): the only choice ``method`` and ``cutoff`` make.  The body
-counts one inversion, of one nonzero pivot, per one of E.
+field's one product kernel.  The recursion only computes: since its cost is
+17 products a node whatever the data, the body counts a decomposition once,
+from the model of the whole tree, each product at ``strassen_count(n,
+cutoff)`` (n^3 classical), the only choice ``method`` and ``cutoff`` make,
+and one inversion, of one nonzero pivot, per one of E.
 
 Blocks travel through the recursion in the form of their field's block
 kernel (see :mod:`leu.dense`): rows of residues over GF(p), and over the
 rationals fraction-free integer rows with a scale per row and per column,
 turned into canonical fractions once at the end.  Work whose outcome is known
-without arithmetic, or whose result no caller reads, is skipped but still
-tallied: a product with a zero operand or with the identity block a node
-hands on, and the six products that make a node's L, or its U, when nothing
-reads that factor (the rank and the block read only E, the kernel E and U,
-and a node asks each child for what it reads of it, so a node with no rows
-below or columns right of its top-left quarter builds no factor that meets
-only an empty block).  Every L is lower and every U upper triangular, and
-each product says which of its operands is, so that the GF(p) kernel skips
-the zero triangle.  A subtree that runs no product, a zero block (E empty,
-and L = U = I, built only if read) or a GF(p) leaf, which computes and
-never counts, is counted and logged in one place, from the model of the
-whole subtree.  So the count does not depend on which shortcuts were taken.
+without arithmetic, or whose result no caller reads, is skipped: a product
+with a zero operand or with the identity block a node hands on, a zero block
+(E empty, and L = U = I, built only if read), and the six products that make
+a node's L, or its U, when nothing reads that factor (the rank and the block
+read only E, the kernel E and U, and a node asks each child for what it
+reads of it, so a node with no rows below or columns right of its top-left
+quarter builds no factor that meets only an empty block).  Every L is lower
+and every U upper triangular, and each product says which of its operands
+is, so that the GF(p) kernel skips the zero triangle.  The count, taken from
+the model, does not depend on which shortcuts were taken.
 
 :func:`leu_decompose` is the one entry point.  Its body runs the recursion
 at the next power-of-two order, with the input's own entries as the root's
@@ -44,9 +43,8 @@ real block: every node splits at half its order, as the padded square would,
 but holds and multiplies only the real rows and columns of its quarters, and
 returns L and U as the leading blocks of its factors, which are the identity
 beyond them.  So the padding is counted and never stored.  A node whose
-real block fits in its top-left quarter runs that child alone, tallies its
-own 17 products and counts its three zero children.  The derived operations
-read the body's blocks and store only their own results (see
+real block fits in its top-left quarter runs that child alone.  The derived
+operations read the body's blocks and store only their own results (see
 :mod:`leu.derived`); the rank and the kernel of a rectangular matrix run on
 its own shape as well.
 
@@ -116,33 +114,22 @@ class VerifyReport:
 
 class _Plan:
     """Per-call context shared by every node of one decomposition: the block
-    kernel, the count model, the counter, the node log if one is kept, and the
-    running node's tally of products, which the node prices as it exits."""
+    kernel, the node checks, the order of the middle recursions, and the
+    counter the derived operations go on counting into."""
 
-    __slots__ = ("k", "cutoff", "debug", "reverse", "counter", "log", "own", "leaf")
+    __slots__ = ("k", "debug", "reverse", "counter", "leaf")
 
-    def __init__(self, field, method, cutoff, debug, reverse, counter, log):
-        # the classical count is Strassen's count of a product that never splits
-        if method == "classical":
-            cutoff = inf
-        elif method != "strassen":
-            raise ValueError(f"unknown multiplication method {method!r}")
-        elif _integer(cutoff, "cutoffs") < 1:
-            raise ValueError("cutoff must be >= 1")
+    def __init__(self, field, debug, reverse, counter):
         self.k = blocks(field)
-        self.cutoff = cutoff
         self.debug = debug
         self.reverse = reverse
         self.counter = counter
-        self.log = log
-        self.own = 0  # products, run or skipped, of the node now running
         # GF(p) runs its nodes of n <= 4 on scalars; debug_checks keeps the recursion
         self.leaf = field.kind == "gfp" and not debug
 
     def mm(self, x, y, tri=0):
-        """The product of two blocks, tallied.  tri declares x lower or y upper
+        """The product of two blocks.  tri declares x lower or y upper
         triangular; a factor not built (None) meets only an empty block."""
-        self.own += 1
         if x is None or y is None:
             return y if x is None else x
         if self.debug and tri:
@@ -151,12 +138,6 @@ class _Plan:
             _ensure(is_lower_triangular(t) if tri == _LOWER else is_upper_triangular(t),
                     "an operand declared triangular is not")
         return self.k.mul(x, y, tri)
-
-    def model(self, n):
-        """Count, and log if a log is kept, an n x n subtree that runs no product."""
-        self.counter.scalar_mults += _tree_count(n, self.cutoff)
-        if self.log is not None:
-            self.log.extend(_model_log(n, self.cutoff))
 
 
 @lru_cache(maxsize=256)
@@ -218,133 +199,120 @@ def _leu_rec(a, n, im, jm, plan, reads, r, c):
     # a is the real r x c block of an n x n node whose other entries are zero,
     # in the form of plan.k.  The node's L and U are the identity beyond their
     # leading r x r and c x c blocks, which come back in the same form, unless
-    # reads leaves the factor out: then it may be None.  Splits and counts are
-    # those of the n x n node.  The support check comes before every shortcut
+    # reads leaves the factor out: then it may be None.  Splits are those of
+    # the n x n node, which computes and never counts: _leu_blocks counts
+    # the whole tree from the model.  The support check comes before every
+    # shortcut
     K = plan.k
     if plan.debug:
         _ensure(not _outside_support(K.store(a), c, im, jm),
                 "block has entries outside its (I, J) support")
 
-    # a zero block (every node below sees zeros only: L = U = I, E = 0) and
-    # a GF(p) scalar leaf run no product: the model counts and logs them.
+    # a zero block: every node below sees zeros only, L = U = I, E = 0.
     # The masks bound the block's support, so an empty one needs no scan
     if not (im and jm) or K.is_zero(a):
-        plan.model(n)
         return K.identity(r) if reads & _L else None, [], K.identity(c) if reads & _U else None
     if n == 1:  # a nonzero pivot
         return K.inverse1(a), [(0, 0)], K.identity(1)
     if plan.leaf and n <= 4:
         # the leaf runs on the whole 4 x 4 block: a 2 x 2 root is the
         # top-left quarter of a 4 x 4 whose other quarters are zero
-        plan.model(n)
         cut = r < 4 or c < 4
         if cut:
             a = [row + [0] * (4 - c) for row in a] + [[0] * 4] * (4 - r)
         l, e, u = _leaf4(a, K.p, K.field.inv)
         if cut:
-            l, u = [row[:r] for row in l[:r]], [row[:c] for row in u[:c]]
+            # a 1 x 1 unitriangular U is the cached identity, which products skip
+            l = [row[:r] for row in l[:r]]
+            u = K.identity(1) if c == 1 else [row[:c] for row in u[:c]]
         return l, e, u
 
     h = n >> 1
-    # this node's own tally of products leaves out its four children's
-    outer, plan.own = plan.own, 0
     if r <= h and c <= h:
         # only a11 is real: its factors and E are the node's, the other three
         # children are zero blocks, and every product meets one of them or
-        # the identity they return
-        l, e, u = _leu_rec(a, h, im, jm, plan, reads, r, c)
-        plan.own += 17
-        for _ in range(3):
-            plan.model(h)
+        # the identity they return.  a11 checks what this node would
+        return _leu_rec(a, h, im, jm, plan, reads, r, c)
+
+    # each quarter's real shape: the top rows (left columns) fill before
+    # the bottom (right) ones get any
+    r1, c1 = min(r, h), min(c, h)
+    r2, c2 = r - r1, c - c1
+    hm = (1 << h) - 1
+    i1, i2 = im & hm, im >> h
+    j1, j2 = jm & hm, jm >> h
+    a11, a12, a21, a22 = K.split(a, h)
+    mm = plan.mm
+    # a child builds what the rest of this node reads of it: u11 and u12
+    # meet the r2 rows below (b, g), l11 and l21 the c2 columns to the
+    # right (q, g), and every factor goes into this node's own L or U
+    reads12 = reads | _U if r2 else reads
+    reads21 = reads | _L if c2 else reads
+
+    l11, e11, u11 = _leu_rec(a11, h, i1, j1, plan, reads12 | reads21, r1, c1)
+
+    q = mm(l11, a12, _LOWER)
+    b = mm(a21, u11, _UPPER)
+
+    i11 = _row_mask(e11)
+    j11 = _col_mask(e11)
+    ib11 = i11 ^ ((1 << r1) - 1)
+    jb11 = j11 ^ ((1 << c1) - 1)
+    a1_12 = K.keep_rows(q, ib11, c2)
+    a1_21 = K.keep_cols(b, jb11, c1)
+    t = K.perm_cols(b, e11, r1) if c2 or reads & _L else None
+    a1_22 = K.sub(a22, mm(t, q))
+
+    # the two middle recursions are independent: either order gives the same
+    if plan.reverse:
+        l21, e21, u21 = _leu_rec(a1_21, h, i2, jb11 & j1, plan, reads21, r2, c1)
+        l12, e12, u12 = _leu_rec(a1_12, h, ib11 & i1, j2, plan, reads12, r1, c2)
     else:
-        # each quarter's real shape: the top rows (left columns) fill before
-        # the bottom (right) ones get any
-        r1, c1 = min(r, h), min(c, h)
-        r2, c2 = r - r1, c - c1
-        hm = (1 << h) - 1
-        i1, i2 = im & hm, im >> h
-        j1, j2 = jm & hm, jm >> h
-        a11, a12, a21, a22 = K.split(a, h)
-        mm = plan.mm
-        # a child builds what the rest of this node reads of it: u11 and u12
-        # meet the r2 rows below (b, g), l11 and l21 the c2 columns to the
-        # right (q, g), and every factor goes into this node's own L or U
-        reads12 = reads | _U if r2 else reads
-        reads21 = reads | _L if c2 else reads
+        l12, e12, u12 = _leu_rec(a1_12, h, ib11 & i1, j2, plan, reads12, r1, c2)
+        l21, e21, u21 = _leu_rec(a1_21, h, i2, jb11 & j1, plan, reads21, r2, c1)
 
-        l11, e11, u11 = _leu_rec(a11, h, i1, j1, plan, reads12 | reads21, r1, c1)
+    g = mm(mm(l21, a1_22, _LOWER), u12, _UPPER)
+    i21 = _row_mask(e21)
+    j12 = _col_mask(e12)
+    ib21 = i21 ^ ((1 << r2) - 1)
+    jb12 = j12 ^ ((1 << c2) - 1)
+    gj = K.keep_cols(g, jb12, c2)
+    a2_22 = K.keep_rows(gj, ib21, c2)
 
-        q = mm(l11, a12, _LOWER)
-        b = mm(a21, u11, _UPPER)
+    l22, e22, u22 = _leu_rec(a2_22, h, ib21 & i2, jb12 & j2, plan, reads, r2, c2)
 
-        i11 = _row_mask(e11)
-        j11 = _col_mask(e11)
-        ib11 = i11 ^ ((1 << r1) - 1)
-        jb11 = j11 ^ ((1 << c1) - 1)
-        a1_12 = K.keep_rows(q, ib11, c2)
-        a1_21 = K.keep_cols(b, jb11, c1)
-        t = K.perm_cols(b, e11, r1) if c2 or reads & _L else None
-        a1_22 = K.sub(a22, mm(t, q))
-
-        # the two middle recursions are independent: either order gives the same
-        if plan.reverse:
-            l21, e21, u21 = _leu_rec(a1_21, h, i2, jb11 & j1, plan, reads21, r2, c1)
-            l12, e12, u12 = _leu_rec(a1_12, h, ib11 & i1, j2, plan, reads12, r1, c2)
-        else:
-            l12, e12, u12 = _leu_rec(a1_12, h, ib11 & i1, j2, plan, reads12, r1, c2)
-            l21, e21, u21 = _leu_rec(a1_21, h, i2, jb11 & j1, plan, reads21, r2, c1)
-
-        g = mm(mm(l21, a1_22, _LOWER), u12, _UPPER)
-        i21 = _row_mask(e21)
-        j12 = _col_mask(e12)
-        ib21 = i21 ^ ((1 << r2) - 1)
-        jb12 = j12 ^ ((1 << c2) - 1)
-        gj = K.keep_cols(g, jb12, c2)
-        a2_22 = K.keep_rows(gj, ib21, c2)
-
-        l22, e22, u22 = _leu_rec(a2_22, h, ib21 & i2, jb12 & j2, plan, reads, r2, c2)
-
-        # L and U each take six more products, tallied whether or not they run
-        l = u = None
-        if reads & _L:
-            ge = K.perm_cols(g, e12, r1)
-            w = K.add(mm(ge, l12), mm(l21, t, _LOWER))
-            l_tl = mm(l12, l11, _LOWER)
-            l_bl = K.neg(mm(mm(l22, w, _LOWER), l11))
-            l_br = mm(l22, l21, _LOWER)
-            l = K.join(l_tl, K.zeros(r1, r2), l_bl, l_br)
-        else:
-            plan.own += 6
-        if reads & _U:
-            eg = K.perm_rows(e21, gj, c1, c2)
-            eq = K.perm_rows(e11, q, c1, c2)
-            v = K.add(mm(u21, eg), mm(eq, u12, _UPPER))
-            u_tl = mm(u11, u21, _UPPER)
-            u_tr = K.neg(mm(mm(u11, v), u22, _UPPER))
-            u_br = mm(u12, u22, _UPPER)
-            u = K.join(u_tl, u_tr, K.zeros(c2, c1), u_br)
-        else:
-            plan.own += 6
-        # a right (bottom) quarter holds a one only when the left (top) is whole
-        e = list(e11)
-        e += [(i, j + h) for i, j in e12]
-        e += [(i + h, j) for i, j in e21]
-        e += [(i + h, j + h) for i, j in e22]
-
+    # L and U each take six more products, run only when read
+    l = u = None
+    if reads & _L:
+        ge = K.perm_cols(g, e12, r1)
+        w = K.add(mm(ge, l12), mm(l21, t, _LOWER))
+        l_tl = mm(l12, l11, _LOWER)
+        l_bl = K.neg(mm(mm(l22, w, _LOWER), l11))
+        l_br = mm(l22, l21, _LOWER)
+        # with no rows below, L is its top-left quarter
+        l = K.join(l_tl, K.zeros(r1, r2), l_bl, l_br) if r2 else l_tl
+    if reads & _U:
+        eg = K.perm_rows(e21, gj, c1, c2)
+        eq = K.perm_rows(e11, q, c1, c2)
+        v = K.add(mm(u21, eg), mm(eq, u12, _UPPER))
+        u_tl = mm(u11, u21, _UPPER)
+        u_tr = K.neg(mm(mm(u11, v), u22, _UPPER))
+        u_br = mm(u12, u22, _UPPER)
+        u = K.join(u_tl, u_tr, K.zeros(c2, c1), u_br) if c2 else u_tl
+    # a right (bottom) quarter holds a one only when the left (top) is whole
+    e = list(e11)
+    e += [(i, j + h) for i, j in e12]
+    e += [(i + h, j) for i, j in e21]
+    e += [(i + h, j + h) for i, j in e22]
     if plan.debug:
         _debug_node(K.store(l), e, K.store(u), im, jm, K.field.one_raw)
-    own = plan.own * strassen_count(h, plan.cutoff)
-    plan.counter.scalar_mults += own
-    if plan.log is not None:
-        plan.log.append((n, own))
-    plan.own = outer
     return l, e, u
 
 
 def _leaf2(a, p, inv):
     # _leu_rec's node at n = 2 over GF(p) on a flat block (x11, x12, x21, x22)
     # of residues: the same operations in the same order.  L and U come back
-    # flat, E as flags in that order; the caller counts the node from the model
+    # flat, E as flags in that order; the count is taken once, from the model
     a11, a12, a21, a22 = a
     if not (a11 or a12 or a21 or a22):
         return _I2, (False,) * 4, _I2  # as _leu_rec's zero block: L = U = I, E = 0
@@ -402,7 +370,7 @@ def _keep2(x, e, cols):
 def _leaf4(a, p, inv):
     # _leu_rec's node at n = 4 over GF(p) on flat 2 x 2 blocks: the same
     # operations in the same order, its four children through _leaf2; the
-    # caller counts the node and its children from the model
+    # count is taken once, from the model
     (r00, r01, r02, r03), (r10, r11, r12, r13), (r20, r21, r22, r23), (r30, r31, r32, r33) = a
     l11, e11, u11 = _leaf2((r00, r01, r10, r11), p, inv)
     et11 = (e11[0], e11[2], e11[1], e11[3])  # E11^T, as perm_cols and perm_rows apply it
@@ -476,18 +444,29 @@ def _leu_blocks(A, reads, counter, method, cutoff, debug_checks, parallel=False,
     s = max(r, c)
     if s == 0:
         raise ShapeError("empty matrix")
+    # the classical count is Strassen's count of a product that never splits
+    if method == "classical":
+        cutoff = inf
+    elif method != "strassen":
+        raise ValueError(f"unknown multiplication method {method!r}")
+    elif _integer(cutoff, "cutoffs") < 1:
+        raise ValueError("cutoff must be >= 1")
     m = 1 << (s - 1).bit_length()
-    if counter is None:
-        counter = MulCounter()
-    plan = _Plan(A.field, method, cutoff, debug_checks, parallel, counter, node_log)
+    plan = _Plan(A.field, debug_checks, parallel, MulCounter() if counter is None else counter)
     if not (r and c) and reads == _E:
         # an empty dimension has rank 0: the zero root is counted, never visited
-        plan.model(m)
-        return None, [], None, plan
-    l, e, u = _leu_rec(plan.k.load(A._d), m, (1 << r) - 1, (1 << c) - 1, plan,
-                       _LU if debug_checks else reads, r, c)
-    _ensure(all(i < r and j < c for i, j in e), "support escaped the unpadded block")
-    plan.counter.scalar_invs += len(e)  # each one of E is one pivot inverted
+        l, e, u = None, [], None
+    else:
+        l, e, u = _leu_rec(plan.k.load(A._d), m, (1 << r) - 1, (1 << c) - 1, plan,
+                           _LU if debug_checks else reads, r, c)
+        _ensure(all(i < r and j < c for i, j in e), "support escaped the unpadded block")
+    # the recursion makes 17 products a node whatever the data, and every
+    # shortcut only skips some of them, so its count is the model's.  Each
+    # one of E is one pivot inverted
+    plan.counter.scalar_mults += _tree_count(m, cutoff)
+    plan.counter.scalar_invs += len(e)
+    if node_log is not None:
+        node_log.extend(_model_log(m, cutoff))
     return l, e, u, plan
 
 

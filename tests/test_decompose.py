@@ -94,22 +94,29 @@ def test_zero_matrix(n):
 @pytest.mark.parametrize("field", [GF7, QQ], ids=str)
 def test_a_zero_block_builds_only_the_factors_its_caller_reads(field):
     # L = U = I, E empty: each factor that reads leaves out comes back as
-    # None, each one it asks for as the identity of the real block's order
-    from leu.decompose import _E, _L, _LU, _U, _leu_rec, _Plan, _tree_count
+    # None, each one it asks for as the identity of the real block's order.
+    # The recursion counts nothing; the body counts the zero root of order n
+    # from the model
+    from math import inf
+
+    from leu.decompose import _E, _L, _LU, _U, _leu_blocks, _leu_rec, _Plan, _tree_count
 
     for n, r, c, im, jm in [(1, 1, 1, 1, 1), (4, 3, 2, 0b111, 0b11), (8, 5, 8, 0, 0xFF),
                             (8, 0, 6, 0, 0b111111)]:
         for reads in (_E, _L, _U, _LU):
-            plan = _Plan(field, "classical", 32, False, False, MulCounter(), None)
-            a = plan.k.load(DenseMatrix.zeros(field, r, c)._d)
-            l, e, u = _leu_rec(a, n, im, jm, plan, reads, r, c)
-            assert e == []
-            for got, k, bit in ((l, r, _L), (u, c, _U)):
-                if reads & bit:
-                    assert plan.k.store(got) == DenseMatrix.identity(field, k)._d
-                else:
-                    assert got is None
-            assert plan.counter.scalar_mults == _tree_count(n, plan.cutoff)
+            plan = _Plan(field, False, False, MulCounter())
+            Z = DenseMatrix.zeros(field, r, c)
+            counter = MulCounter()
+            body = _leu_blocks(Z, reads, counter, "classical", 32, False)
+            for l, e, u in (_leu_rec(plan.k.load(Z._d), n, im, jm, plan, reads, r, c), body[:3]):
+                assert e == []
+                for got, k, bit in ((l, r, _L), (u, c, _U)):
+                    if reads & bit:
+                        assert plan.k.store(got) == DenseMatrix.identity(field, k)._d
+                    else:
+                        assert got is None
+            assert plan.counter == MulCounter()
+            assert counter == MulCounter(scalar_mults=_tree_count(n, inf))
 
 
 @pytest.mark.parametrize("field", [GF7, QQ], ids=str)
@@ -157,6 +164,26 @@ def test_a_row_or_a_column_builds_no_factor_that_nothing_reads(field, shape, mon
     log = []
     decompose._leu_blocks(A, decompose._E, MulCounter(), "classical", 32, False, False, log)
     assert log == _model_log(1024, inf)
+
+
+def test_a_column_hands_on_the_cached_identity_as_its_u(monkeypatch):
+    # a column's U is [[1]] at every node.  A cropped GF(p) leaf and every
+    # node with no columns right of its top-left quarter hand on the kernel's
+    # cached identity(1), which every product skips: no kernel product runs
+    # with y = [[1]]
+    from leu import dense
+
+    ys = []
+    real = dense._PrimeBlocks._classical
+
+    def recorded(self, x, y, tri):
+        ys.append(y)
+        return real(self, x, y, tri)
+
+    monkeypatch.setattr(dense._PrimeBlocks, "_classical", recorded)
+    A = rand_matrix(GF7, 3000, 1, random.Random(3000))
+    assert mat_rank(A) == 1
+    assert [[1]] not in ys
 
 
 def test_identity_any_size():
@@ -258,44 +285,53 @@ def test_exact_17_products_per_node():
     assert c.scalar_mults == sum(own for _, own in log)
 
 
-@pytest.mark.parametrize("field", FIELDS)
-def test_2x2_entries_are_measured(field, monkeypatch):
-    # a 2 x 2 node that runs logs what its products tallied, not the model's
-    # 17: make each of its products twice and its entry must read 34.  The
-    # node that runs is the innermost one entered and not yet left.  Over
-    # GF(p) only debug_checks runs that node through _Plan.mm; the leaf that
-    # replaces it otherwise is held to that node by the leaf tests below
+@pytest.mark.parametrize("field", (GF7, GF65521, QQ), ids=str)
+def test_each_node_makes_the_products_its_caller_reads(field, monkeypatch):
+    # the paper's node makes 17 half-size products: 5 on the way to E and 6
+    # more for each of L and U, which it makes only when its caller reads that
+    # factor.  Each product is charged to the innermost node running.  A zero
+    # block, a pivot, a GF(p) leaf and a node whose real block fits in its
+    # top-left quarter make none of their own.  debug_checks runs the GF(p)
+    # nodes of n <= 4 through the body and reads both factors everywhere; the
+    # rank (E) and the kernel (E and U) ask for less
     from leu import decompose
-    from leu.decompose import _Plan
+    from leu.decompose import _L, _U, _Plan
 
-    real, rec = _Plan.mm, decompose._leu_rec
-    runs = [0]  # products of 2 x 2 nodes performed
-    sizes = []  # the orders of the nodes entered and not yet left
+    real_mm, real_rec = _Plan.mm, decompose._leu_rec
+    running = []  # the products of each node entered and not yet left
+    kinds = set()
 
-    def tracked(a, n, *rest):
-        sizes.append(n)
-        out = rec(a, n, *rest)
-        sizes.pop()
+    def charged(self, x, y, tri=0):
+        running[-1] += 1
+        return real_mm(self, x, y, tri)
+
+    def node(a, n, im, jm, plan, reads, r, c):
+        h = n >> 1
+        if not (im and jm) or plan.k.is_zero(a) or n == 1 or plan.leaf and n <= 4:
+            want = None  # no node body: computes without a block product
+        elif r <= h and c <= h:
+            want = 0
+        else:
+            want = 5 + 6 * bool(reads & _L) + 6 * bool(reads & _U)
+        running.append(0)
+        out = real_rec(a, n, im, jm, plan, reads, r, c)
+        made = running.pop()
+        assert made == (want or 0), (n, r, c, reads, made)
+        kinds.add(want)
         return out
 
-    def twice(self, x, y, tri=0):
-        if sizes[-1] == 2:
-            runs[0] += 1
-            real(self, x, y, tri)
-        return real(self, x, y, tri)
-
-    monkeypatch.setattr(decompose, "_leu_rec", tracked)
-    monkeypatch.setattr(_Plan, "mm", twice)
-    r = random.Random(0x2B2)
-    for A in (planted_rank(field, 16, 5, r), planted_rank(field, 12, 12, r)):
-        runs[0] = 0
-        log, c = [], MulCounter()
-        leu_decompose(A, c, _node_log=log, debug_checks=field.kind == "gfp")
-        assert runs[0] and runs[0] % 17 == 0
-        owns = [own for size, own in log if size == 2]
-        assert owns.count(34) == runs[0] // 17
-        assert owns.count(17) == len(owns) - runs[0] // 17  # zero blocks, from the model
-        assert sum(own for _, own in log) == c.scalar_mults
+    monkeypatch.setattr(_Plan, "mm", charged)
+    monkeypatch.setattr(decompose, "_leu_rec", node)
+    g = random.Random(f"17 products {field!r}")
+    for n in (2, 3, 4, 5, 8, 11, 12):
+        for A in (planted_rank(field, n, n // 2, g), planted_rank(field, n, n, g),
+                  profiled(field, n, n // 2, g)[0], profiled(field, n, n - 1, g)[0]):
+            for debug in (True, False):
+                leu_decompose(A, debug_checks=debug)
+                mat_rank(A, debug_checks=debug)
+                kernel_basis(A, debug_checks=debug)
+                mat_rank(A.select(range(n // 2 + 1), range(n)), debug_checks=debug)
+    assert kinds == {None, 0, 5, 11, 17}
 
 
 LEAF_MODES = [dict(method=m, cutoff=c, parallel=par)
@@ -866,7 +902,7 @@ _O_SCRIPT = textwrap.dedent("""
         caught.append(str(exc))
     # a node entered with an entry outside its column support
     try:
-        plan = _Plan(GF(7), "classical", 32, True, False, MulCounter(), None)
+        plan = _Plan(GF(7), True, False, MulCounter())
         _leu_rec([[0, 1], [0, 0]], 2, 0b11, 0b01, plan, _LU, 2, 2)
     except InvariantError as exc:
         caught.append(str(exc))
@@ -930,6 +966,48 @@ def planted_matrices(draw):
     Q = DenseMatrix(field, draw(st.lists(st.lists(x, min_size=cols, max_size=cols),
                                          min_size=r, max_size=r)))
     return mul(P, Q)
+
+
+@st.composite
+def profiled_matrices(draw):
+    """(L0 * P * U0, P) as helpers.profiled makes them, of order 1..12: L0
+    lower triangular with a nonzero diagonal, P a truncated permutation of a
+    drawn rank and U0 unit upper triangular.  P is the product's rank
+    profile matrix."""
+    field = draw(st.sampled_from(_FUZZ_FIELDS))
+    n = draw(st.integers(1, 12))
+    rank = draw(st.integers(0, n))
+    x = _entries(field)
+    below = [draw(st.lists(x, min_size=i, max_size=i)) for i in range(n)]
+    lo = [row + [draw(x.filter(bool))] + [0] * (n - 1 - i) for i, row in enumerate(below)]
+    up = [[0] * i + [1] + draw(st.lists(x, min_size=n - 1 - i, max_size=n - 1 - i))
+          for i in range(n)]
+    rows = draw(st.permutations(range(n)))[:rank]
+    cols = draw(st.permutations(range(n)))[:rank]
+    P = TruncPerm(n, zip(rows, cols))
+    pu = [[0] * n for _ in range(n)]
+    for i, j in P.ones:
+        pu[i] = up[j]
+    return mul(DenseMatrix(field, lo), DenseMatrix(field, pu)), P
+
+
+@settings(max_examples=60, deadline=None)
+@given(profiled_matrices())
+def test_a_profiled_matrix_decomposes_to_its_profile(case):
+    # E is the rank profile matrix, and the count is the model's whatever
+    # the profile, in either mode
+    from math import inf
+
+    from leu.decompose import _tree_count
+
+    A, P = case
+    m = 1 << (A.rows - 1).bit_length()
+    for method, cutoff, model in (("classical", 32, inf), ("strassen", 1, 1), ("strassen", 4, 4)):
+        c = MulCounter()
+        res = leu_decompose(A, c, method=method, cutoff=cutoff)
+        assert res.E == P
+        assert reconstructs(A, res)
+        assert c == MulCounter(_tree_count(m, model), len(P.ones))
 
 
 @settings(max_examples=100, deadline=None)

@@ -693,10 +693,10 @@ def test_transpose_of_a_matrix_with_no_rows(field):
 # --- Strassen-mode products ---------------------------------------------------
 #
 # Strassen mode changes only the count: a decomposition plan's ``mm`` takes
-# the product from the field's one kernel and tallies it, and each node of
-# order n prices its tally at ``strassen_count(n // 2, cutoff)``.  So the
-# operands that mode multiplies are checked on the kernel, and the count once
-# per (n, cutoff), whatever the kernel skipped.
+# the product from the field's one kernel, and the decomposition prices each
+# node of order n from the model, 17 products at ``strassen_count(n // 2,
+# cutoff)``.  So the operands that mode multiplies are checked on the kernel,
+# and the count once per (n, cutoff), whatever the kernel skipped.
 
 
 def _zero_quarter(x, n, which, zero):
@@ -768,10 +768,9 @@ def test_structured_operands_match_schoolbook(field):
 
 def test_strassen_counts():
     # a plan's mm returns the kernel's product, zero quarters and zero
-    # operands included, and hands a factor not built (None) the other
-    # operand; each call tallies one product of the running node and counts
-    # nothing.  A node of order n prices each product it tallied as one
-    # strassen_count(n // 2, cutoff)
+    # operands included, hands a factor not built (None) the other operand
+    # and counts nothing.  A node of order n is priced at 17 products of one
+    # strassen_count(n // 2, cutoff) each
     from leu.decompose import _Plan
     from leu.dense import strassen_count
 
@@ -783,6 +782,8 @@ def test_strassen_counts():
     grid[64] = (2,)
     r = random.Random(901)
     for field in [GF(p) for p in GFP_PRIMES] + [QQ]:
+        plan = _Plan(field, False, False, MulCounter())
+        K = plan.k
         for n, cutoffs in grid.items():
             A = rand_matrix(field, n, n, r)
             Z = [[field.zero_raw] * n for _ in range(n)]
@@ -790,17 +791,13 @@ def test_strassen_counts():
             for which in range(4) if n > 1 else ():
                 q = _zero_quarter(A._d, n, which, field.zero_raw)
                 pairs += [(q, A._d), (A._d, q)]
-            plans = [_Plan(field, "strassen", m, False, False, MulCounter(), None) for m in cutoffs]
-            K = plans[0].k
             for x, y in pairs:
                 x, y = K.load(x), K.load(y)
-                want = K.mul(x, y)
-                for plan in plans:
-                    assert plan.mm(x, y) == want
-            for plan in plans:
-                assert plan.mm(None, x) is x and plan.mm(x, None) is x
-                assert (plan.own, plan.counter.scalar_mults) == (len(pairs) + 2, 0)
+                assert plan.mm(x, y) == K.mul(x, y)
+            assert plan.mm(None, x) is x and plan.mm(x, None) is x
+            assert plan.counter == MulCounter()
+            for cutoff in cutoffs:
                 log = []
-                leu_decompose(A, method="strassen", cutoff=plan.cutoff, _node_log=log)
-                assert all(own == 17 * strassen_count(size // 2, plan.cutoff) for size, own in log)
-                assert log[-1:] == ([(n, 17 * strassen_count(n // 2, plan.cutoff))] if n > 1 else [])
+                leu_decompose(A, method="strassen", cutoff=cutoff, _node_log=log)
+                assert all(own == 17 * strassen_count(size // 2, cutoff) for size, own in log)
+                assert log[-1:] == ([(n, 17 * strassen_count(n // 2, cutoff))] if n > 1 else [])

@@ -12,8 +12,9 @@ and U0 random unit upper triangular (``profile``, with the rank and the
 count: the paper's general case, where the leading blocks are singular and
 the middle recursions of a node do real work, against the bench matrices'
 generic ranks), ``mat_rank``, which reads E alone, on the bench matrices at
-n = 64 and 128 and on a seeded 40 x 1500 matrix of residues, whose nodes
-are mostly zero blocks (``rank``, with the rank and the count), one
+n = 64 and 128, on a seeded 40 x 1500 matrix of residues, whose nodes are
+mostly zero blocks, and on a seeded 3000 x 1 column, whose U is [[1]] at
+every node (``rank``, with the rank and the count), one
 ``mat_mul_classical`` product of two seeded h x h matrices of residues at
 h = 8 to 128 (``product``), and one in-process ``leu verify`` on the n = 40
 bench matrix (``verify``), failing if a run reports a failed check.  ``qq`` times ``leu_decompose`` at
@@ -60,7 +61,7 @@ P = 65521
 GFP_DECOMPOSE = (16, 32, 33, 40, 64, 128, 256)
 GFP_PROFILE = (128, 256)
 GFP_RANK = (64, 128)
-GFP_RANK_WIDE = (40, 1500)
+GFP_RANK_SHAPES = ((40, 1500), (3000, 1))
 GFP_PRODUCT = (8, 16, 32, 64, 128)
 GFP_VERIFY = 40
 QQ_DECOMPOSE = (16, 32, 48, 64)
@@ -145,10 +146,10 @@ def _cases(leu, seed, tmp):
         case("gfp", "profile", n, lambda A=_profiled(leu, n, rng): leu.leu_decompose(A), counts)
     for n in GFP_RANK:
         case("gfp", "rank", n, lambda A=cli.bench_matrix(n, seed, P): rank(A), dict)
-    rows, cols = GFP_RANK_WIDE
-    rng = random.Random(seed)
-    wide = DenseMatrix(GF(P), [[rng.randrange(P) for _ in range(cols)] for _ in range(rows)])
-    case("gfp", "rank", f"{rows}x{cols}", lambda: rank(wide), dict)
+    for rows, cols in GFP_RANK_SHAPES:
+        rng = random.Random(seed)
+        A = DenseMatrix(GF(P), [[rng.randrange(P) for _ in range(cols)] for _ in range(rows)])
+        case("gfp", "rank", f"{rows}x{cols}", lambda A=A: rank(A), dict)
     rng = random.Random(seed)
     for h in GFP_PRODUCT:
         X, Y = (DenseMatrix(GF(P), [[rng.randrange(P) for _ in range(h)] for _ in range(h)])
