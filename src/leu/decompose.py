@@ -61,7 +61,6 @@ is allowed to place nonzero entries.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from functools import lru_cache
 from itertools import product
 from math import inf
@@ -71,6 +70,7 @@ from .dense import (
     _UPPER,
     DenseMatrix,
     MulCounter,
+    _Record,
     _keep_cols,
     _keep_rows,
     blocks,
@@ -84,25 +84,26 @@ from .errors import InvariantError, ShapeError
 from .perms import TruncPerm, _col_mask, _integer, _row_mask, tp_to_dense
 
 
-@dataclass
-class LeuResult:
+class LeuResult(_Record):
     """Decomposition triple with the counter state at completion."""
 
-    L: DenseMatrix
-    E: TruncPerm
-    U: DenseMatrix
-    counter: MulCounter
+    __slots__ = __match_args__ = ("L", "E", "U", "counter")
+
+    def __init__(self, L: DenseMatrix, E: TruncPerm, U: DenseMatrix, counter: MulCounter):
+        self.L, self.E, self.U, self.counter = L, E, U, counter
 
     @property
     def rank(self) -> int:
         return len(self.E.ones)
 
 
-@dataclass
-class VerifyReport:
+class VerifyReport(_Record):
     """Named pass/fail outcomes of the structural checks."""
 
-    checks: tuple
+    __slots__ = __match_args__ = ("checks",)
+
+    def __init__(self, checks: tuple):
+        self.checks = checks
 
     @property
     def passed(self) -> bool:

@@ -52,7 +52,6 @@ bytes, keep the schoolbook sums, which are faster there.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from functools import lru_cache
 from itertools import chain
 from math import gcd, lcm
@@ -63,12 +62,33 @@ from .errors import FieldMismatchError, ShapeError, SingularError
 from .fields import FieldSpec, Scalar, _rational
 
 
-@dataclass(slots=True)
-class MulCounter:
+class _Record:
+    """A record that names its fields in ``__match_args__`` and ``__slots__``
+    and sets them in ``__init__``, with a dataclass's repr and ``==`` (by exact
+    type and field values) and no hash.  A dataclass would load ``inspect``,
+    ``ast``, ``dis`` and ``tokenize`` into every process that imports leu."""
+
+    __slots__ = ()
+    __hash__ = None
+
+    def __repr__(self) -> str:
+        fields = ", ".join(f"{k}={getattr(self, k)!r}" for k in self.__match_args__)
+        return f"{type(self).__qualname__}({fields})"
+
+    def __eq__(self, other):
+        if other.__class__ is not self.__class__:
+            return NotImplemented
+        fields = self.__match_args__
+        return [getattr(self, k) for k in fields] == [getattr(other, k) for k in fields]
+
+
+class MulCounter(_Record):
     """Running totals of scalar multiplications and scalar inversions."""
 
-    scalar_mults: int = 0
-    scalar_invs: int = 0
+    __slots__ = __match_args__ = ("scalar_mults", "scalar_invs")
+
+    def __init__(self, scalar_mults: int = 0, scalar_invs: int = 0):
+        self.scalar_mults, self.scalar_invs = scalar_mults, scalar_invs
 
     def copy(self) -> "MulCounter":
         return MulCounter(self.scalar_mults, self.scalar_invs)

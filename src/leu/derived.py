@@ -12,25 +12,23 @@ factors each reads, and only what they return is stored.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
-
 from .decompose import _E, _LU, _U, _ensure, _leu_blocks, _square
-from .dense import DenseMatrix, MulCounter, blocks, invert_lower_block, mat_mul_classical
+from .dense import DenseMatrix, MulCounter, _Record, blocks, invert_lower_block, mat_mul_classical
 from .errors import SingularError
 from .perms import TruncPerm, _col_mask, _row_mask
 
 
-@dataclass
-class BruhatResult:
+class BruhatResult(_Record):
     """Factors of M = V1 * w * V2.
 
     V1 and V2 are upper triangular and may be singular exactly when M is;
     w is a full permutation.
     """
 
-    V1: DenseMatrix
-    w: TruncPerm
-    V2: DenseMatrix
+    __slots__ = __match_args__ = ("V1", "w", "V2")
+
+    def __init__(self, V1: DenseMatrix, w: TruncPerm, V2: DenseMatrix):
+        self.V1, self.w, self.V2 = V1, w, V2
 
 
 def _sub_unit_diag_outside(M: DenseMatrix, support_mask: int) -> DenseMatrix:

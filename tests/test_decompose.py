@@ -15,6 +15,7 @@ import leu
 from leu import (
     GF,
     QQ,
+    BruhatResult,
     DenseMatrix,
     InvariantError,
     LeuResult,
@@ -22,6 +23,8 @@ from leu import (
     ShapeError,
     SingularError,
     TruncPerm,
+    VerifyReport,
+    bruhat_decompose,
     kernel_basis,
     leu_decompose,
     leu_verify,
@@ -936,6 +939,54 @@ def test_contract_checks_hold_under_python_O():
         "['row support escapes its contract', 'block has entries outside its (I, J) support',"
         " 'kernel candidate fails to annihilate']"
     )
+
+
+# the result records keep the dataclass behaviour they had, without the
+# dataclasses module
+
+
+def test_result_records_behave_as_dataclasses():
+    A = DenseMatrix(GF7, [[3, 1], [2, 5]])
+    res = leu_decompose(A)
+    rep, bru = leu_verify(A, res), bruhat_decompose(A)
+    assert repr(res) == ("LeuResult(L=<DenseMatrix 2x2 over GF(7)>, E=TruncPerm(2, [(0, 0), (1, 1)]), "
+                         "U=<DenseMatrix 2x2 over GF(7)>, counter=MulCounter(scalar_mults=17, scalar_invs=2))")
+    assert repr(rep) == ("VerifyReport(checks=(('lower-triangular', True), ('upper-unitriangular', True), "
+                         "('reconstruction', True), ('support-form', True), ('support-form-inverse', True)))")
+    assert repr(bru) == ("BruhatResult(V1=<DenseMatrix 2x2 over GF(7)>, w=TruncPerm(2, [(0, 1), (1, 0)]), "
+                         "V2=<DenseMatrix 2x2 over GF(7)>)")
+    for rec, cls, fields in ((res, LeuResult, ("L", "E", "U", "counter")), (rep, VerifyReport, ("checks",)),
+                             (bru, BruhatResult, ("V1", "w", "V2"))):
+        values = [getattr(rec, k) for k in fields]
+        assert cls.__match_args__ == fields
+        assert cls(*values) == cls(**dict(zip(fields, values))) == rec
+        assert rec.__eq__(tuple(values)) is NotImplemented and rec != tuple(values)
+        sub = type("Sub", (cls,), {"__slots__": ()})(*values)
+        assert sub != rec and repr(sub) == "Sub" + repr(rec)[len(cls.__name__):]
+        with pytest.raises(TypeError):
+            cls(*values[:-1])
+        with pytest.raises(TypeError):
+            hash(rec)
+        changed = cls(*values)
+        setattr(changed, fields[0], None)
+        assert changed != rec and getattr(changed, fields[0]) is None
+    match res, bru:
+        case LeuResult(L, E, U, counter), BruhatResult(_, w, _):
+            assert (L, E, U, counter, w) == (res.L, res.E, res.U, MulCounter(17, 2), bru.w)
+        case _:
+            pytest.fail("the records take no positional pattern")
+
+
+def test_import_loads_no_dataclasses():
+    # every CLI command is a fresh process, which would pay for these modules
+    code = ("import sys; start = set(sys.modules); import leu, leu.cli; "
+            "print(sorted({'dataclasses', 'inspect', 'ast', 'dis', 'tokenize'} & (set(sys.modules) - start)))")
+    src = str(Path(leu.__file__).resolve().parents[1])
+    env = dict(os.environ)
+    env["PYTHONPATH"] = os.pathsep.join(filter(None, [src, env.get("PYTHONPATH")]))
+    out = subprocess.run([sys.executable, "-c", code], env=env, capture_output=True, text=True, timeout=120)
+    assert out.returncode == 0, out.stderr
+    assert out.stdout == "[]\n"
 
 
 # differential fuzz of the derived operations against the elimination oracle

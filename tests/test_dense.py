@@ -51,6 +51,26 @@ def test_classical_count():
     mat_mul_classical(rand_matrix(GF7, 3, 5, rng), rand_matrix(GF7, 5, 2, rng), c2)
     assert c2.scalar_mults == 3 * 5 * 2
     assert repr(c2) == "MulCounter(scalar_mults=30, scalar_invs=0)"
+    # a record as the dataclass was: zero defaults, position or keyword,
+    # assignable fields only, == by exact type and values, no hash, match
+    assert repr(MulCounter()) == "MulCounter(scalar_mults=0, scalar_invs=0)"
+    assert MulCounter(30) == MulCounter(scalar_mults=30) == MulCounter(30, 0)
+    assert c2 == MulCounter(scalar_invs=0, scalar_mults=30) != MulCounter(30, 1)
+    assert c2.__eq__((30, 0)) is NotImplemented and c2 != (30, 0)
+    copied = c2.copy()
+    copied.scalar_invs += 1
+    assert (copied, c2) == (MulCounter(30, 1), MulCounter(30, 0))
+    with pytest.raises(AttributeError):
+        c2.mults = 1
+    with pytest.raises(TypeError):
+        MulCounter(1, 2, 3)
+    with pytest.raises(TypeError):
+        hash(c2)
+    match c2:
+        case MulCounter(mults, invs):
+            assert (mults, invs) == (30, 0)
+        case _:
+            pytest.fail("MulCounter takes no positional pattern")
 
 
 def test_classical_shape_error():

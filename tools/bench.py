@@ -16,8 +16,13 @@ n = 64 and 128, on a seeded 40 x 1500 matrix of residues, whose nodes are
 mostly zero blocks, and on a seeded 3000 x 1 column, whose U is [[1]] at
 every node (``rank``, with the rank and the count), one
 ``mat_mul_classical`` product of two seeded h x h matrices of residues at
-h = 8 to 128 (``product``), and one in-process ``leu verify`` on the n = 40
-bench matrix (``verify``), failing if a run reports a failed check.  ``qq`` times ``leu_decompose`` at
+h = 8 to 256, and at 33 and 40 (``product``), and one in-process ``leu
+verify`` on the n = 40 bench matrix (``verify``), failing if a run reports a
+failed check.  Each ``decompose`` and ``profile`` row also reports
+``over_product``, its median over the median of the product of its order:
+the paper's claim that the decomposition costs as much as a product, in wall
+time (the model's count gives 17(n^3 - n^2)/4n^3, about 4.2, at full rank).
+``qq`` times ``leu_decompose`` at
 n = 16 to 64 (``decompose``, with the rank), ``mat_inverse`` at n = 32, 48,
 64 (``inverse``) and ``bruhat_decompose`` at n = 32 (``bruhat``, the path of
 the two triangular inverses) on one seeded full-rank integer matrix per
@@ -26,6 +31,11 @@ rational inputs of acceptance criterion 1), each with the largest bit length
 of an entry of its result, ``mat_rank`` on the n = 32 one (``rank``, with the
 rank and the count), and one ``mat_mul_classical`` product of two seeded
 h x h integer matrices with entries in [-9, 9] at h = 8 to 64 (``product``).
+``start`` times a fresh interpreter, the way every CLI command runs, on
+``import leu`` (``import``) and on ``python -m leu.cli rank`` of the n = 40
+bench matrix (``rank``, with the rank), with the package tree as its path
+and ``PYTHONDONTWRITEBYTECODE=1``; ``pycache`` says whether each tree held
+bytecode that the children read.
 Every case is timed REPEAT times after one untimed warm-up, and reported as
 the median and quartiles.  Ranks, counts and entry bits are what no speed-up
 may change.
@@ -53,6 +63,7 @@ import os
 import platform
 import random
 import statistics
+import subprocess
 import sys
 import tempfile
 import time
@@ -62,7 +73,7 @@ GFP_DECOMPOSE = (16, 32, 33, 40, 64, 128, 256)
 GFP_PROFILE = (128, 256)
 GFP_RANK = (64, 128)
 GFP_RANK_SHAPES = ((40, 1500), (3000, 1))
-GFP_PRODUCT = (8, 16, 32, 64, 128)
+GFP_PRODUCT = (8, 16, 32, 33, 40, 64, 128, 256)
 GFP_VERIFY = 40
 QQ_DECOMPOSE = (16, 32, 48, 64)
 QQ_RANK = (32,)
@@ -168,6 +179,19 @@ def _cases(leu, seed, tmp):
 
     case("gfp", "verify", GFP_VERIFY, verify)
 
+    tree = os.path.dirname(os.path.dirname(os.path.abspath(leu.__file__)))
+    env = {**os.environ, "PYTHONPATH": tree, "PYTHONDONTWRITEBYTECODE": "1"}
+
+    def fresh(*argv):
+        res = subprocess.run([sys.executable, *argv], cwd=tree, env=env, capture_output=True, text=True)
+        if res.returncode:
+            sys.exit(f"a fresh {' '.join(argv)} failed: {res.stderr.strip()}")
+        return res.stdout
+
+    case("start", "import", "leu", lambda: fresh("-c", "import leu"))
+    case("start", "rank", GFP_VERIFY, lambda: fresh("-m", "leu.cli", "rank", path),
+         lambda stdout: {"rank": int(stdout.split()[1])})
+
     rng = random.Random(seed)
     inputs = {}
     for n in QQ_DECOMPOSE:
@@ -204,6 +228,9 @@ def main(argv=None):
     args = ap.parse_args(argv)
     if args.repeat < 2:
         ap.error("--repeat must be at least 2 for quartiles")
+    # the start part times a source tree as found: this process writes no
+    # bytecode into it, and the JSON says whether it held any
+    sys.dont_write_bytecode = True
     leu = _package(args.src, "leu")
 
     out = {
@@ -212,6 +239,9 @@ def main(argv=None):
         "seed": args.seed,
         "gfp": {"p": P, "decompose": {}, "profile": {}, "rank": {}, "product": {}, "verify": {}},
         "qq": {"decompose": {}, "rank": {}, "inverse": {}, "bruhat": {}, "product": {}},
+        "start": {"pycache": {side: os.path.isdir(os.path.join(tree, "leu", "__pycache__"))
+                              for side, tree in (("src", args.src), ("against", args.against)) if tree},
+                  "import": {}, "rank": {}},
     }
     with tempfile.TemporaryDirectory() as tmp:
         sides = {"src": _cases(leu, args.seed, tmp)}
@@ -239,6 +269,12 @@ def main(argv=None):
                 line = f"src/against {row['ratio_median']:.3g}, won {row['rounds_won']}/{args.repeat}"
             out[part][section][key] = row
             print(f"{part} {section} {key}: {line}", file=sys.stderr)
+    # the paper's claim in wall time: a decomposition over one product of its order
+    for section in ("decompose", "profile"):
+        for key, row in out["gfp"][section].items():
+            prod = out["gfp"]["product"][key]
+            for cell, base in [(row, prod)] if len(sides) == 1 else [(row[s], prod[s]) for s in sides]:
+                cell["over_product"] = float(f"{cell['median_s'] / base['median_s']:.4g}")
     print(json.dumps(out))
 
 
