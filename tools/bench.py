@@ -23,14 +23,15 @@ failed check.  Each ``decompose`` and ``profile`` row also reports
 the paper's claim that the decomposition costs as much as a product, in wall
 time (the model's count gives 17(n^3 - n^2)/4n^3, about 4.2, at full rank).
 ``qq`` times ``leu_decompose`` at
-n = 16 to 64 (``decompose``, with the rank), ``mat_inverse`` at n = 32, 48,
-64 (``inverse``) and ``bruhat_decompose`` at n = 32 (``bruhat``, the path of
-the two triangular inverses) on one seeded full-rank integer matrix per
-size, the product of two random n x n matrices with entries in [-9, 9] (the
-rational inputs of acceptance criterion 1), each with the largest bit length
-of an entry of its result, ``mat_rank`` on the n = 32 one (``rank``, with the
-rank and the count), and one ``mat_mul_classical`` product of two seeded
-h x h integer matrices with entries in [-9, 9] at h = 8 to 64 (``product``).
+n = 16 to 64 (``decompose``, with the rank), ``mat_inverse`` at n = 16, 32,
+48, 64 and 128 (``inverse``) and ``bruhat_decompose`` at n = 32 (``bruhat``,
+the path of the two triangular inverses) on one seeded full-rank integer
+matrix per size, the product of two random n x n matrices with entries in
+[-9, 9] (the rational inputs of acceptance criterion 1), each with the
+largest bit length of an entry of its result, ``mat_rank`` on the n = 32 one
+(``rank``, with the rank and the count), and one ``mat_mul_classical``
+product of two seeded h x h integer matrices with entries in [-9, 9] at
+h = 8 to 64 (``product``).
 ``start`` times a fresh interpreter, the way every CLI command runs, on
 ``import leu`` (``import``) and on ``python -m leu.cli rank`` of the n = 40
 bench matrix (``rank``, with the rank), with the package tree as its path
@@ -77,7 +78,7 @@ GFP_PRODUCT = (8, 16, 32, 33, 40, 64, 128, 256)
 GFP_VERIFY = 40
 QQ_DECOMPOSE = (16, 32, 48, 64)
 QQ_RANK = (32,)
-QQ_INVERSE = (32, 48, 64)
+QQ_INVERSE = (16, 32, 48, 64, 128)
 QQ_BRUHAT = (32,)
 QQ_PRODUCT = (8, 16, 32, 64)
 
@@ -203,6 +204,10 @@ def _cases(leu, seed, tmp):
     for n in QQ_RANK:
         case("qq", "rank", n, lambda A=inputs[n]: rank(A), dict)
     for n in QQ_INVERSE:
+        if n not in inputs:
+            X, Y = (DenseMatrix(QQ, [[rng.randint(-9, 9) for _ in range(n)] for _ in range(n)])
+                    for _ in range(2))
+            inputs[n] = mat_mul_classical(X, Y)
         case("qq", "inverse", n, lambda A=inputs[n]: leu.mat_inverse(A),
              lambda X: {"max_entry_bits": _max_entry_bits(X)})
     for n in QQ_BRUHAT:
