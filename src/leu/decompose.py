@@ -22,6 +22,11 @@ from the model of the whole tree, each product at ``strassen_count(n,
 cutoff)`` (n^3 classical), the only choice ``method`` and ``cutoff`` make,
 and one inversion, of one nonzero pivot, per one of E.
 
+The node's sums and sign flips (the Schur complement a22 - t q, w, v and
+the off-diagonal blocks of L and U) ride on the product that makes each, in
+the kernel's one pass over it, and t = b E11^T is b itself when E11 is the
+identity.
+
 Blocks travel through the recursion in the form of their field's block
 kernel (see :mod:`leu.dense`): rows of residues over GF(p), and over the
 rationals fraction-free integer rows with a scale per row and per column,
@@ -128,17 +133,18 @@ class _Plan:
         # GF(p) runs its nodes of n <= 4 on scalars; debug_checks keeps the recursion
         self.leaf = field.kind == "gfp" and not debug
 
-    def mm(self, x, y, tri=0):
-        """The product of two blocks.  tri declares x lower or y upper
-        triangular; a factor not built (None) meets only an empty block."""
+    def mm(self, x, y, tri=0, acc=None, s=1):
+        """acc + s * (x * y) for blocks x and y (see _Blocks.mul).  tri
+        declares x lower or y upper triangular; a factor not built (None)
+        meets only an empty block, which adds nothing to acc."""
         if x is None or y is None:
-            return y if x is None else x
+            return acc if acc is not None else y if x is None else x
         if self.debug and tri:
             t = self.k.store(x if tri == _LOWER else y)
             t = DenseMatrix._wrap(self.k.field, t, len(t), len(t))
             _ensure(is_lower_triangular(t) if tri == _LOWER else is_upper_triangular(t),
                     "an operand declared triangular is not")
-        return self.k.mul(x, y, tri)
+        return self.k.mul(x, y, tri, acc, s)
 
 
 @lru_cache(maxsize=256)
@@ -262,7 +268,7 @@ def _leu_rec(a, n, im, jm, plan, reads, r, c):
     a1_12 = K.keep_rows(q, ib11, c2)
     a1_21 = K.keep_cols(b, jb11, c1)
     t = K.perm_cols(b, e11, r1) if c2 or reads & _L else None
-    a1_22 = K.sub(a22, mm(t, q))
+    a1_22 = mm(t, q, 0, a22, -1)
 
     # the two middle recursions are independent: either order gives the same
     if plan.reverse:
@@ -286,18 +292,18 @@ def _leu_rec(a, n, im, jm, plan, reads, r, c):
     l = u = None
     if reads & _L:
         ge = K.perm_cols(g, e12, r1)
-        w = K.add(mm(ge, l12), mm(l21, t, _LOWER))
+        w = mm(l21, t, _LOWER, mm(ge, l12))
         l_tl = mm(l12, l11, _LOWER)
-        l_bl = K.neg(mm(mm(l22, w, _LOWER), l11))
+        l_bl = mm(mm(l22, w, _LOWER), l11, 0, None, -1)
         l_br = mm(l22, l21, _LOWER)
         # with no rows below, L is its top-left quarter
         l = K.join(l_tl, K.zeros(r1, r2), l_bl, l_br) if r2 else l_tl
     if reads & _U:
         eg = K.perm_rows(e21, gj, c1, c2)
         eq = K.perm_rows(e11, q, c1, c2)
-        v = K.add(mm(u21, eg), mm(eq, u12, _UPPER))
+        v = mm(eq, u12, _UPPER, mm(u21, eg))
         u_tl = mm(u11, u21, _UPPER)
-        u_tr = K.neg(mm(mm(u11, v), u22, _UPPER))
+        u_tr = mm(mm(u11, v), u22, _UPPER, None, -1)
         u_br = mm(u12, u22, _UPPER)
         u = K.join(u_tl, u_tr, K.zeros(c2, c1), u_br) if c2 else u_tl
     # a right (bottom) quarter holds a one only when the left (top) is whole

@@ -36,6 +36,10 @@ The skipped terms are zero, so no value changes.  Products with fewer than
 ``_EXACT_COLS`` rows, inner or columns ignore the hint, which cost more there
 than it saved.  The rational kernel takes none: on its packed sums a hint
 read 1.00x on a 64 x 64 decomposition and 1.05x on a 64 x 64 inverse.
+A product may also take a sign and an accumulator, acc + s * (x * y) with
+s = 1 or -1: the recursions' block sums and sign flips.  Over GF(p) both
+ride on the packed row sums (each taken off a multiple of p in every slot,
+acc's rows packed and added), so each entry is still cut and reduced once.
 Over the rationals products are fraction-free: a block is integer rows with
 a scale per row and per column, the form the recursions keep throughout
 (see the block kernels below).  The public product loads each row of its
@@ -291,14 +295,24 @@ def _slots(width, k, c):
     return pack, cut, size
 
 
-def _gfp_classical(x, y, k, c, p, tri):
-    # Canonical rows of x * y (r x k times k x c) for residues in [0, p).
+def _gfp_classical(x, y, k, c, p, tri, acc=None, s=1):
+    # Canonical rows of acc + s * x * y (r x k times k x c) for residues in
+    # [0, p), with s = 1 or -1 and acc an r x c block or None for zero.
     # Each row of y is packed into one integer of c slots, so row i of the
     # product is one multiply-accumulate of x[i] against the packed rows.
-    # A slot sums k products of residues, at most k(p-1)^2, and its width
-    # holds that, so no slot carries into the next.  tri skips a zero
+    # A slot sums k products of residues, at most top = k(p-1)^2, and its
+    # width holds that, so no slot carries into the next.  tri skips a zero
     # triangle once r, k and c reach _EXACT_COLS (see the module docstring).
-    pack, cut, _ = _slots(((k * (p - 1) ** 2).bit_length() + 7) // 8, k, c)
+    # The sign and acc ride on the packed row sums, so that the one
+    # reduction of each cut entry gives acc + s * x * y: for s = -1 each row
+    # sum is taken off top, rounded up to a multiple of p, in every slot,
+    # and acc's rows are packed and added, p - 1 more a slot.  A zero row of
+    # the product hands its acc row on as it is.
+    top = k * (p - 1) ** 2
+    if s < 0:
+        top = -(-top // p) * p
+    width = ((top if acc is None else top + p).bit_length() + 7) // 8
+    pack, cut, size = _slots(width, k, c)
     if tri and min(len(x), k, c) < _EXACT_COLS:
         tri = 0
     if not tri:
@@ -310,9 +324,20 @@ def _gfp_classical(x, y, k, c, p, tri):
     else:
         packed = pack([row[::-1] for row in y])
         sums = [sum(map(_mul, reversed(r), reversed(packed))) for r in x]
-    zrow = [0] * c
-    out = [[v % p for v in t] if z else zrow for z, t in zip(sums, cut(sums))]
-    return [row[::-1] for row in out] if tri == _UPPER else out
+    rows = sums
+    if s < 0:
+        base = top * int.from_bytes((b"\1" + bytes(size - 1)) * c, "little")
+        rows = [base - z for z in sums]
+    if acc is not None:
+        packed = _slots(width, len(acc), c)[0]((r[::-1] for r in acc) if tri == _UPPER else acc)
+        rows = list(map(_add, rows, packed))
+    cuts = cut(rows)
+    if tri == _UPPER:  # each cut row is read back reversed, one at a time
+        cuts = (t[::-1] for t in cuts)
+    if acc is None:
+        zrow = [0] * c
+        return [[v % p for v in t] if z else zrow for z, t in zip(sums, cuts)]
+    return [[v % p for v in t] if z else a for z, t, a in zip(sums, cuts, acc)]
 
 
 _SIGNED_COLS = 16  # the fewest columns whose integer products are packed
@@ -402,6 +427,9 @@ def _perm_cols(rows, ones, c):
     # X * E^T: column i of the result is column j of X for each one (i, j)
     if not ones:
         return [[0] * c] * len(rows)
+    # the identity at full width moves nothing (E11's, on generic input)
+    if len(ones) == c == len(rows[0] if rows else ones) and all(i == j for i, j in ones):
+        return rows
     out = []
     for r in rows:
         nr = [0] * c
@@ -412,15 +440,21 @@ def _perm_cols(rows, ones, c):
 
 
 def _eye(n):
-    return [[1 if i == j else 0 for j in range(n)] for i in range(n)]
+    rows = [[0] * n for _ in range(n)]
+    for i, row in enumerate(rows):
+        row[i] = 1
+    return rows
 
 
 class _Blocks:
-    """What the block kernels share: the one block product, which computes
-    and counts nothing (its caller adds the count of its own cost model),
-    and the block sums.  Neither needs arithmetic when an operand is zero,
-    nor the product when one is the kernel's cached ``identity(k)``; an
-    identity built elsewhere runs the kernel like any other operand."""
+    """What the block kernels share: the one block product, acc + s * (x * y),
+    which computes and counts nothing (its caller adds the count of its own
+    cost model), and the block sums.  Neither needs arithmetic when an
+    operand is zero, nor the product when one is the kernel's cached
+    ``identity(k)``; an identity built elsewhere runs the kernel like any
+    other operand.  The GF(p) kernel folds acc and s into the reduction of
+    its product; a shortcut product, and every rational one, is made first
+    and then added to acc or negated by the block sums."""
 
     __slots__ = ("field", "_eye")
 
@@ -434,20 +468,27 @@ class _Blocks:
             eye = self._eye[n] = self._identity(n)
         return eye
 
-    def mul(self, x, y, tri=0):
-        """The product of x (r x k) and y (k x c).  tri may declare x lower
-        (_LOWER) or y upper (_UPPER) triangular, which only GF(p) reads."""
+    def mul(self, x, y, tri=0, acc=None, s=1):
+        """acc + s * (x * y) for x (r x k), y (k x c), s = 1 or -1 and acc an
+        r x c block or None for zero.  tri may declare x lower (_LOWER) or y
+        upper (_UPPER) triangular, which only GF(p) reads."""
         # the recursions hand the cached identity on as it is, so one
         # identity test by object, keyed by k, comes before any scan; the
         # result's shape is read only once the product is zero or runs
         eye = self._eye.get(self.height(y))
         if x is eye:
-            return y
+            return self._epilogue(y, acc, s)
         if y is eye:
-            return x
+            return self._epilogue(x, acc, s)
         if self.is_zero(x) or self.is_zero(y):
-            return self.zeros(self.height(x), self.width(y))
-        return self._classical(x, y, tri)
+            return self.zeros(self.height(x), self.width(y)) if acc is None else acc
+        return self._classical(x, y, tri, acc, s)
+
+    def _epilogue(self, m, acc, s):
+        # acc + s * m by the block sums, for a product m made without the kernel
+        if acc is None:
+            return m if s == 1 else self.neg(m)
+        return self.add(acc, m) if s == 1 else self.sub(acc, m)
 
     def add(self, x, y):
         if self.is_zero(y):
@@ -513,8 +554,8 @@ class _PrimeBlocks(_Blocks):
     def perm_rows(self, ones, x, m, c):
         return _perm_rows(ones, x, [0] * c, m)
 
-    def _classical(self, x, y, tri):
-        return _gfp_classical(x, y, len(y), len(y[0]), self.p, tri)
+    def _classical(self, x, y, tri, acc, s):
+        return _gfp_classical(x, y, len(y), len(y[0]), self.p, tri, acc, s)
 
 
 def _fraction_free(rows):
@@ -715,7 +756,7 @@ class _RationalBlocks(_Blocks):
             cc[i] = x[2][j]
         return _perm_cols(x[0], ones, c), x[1], cc
 
-    def _classical(self, x, y, tri):
+    def _classical(self, x, y, tri, acc, s):
         # x * y = diag(1/rx) nx diag(1/m) ny diag(1/cy) with m = cx * ry;
         # the rows of ny are brought over the common multiple of m
         nx, rx, cx = x
@@ -724,7 +765,8 @@ class _RationalBlocks(_Blocks):
         big = lcm(*m)
         if big != 1:
             ny = [row if d == big else [v * (big // d) for v in row] for row, d in zip(ny, m)]
-        return _reduced(_int_classical(nx, ny, len(ry), len(cy)), [a * big for a in rx], cy)
+        xy = _reduced(_int_classical(nx, ny, len(ry), len(cy)), [a * big for a in rx], cy)
+        return self._epilogue(xy, acc, s)
 
 
 def blocks(field: FieldSpec):
@@ -767,8 +809,8 @@ def _inv_lower(K, x, n, counter, unit=False):
     ib = _inv_lower(K, b, n - h, counter, unit)
     # two classical products: c * ia, then ib times that
     counter.scalar_mults += (n - h) * h * h + (n - h) * (n - h) * h
-    m = K.mul(ib, K.mul(c, ia), _LOWER)
-    return K.join(ia, K.zeros(h, n - h), K.neg(m), ib)
+    m = K.mul(ib, K.mul(c, ia), _LOWER, None, -1)
+    return K.join(ia, K.zeros(h, n - h), m, ib)
 
 
 def invert_lower_block(K, x, n, counter, unit=False):

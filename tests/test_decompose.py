@@ -179,9 +179,9 @@ def test_a_column_hands_on_the_cached_identity_as_its_u(monkeypatch):
     ys = []
     real = dense._PrimeBlocks._classical
 
-    def recorded(self, x, y, tri):
+    def recorded(self, x, y, *rest):
         ys.append(y)
-        return real(self, x, y, tri)
+        return real(self, x, y, *rest)
 
     monkeypatch.setattr(dense._PrimeBlocks, "_classical", recorded)
     A = rand_matrix(GF7, 3000, 1, random.Random(3000))
@@ -304,9 +304,9 @@ def test_each_node_makes_the_products_its_caller_reads(field, monkeypatch):
     running = []  # the products of each node entered and not yet left
     kinds = set()
 
-    def charged(self, x, y, tri=0):
+    def charged(self, x, y, *rest):
         running[-1] += 1
-        return real_mm(self, x, y, tri)
+        return real_mm(self, x, y, *rest)
 
     def node(a, n, im, jm, plan, reads, r, c):
         h = n >> 1
@@ -643,9 +643,9 @@ def test_a_33x33_costs_the_kernel_about_what_its_32x32_does(monkeypatch):
     work = []
     real = dense._gfp_classical
 
-    def counted(x, y, k, c, p, tri):
+    def counted(x, y, k, c, p, *rest):
         work.append(len(x) * k * c)
-        return real(x, y, k, c, p, tri)
+        return real(x, y, k, c, p, *rest)
 
     monkeypatch.setattr(dense, "_gfp_classical", counted)
     A = bench_matrix(33, 1)
@@ -655,6 +655,58 @@ def test_a_33x33_costs_the_kernel_about_what_its_32x32_does(monkeypatch):
         assert leu_decompose(B).rank == B.rows
         totals.append(sum(work))
     assert totals[1] <= totals[0] <= 1.25 * totals[1]
+
+
+def test_a_generic_node_folds_its_sums_and_signs_into_its_products(monkeypatch):
+    # a1_22, w, v, l_bl and u_tr are each made in the reduction of a kernel
+    # product: no negation or block sum runs a second pass over a block
+    # that a product just made
+    from leu import dense
+    from leu.cli import bench_matrix
+
+    made, fused, passes = [], [], []
+    real = dense._gfp_classical
+    K = dense._PrimeBlocks
+    real_neg, real_combine = K.neg, K._combine
+
+    def kernel(x, y, k, c, p, tri, acc=None, s=1):
+        out = real(x, y, k, c, p, tri, acc, s)
+        made.append(out)
+        if acc is not None or s == -1:
+            fused.append(out)
+        return out
+
+    def neg(self, x):
+        passes.append(x)
+        return real_neg(self, x)
+
+    def combine(self, x, y, op):
+        passes.extend((x, y))
+        return real_combine(self, x, y, op)
+
+    monkeypatch.setattr(dense, "_gfp_classical", kernel)
+    monkeypatch.setattr(K, "neg", neg)
+    monkeypatch.setattr(K, "_combine", combine)
+    assert leu_decompose(bench_matrix(64, 1)).rank == 64
+    assert fused
+    assert not any(b is m for b in passes for m in made)
+
+
+@pytest.mark.parametrize("field", [GF7, QQ], ids=str)
+def test_debug_checks_hold_a_declared_triangle_at_a_fused_product(field):
+    # w, v and u_tr declare a triangle and take a sum or a sign: with
+    # debug_checks the plan checks the declared operand whatever acc and s
+    from leu.decompose import _Plan
+    from leu.dense import _LOWER, _UPPER
+
+    r = random.Random(2902)
+    debug, plain = (_Plan(field, d, False, MulCounter()) for d in (True, False))
+    x, y, acc = (debug.k.load(rand_matrix(field, 4, 4, r)._d) for _ in range(3))
+    for tri in (_LOWER, _UPPER):
+        for a, s in ((acc, 1), (acc, -1), (None, -1)):
+            with pytest.raises(InvariantError, match="declared triangular"):
+                debug.mm(x, y, tri, a, s)
+            assert plain.mm(x, y, tri, a, s) == plain.k.mul(x, y, tri, a, s)
 
 
 def test_the_root_checks_read_only_the_real_block(monkeypatch):

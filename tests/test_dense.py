@@ -322,7 +322,12 @@ def test_rational_block_kernel_round_trip():
         _assert_same_bytes(back(K.add(x, y)), _entrywise(operator.add, A, B))
         _assert_same_bytes(back(K.sub(x, y)), _entrywise(operator.sub, A, B))
         _assert_same_bytes(back(K.neg(x)), _entrywise(operator.neg, A))
-        _assert_same_bytes(back(K.mul(x, y)), _schoolbook(A, B))
+        xy = _schoolbook(A, B)
+        _assert_same_bytes(back(K.mul(x, y)), xy)
+        # the fused forms are the block sums of the product
+        _assert_same_bytes(back(K.mul(x, y, 0, None, -1)), _entrywise(operator.neg, xy))
+        _assert_same_bytes(back(K.mul(x, y, 0, y)), _entrywise(operator.add, B, xy))
+        _assert_same_bytes(back(K.mul(x, y, 0, y, -1)), _entrywise(operator.sub, B, xy))
         c = MulCounter()
         _assert_same_bytes(mat_mul_classical(A, B, c), _schoolbook(A, B))
         assert c.scalar_mults == n**3
@@ -420,6 +425,8 @@ def test_gfp_classical_at_slot_width_steps(p, step):
     # columns take the struct-rounded slots, and 33 the exact width where it
     # is 5 bytes; the zero row of the second goes through the whole-matrix
     # cut with the others
+    from leu.dense import _gfp_classical
+
     def width(k):
         return ((k * (p - 1) ** 2).bit_length() + 7) // 8
 
@@ -434,6 +441,12 @@ def test_gfp_classical_at_slot_width_steps(p, step):
             x = DenseMatrix._wrap(F, xd, rows, k)
             y = DenseMatrix._wrap(F, [[p - 1] * cols for _ in range(k)], k, cols)
             _assert_same_residues(mat_mul_classical(x, y)._d, want)
+            # a fused sign or sum widens the slots by up to p - 1 each
+            acc = [[p - 1] * cols for _ in range(rows)]
+            for a, s in ((None, -1), (acc, 1), (acc, -1)):
+                got = _gfp_classical(xd, y._d, k, cols, p, 0, a, s)
+                _assert_same_residues(got, [[(b + s * w) % p for b, w in zip(br, wr)]
+                                            for br, wr in zip(a or [[0] * cols] * rows, want)])
 
 
 def _triangle(p, n, lower, r):
@@ -465,6 +478,63 @@ def test_a_triangular_hint_changes_no_product(p):
         want = _gfp_schoolbook(x, y, n, n, p)
         _assert_same_residues(_gfp_classical(x, y, n, n, p, 0), want)
         _assert_same_residues(_gfp_classical(x, y, n, n, p, _UPPER), want)
+
+
+# (p, n, slot bytes) for an n x n by n x n product on each slot path: struct
+# slots of 1, 2, 4 and 8 bytes, the 5-byte exact width (32 slots or more)
+# beside the 8 bytes it rounds to on fewer, and 16-byte slots cut by byte
+# slices
+FUSED_PATHS = [(2, 40, 1), (7, 40, 2), (4093, 40, 4), (2**24 - 3, 40, 8), (65521, 40, 5),
+               (65521, 8, 8), (2**61 - 1, 40, 16)]
+
+
+@pytest.mark.parametrize("p,n,size", FUSED_PATHS)
+def test_fused_products_match_schoolbook(p, n, size):
+    # acc + s * (x * y) for s = +-1 and acc None, random or zero, under no
+    # hint, a lower x and an upper y, is the schoolbook product's sum,
+    # reduced once.  Each x has zero rows, whose product rows are zero: a
+    # fused row there is its acc row itself.  Through the block product the
+    # zero and cached identity operands take their shortcuts, then the sums
+    from leu.dense import _LOWER, _UPPER, _slots, blocks
+
+    assert _slots(((n * (p - 1) ** 2).bit_length() + 7) // 8, n, n)[2] == size
+    r = random.Random(3400 + p + n)
+    K = blocks(GF(p))
+    zero, eye = [[0] * n for _ in range(n)], K.identity(n)
+    for tri in (0, _LOWER, _UPPER):
+        x = _triangle(p, n, True, r) if tri == _LOWER else _gfp_operands(p, n, n, n, r, "random")[0]
+        y = _triangle(p, n, False, r) if tri == _UPPER else _gfp_operands(p, n, n, n, r, "random")[1]
+        acc = _gfp_operands(p, n, n, n, r, "random")[1]
+        for a in (None, acc, zero):
+            for s in (1, -1):
+                for u, v in ((x, y), (zero, y), (x, zero), (eye, y), (x, eye)):
+                    uv = _gfp_schoolbook(u, v, n, n, p)
+                    want = [[(b + s * w) % p for b, w in zip(br, wr)] for br, wr in zip(a or zero, uv)]
+                    _assert_same_residues(K.mul(u, v, tri, a, s), want)
+                if a is not None:
+                    got = K.mul(x, y, tri, a, s)
+                    assert all(g is b for g, b, row in zip(got, a, x) if not any(row))
+
+
+def test_perm_cols_passes_the_full_width_identity_through():
+    # X * E^T with E the identity at X's full width is X itself, found in
+    # O(h); a partial identity, or one of another width, still moves
+    # columns and zero-fills the rest, as any other E does
+    from leu.dense import _perm_cols
+
+    r = random.Random(3500)
+    rows = [[r.randrange(1, 7) for _ in range(4)] for _ in range(3)]
+    narrow = [row[:3] for row in rows]
+    eye = [(i, i) for i in range(4)]
+    assert _perm_cols(rows, eye, 4) is rows
+    assert _perm_cols([], eye, 4) == []
+    swap = [(0, 1), (1, 0), (2, 2), (3, 3)]
+    for x, ones, c, want in ((rows, eye[:3], 4, [v + [0] for v in narrow]),  # partial
+                             (rows, eye[:3], 3, narrow),  # rows wider than E
+                             (narrow, eye[:3], 4, [v + [0] for v in narrow]),  # E wider
+                             (rows, swap, 4, [[b, a, c, d] for a, b, c, d in rows])):
+        got = _perm_cols(x, ones, c)
+        assert got == want and got is not x
 
 
 # --- packed integer products (the ℚ kernel) ----------------------------------

@@ -14,7 +14,9 @@ the middle recursions of a node do real work, against the bench matrices'
 generic ranks), ``mat_rank``, which reads E alone, on the bench matrices at
 n = 64 and 128, on a seeded 40 x 1500 matrix of residues, whose nodes are
 mostly zero blocks, and on a seeded 3000 x 1 column, whose U is [[1]] at
-every node (``rank``, with the rank and the count), one
+every node (``rank``, with the rank and the count), ``bruhat_decompose`` on
+the bench matrices at n = 64 and 128 (``bruhat``, the decomposition and its
+two triangular inverses, with the counts), one
 ``mat_mul_classical`` product of two seeded h x h matrices of residues at
 h = 8 to 256, and at 33 and 40 (``product``), and one in-process ``leu
 verify`` on the n = 40 bench matrix (``verify``), failing if a run reports a
@@ -74,6 +76,7 @@ GFP_DECOMPOSE = (16, 32, 33, 40, 64, 128, 256)
 GFP_PROFILE = (128, 256)
 GFP_RANK = (64, 128)
 GFP_RANK_SHAPES = ((40, 1500), (3000, 1))
+GFP_BRUHAT = (64, 128)
 GFP_PRODUCT = (8, 16, 32, 33, 40, 64, 128, 256)
 GFP_VERIFY = 40
 QQ_DECOMPOSE = (16, 32, 48, 64)
@@ -162,6 +165,14 @@ def _cases(leu, seed, tmp):
         rng = random.Random(seed)
         A = DenseMatrix(GF(P), [[rng.randrange(P) for _ in range(cols)] for _ in range(rows)])
         case("gfp", "rank", f"{rows}x{cols}", lambda A=A: rank(A), dict)
+
+    def bruhat(A):
+        c = leu.MulCounter()
+        leu.bruhat_decompose(A, c)
+        return {"scalar_mults": c.scalar_mults, "scalar_invs": c.scalar_invs}
+
+    for n in GFP_BRUHAT:
+        case("gfp", "bruhat", n, lambda A=cli.bench_matrix(n, seed, P): bruhat(A), dict)
     rng = random.Random(seed)
     for h in GFP_PRODUCT:
         X, Y = (DenseMatrix(GF(P), [[rng.randrange(P) for _ in range(h)] for _ in range(h)])
@@ -242,7 +253,8 @@ def main(argv=None):
         "python": platform.python_version(),
         "repeat": args.repeat,
         "seed": args.seed,
-        "gfp": {"p": P, "decompose": {}, "profile": {}, "rank": {}, "product": {}, "verify": {}},
+        "gfp": {"p": P, "decompose": {}, "profile": {}, "rank": {}, "bruhat": {}, "product": {},
+                "verify": {}},
         "qq": {"decompose": {}, "rank": {}, "inverse": {}, "bruhat": {}, "product": {}},
         "start": {"pycache": {side: os.path.isdir(os.path.join(tree, "leu", "__pycache__"))
                               for side, tree in (("src", args.src), ("against", args.against)) if tree},
