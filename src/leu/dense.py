@@ -39,7 +39,8 @@ read 1.00x on a 64 x 64 decomposition and 1.05x on a 64 x 64 inverse.
 A product may also take a sign and an accumulator, acc + s * (x * y) with
 s = 1 or -1: the recursions' block sums and sign flips.  Over GF(p) both
 ride on the packed row sums (each taken off a multiple of p in every slot,
-acc's rows packed and added), so each entry is still cut and reduced once.
+acc's rows packed and added), so each entry is still cut and reduced once;
+a rational product, or one made without the kernel, takes them in one pass.
 Over the rationals products are fraction-free: a block is integer rows with
 a scale per row and per column, the form the recursions keep throughout
 (see the block kernels below).  The public product loads each row of its
@@ -449,12 +450,12 @@ def _eye(n):
 class _Blocks:
     """What the block kernels share: the one block product, acc + s * (x * y),
     which computes and counts nothing (its caller adds the count of its own
-    cost model), and the block sums.  Neither needs arithmetic when an
-    operand is zero, nor the product when one is the kernel's cached
-    ``identity(k)``; an identity built elsewhere runs the kernel like any
-    other operand.  The GF(p) kernel folds acc and s into the reduction of
-    its product; a shortcut product, and every rational one, is made first
-    and then added to acc or negated by the block sums."""
+    cost model).  It needs no arithmetic when an operand is zero, nor the
+    product when one is the kernel's cached ``identity(k)``; an identity
+    built elsewhere runs the kernel like any other operand.  The GF(p)
+    kernel folds acc and s into the reduction of its product; a shortcut
+    product, and every rational one, is made first and then summed by
+    ``_epilogue``, the one block sum, through the kernel's ``_axpy``."""
 
     __slots__ = ("field", "_eye")
 
@@ -485,18 +486,13 @@ class _Blocks:
         return self._classical(x, y, tri, acc, s)
 
     def _epilogue(self, m, acc, s):
-        # acc + s * m by the block sums, for a product m made without the kernel
-        if acc is None:
-            return m if s == 1 else self.neg(m)
-        return self.add(acc, m) if s == 1 else self.sub(acc, m)
-
-    def add(self, x, y):
-        if self.is_zero(y):
-            return x
-        return y if self.is_zero(x) else self._combine(x, y, _add)
-
-    def sub(self, x, y):
-        return x if self.is_zero(y) else self._combine(x, y, _sub)
+        # acc + s * m for a product m made without the kernel; acc None is
+        # tested first, so an acc-free product with s = 1 passes unscanned
+        if acc is not None and self.is_zero(m):
+            return acc
+        if acc is None or self.is_zero(acc):
+            return m if s == 1 else self._axpy(None, m, s)
+        return self._axpy(acc, m, s)
 
 
 class _PrimeBlocks(_Blocks):
@@ -508,10 +504,10 @@ class _PrimeBlocks(_Blocks):
         super().__init__(field)
         self.p = field.modulus
 
-    def one_sided(self, x, cols=False):
+    def store(self, x):
         return x
 
-    load = load_cols = store = one_sided
+    load = load_cols = store
 
     height = staticmethod(len)
     split = staticmethod(_quarters)
@@ -540,13 +536,12 @@ class _PrimeBlocks(_Blocks):
     def join(self, tl, tr, bl, br):
         return [a + b for a, b in zip(tl, tr)] + [a + b for a, b in zip(bl, br)]
 
-    def _combine(self, x, y, op):
+    def _axpy(self, acc, m, s):
         p = self.p
-        return [[v % p for v in map(op, rx, ry)] for rx, ry in zip(x, y)]
-
-    def neg(self, x):
-        p = self.p
-        return [[-v % p for v in r] for r in x]
+        if acc is None:
+            return [[-v % p for v in r] for r in m]
+        op = _add if s == 1 else _sub
+        return [[v % p for v in map(op, ra, rm)] for ra, rm in zip(acc, m)]
 
     def keep_rows(self, x, mask, c):
         return _keep_rows(x, mask, [0] * c)
@@ -697,23 +692,6 @@ class _RationalBlocks(_Blocks):
             g = -g
         return [[d // g]], [v // g], [1]
 
-    def one_sided(self, x, cols=False):
-        # x with its scales moved onto its rows (with cols, onto its columns),
-        # each over the lcm of its entries' denominators: the form that load
-        # (load_cols) gives the stored block, made without fractions
-        if cols:
-            return self.transpose(self.one_sided(self.transpose(x)))
-        rows, r, c = x
-        if c.count(1) == len(c):
-            return (*_row_reduced(rows, r), c)
-        out, d = [], []
-        for row, a in zip(rows, r):
-            ac = [a * b for b in c]
-            m = lcm(*[s // gcd(v, s) for v, s in zip(row, ac)])
-            out.append([v * m // s for v, s in zip(row, ac)])
-            d.append(m)
-        return out, d, [1] * len(c)
-
     def transpose(self, x):
         return [list(t) for t in zip(*x[0])], x[2], x[1]
 
@@ -732,14 +710,15 @@ class _RationalBlocks(_Blocks):
         rows += [a + b for a, b in zip(_scaled(*bl, rb, cl), _scaled(*br, rb, cr))]
         return rows, rt + rb, cl + cr
 
-    def _combine(self, x, y, op):
-        R = [lcm(a, b) for a, b in zip(x[1], y[1])]
-        C = [lcm(a, b) for a, b in zip(x[2], y[2])]
-        a, b = _scaled(*x, R, C), _scaled(*y, R, C)
+    def _axpy(self, acc, m, s):
+        # acc + s * m over the lcms of both blocks' scales, or -m for acc None
+        if acc is None:
+            return [[-v for v in row] for row in m[0]], m[1], m[2]
+        R = [lcm(a, b) for a, b in zip(acc[1], m[1])]
+        C = [lcm(a, b) for a, b in zip(acc[2], m[2])]
+        op = _add if s == 1 else _sub
+        a, b = _scaled(*acc, R, C), _scaled(*m, R, C)
         return _reduced([list(map(op, u, v)) for u, v in zip(a, b)], R, C)
-
-    def neg(self, x):
-        return [[-v for v in row] for row in x[0]], x[1], x[2]
 
     def keep_rows(self, x, mask, c):
         return _keep_rows(x[0], mask, [0] * c), _keep_rows(x[1], mask, 1), x[2]
@@ -814,7 +793,7 @@ def _inv_lower(K, x, n, counter, unit=False):
 
 
 def invert_lower_block(K, x, n, counter, unit=False):
-    # the stored inverse of a lower triangular n x n block, scales on its rows;
+    # the stored inverse of a lower triangular n x n block, whatever its scales;
     # perfbench's layer trace charges derived's calls to invert_* to tri_inv
     if counter is None:
         counter = MulCounter()

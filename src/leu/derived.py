@@ -5,14 +5,14 @@ Bruhat form V1 * w * V2 with triangular V1, V2 and a full permutation w,
 the exact inverse U * E^T * L of a nonsingular matrix, the rank as the
 number of ones of E, a kernel basis read off the columns of U, and index
 sets of a nonsingular submatrix of maximal size.  The inverse and Bruhat's
-triangular inverses read L and U as kernel blocks, the kernel reads U alone
-and the rank and the block read E alone; the decomposition computes only the
-factors each reads, and only what they return is stored.
+triangular inverses take L and U as the recursion's blocks, the kernel U
+alone and the rank and the block E alone; the decomposition computes only
+the factors each reads, and only what they return is stored.
 
 Over the rationals the inverse's entries can be far smaller than the
 numbers of the fraction-free U * E^T * L that make them, so there the one
-decomposition is taken modulo a word-size prime p instead, of the input with
-its rows scaled to integers, and the inverse mod p is lifted p-adically
+decomposition is taken modulo a word-size prime p, of the input with its
+rows scaled to integers, and the same U * E^T * L mod p is lifted p-adically
 (Dixon) until one exact integer product certifies it.  A matrix singular
 mod p, or ``debug_checks``, takes the fraction-free path; the counts are the
 model's either way.
@@ -85,8 +85,8 @@ def bruhat_decompose(
     rev = DenseMatrix._wrap(M.field, M._d[::-1], s, M.cols)
     l, e, u, plan = _leu_blocks(_square(rev), _LU, counter, method, cutoff, debug_checks)
     K = plan.k
-    l_inv = invert_lower_block(K, K.one_sided(l), s, plan.counter)
-    ut_inv = invert_lower_block(K, K.one_sided(K.transpose(u)), s, plan.counter, unit=True)
+    l_inv = invert_lower_block(K, l, s, plan.counter)
+    ut_inv = invert_lower_block(K, K.transpose(u), s, plan.counter, unit=True)
     v1 = _reverse_both(_sub_unit_diag_outside(l_inv, _row_mask(e)))
     v2 = _sub_unit_diag_outside(ut_inv.transpose(), _col_mask(e))
     full = [*e, *TruncPerm(s, e).complement().ones]
@@ -153,8 +153,7 @@ def _lifted_inverse(A: DenseMatrix, counter: MulCounter, method, cutoff, paralle
     l, e, u, plan = _leu_blocks(bp, _LU, scratch, method, cutoff, False, parallel)
     if len(e) < n:
         return None
-    K = plan.k
-    x0 = K.mul(u, K.perm_rows(e, l, n, n))
+    x0 = _inverse_from(bp, l, e, u, scratch)._d
     # B^-1 = adj B / det B, and the Hadamard bound H of B caps |det B| and
     # every cofactor, so by m > 2 p H^2 every entry reads off as a fraction
     # and d B^-1 fits the symmetric residues; the lifting gives up a few
@@ -166,7 +165,7 @@ def _lifted_inverse(A: DenseMatrix, counter: MulCounter, method, cutoff, paralle
     while True:
         prod = _int_classical(b, c, n, n)
         if all(row[i] == d and row.count(0) == n - 1 for i, row in enumerate(prod)):
-            counter.scalar_mults += scratch.scalar_mults + n * n * n
+            counter.scalar_mults += scratch.scalar_mults
             counter.scalar_invs += scratch.scalar_invs
             rows = c if s.count(1) == n else [[v * t for v, t in zip(row, s)] for row in c]
             data = blocks(A.field).store((rows, [d] * n, [1] * n))
@@ -185,7 +184,7 @@ def _lifted_inverse(A: DenseMatrix, counter: MulCounter, method, cutoff, paralle
         while True:
             if m.bit_length() > cap:
                 return None
-            z = K.mul(x0, rp)
+            z = plan.k.mul(x0, rp)
             mp = m * p
             # a digit far from 0 and p marks an entry far from 0 and mp
             far = min(map(abs, map(_sub, chain.from_iterable(z), repeat(half)))) < quarter
@@ -280,12 +279,9 @@ def _inverse_from(A: DenseMatrix, l, ones, u, counter: MulCounter) -> DenseMatri
     r = len(ones)
     if r < n:
         raise SingularError(f"matrix of rank {r} < {n} has no inverse", rank=r)
-    # U shares its denominators down its columns and E^T * L along its rows;
-    # with the scales moved there, neither is put over the other direction's lcms
     counter.scalar_mults += n * n * n
     K = blocks(A.field)
-    etl = K.perm_rows(ones, K.one_sided(l), n, n)
-    data = K.store(K.mul(K.one_sided(u, cols=True), etl))
+    data = K.store(K.mul(u, K.perm_rows(ones, l, n, n)))
     return DenseMatrix._wrap(A.field, data, n, n)
 
 

@@ -667,7 +667,7 @@ def test_a_generic_node_folds_its_sums_and_signs_into_its_products(monkeypatch):
     made, fused, passes = [], [], []
     real = dense._gfp_classical
     K = dense._PrimeBlocks
-    real_neg, real_combine = K.neg, K._combine
+    real_axpy = K._axpy
 
     def kernel(x, y, k, c, p, tri, acc=None, s=1):
         out = real(x, y, k, c, p, tri, acc, s)
@@ -676,17 +676,12 @@ def test_a_generic_node_folds_its_sums_and_signs_into_its_products(monkeypatch):
             fused.append(out)
         return out
 
-    def neg(self, x):
-        passes.append(x)
-        return real_neg(self, x)
-
-    def combine(self, x, y, op):
-        passes.extend((x, y))
-        return real_combine(self, x, y, op)
+    def axpy(self, acc, m, s):
+        passes.extend((acc, m))
+        return real_axpy(self, acc, m, s)
 
     monkeypatch.setattr(dense, "_gfp_classical", kernel)
-    monkeypatch.setattr(K, "neg", neg)
-    monkeypatch.setattr(K, "_combine", combine)
+    monkeypatch.setattr(K, "_axpy", axpy)
     assert leu_decompose(bench_matrix(64, 1)).rank == 64
     assert fused
     assert not any(b is m for b in passes for m in made)

@@ -319,15 +319,25 @@ def test_rational_block_kernel_round_trip():
             return DenseMatrix._wrap(QQ, K.store(blk), rows, cols)
 
         _assert_same_bytes(back(x), A)
-        _assert_same_bytes(back(K.add(x, y)), _entrywise(operator.add, A, B))
-        _assert_same_bytes(back(K.sub(x, y)), _entrywise(operator.sub, A, B))
-        _assert_same_bytes(back(K.neg(x)), _entrywise(operator.neg, A))
         xy = _schoolbook(A, B)
         _assert_same_bytes(back(K.mul(x, y)), xy)
         # the fused forms are the block sums of the product
         _assert_same_bytes(back(K.mul(x, y, 0, None, -1)), _entrywise(operator.neg, xy))
         _assert_same_bytes(back(K.mul(x, y, 0, y)), _entrywise(operator.add, B, xy))
         _assert_same_bytes(back(K.mul(x, y, 0, y, -1)), _entrywise(operator.sub, B, xy))
+        # an identity operand hands the other one to the block sum as it is:
+        # acc None, zero or not, the other operand zero or not, s = 1 or -1
+        one, zero, Z = K.identity(n), K.zeros(n, n), DenseMatrix.zeros(QQ, n, n)
+        assert K.mul(one, y) is y and K.mul(y, one) is y
+        for s, op in ((1, operator.add), (-1, operator.sub)):
+            for acc, C in ((None, Z), (zero, Z), (x, A)):
+                _assert_same_bytes(back(K.mul(one, y, 0, acc, s)), _entrywise(op, C, B))
+                _assert_same_bytes(back(K.mul(y, one, 0, acc, s)), _entrywise(op, C, B))
+            _assert_same_bytes(back(K.mul(one, zero, 0, x, s)), A)
+            _assert_same_bytes(back(K.mul(zero, one, 0, None, s)), Z)
+        # a block with scales on both sides transposes with them
+        xy = K.mul(x, y)
+        assert K.store(K.transpose(xy)) == [list(c) for c in zip(*K.store(xy))]
         c = MulCounter()
         _assert_same_bytes(mat_mul_classical(A, B, c), _schoolbook(A, B))
         assert c.scalar_mults == n**3
@@ -388,7 +398,7 @@ def test_gfp_classical_square_matches_schoolbook(p, kind):
         for a, b in ((x, y), (zero, y), (x, zero), (one, y), (x, one)):
             want = _gfp_schoolbook(a, b, h, h, p)
             got = K.mul(a, b)
-            _assert_same_residues(K.neg(got), [[-v % p for v in row] for row in want])
+            _assert_same_residues(K.mul(a, b, 0, None, -1), [[-v % p for v in row] for row in want])
             _assert_same_residues(got, want)
 
 
@@ -659,30 +669,6 @@ def test_the_inverse_of_a_one_is_the_cached_identity(field):
         inv = K.inverse1(K.load([[v]]))
         assert inv is not K.identity(1)
         assert K.store(inv) == [[field.inv(v)]]
-
-
-@pytest.mark.parametrize("seed", range(4))
-def test_one_sided_rational_blocks_are_the_loads_of_the_stored_ones(seed):
-    # moving a block's scales onto its rows (or its columns) in integers
-    # gives exactly what loading its stored fractions gives
-    from leu.dense import blocks
-
-    r = random.Random(seed)
-    K = blocks(QQ)
-
-    def scales(n):
-        if r.random() < 0.3:
-            return [1] * n
-        return [r.choice([1, 2, 3, 4, 6, 9, 35, 2**70 + 1]) for _ in range(n)]
-
-    for rows, cols in ((1, 1), (3, 3), (4, 6), (7, 2)):
-        nums = [[r.randint(-40, 40) if r.random() < 0.8 else 0 for _ in range(cols)]
-                for _ in range(rows)]
-        x = (nums, scales(rows), scales(cols))
-        stored = K.store(x)
-        assert K.one_sided(x) == K.load(stored)
-        assert K.one_sided(x, cols=True) == K.load_cols(stored)
-        assert K.store(K.transpose(x)) == [list(c) for c in zip(*stored)]
 
 
 def test_packing_plans_stay_cached_across_workload_ops():

@@ -12,6 +12,7 @@ from leu import (
     MulCounter,
     ShapeError,
     SingularError,
+    TruncPerm,
     bruhat_decompose,
     kernel_basis,
     largest_nonsingular_block,
@@ -104,6 +105,47 @@ def test_inverse_random_vs_oracle(field):
             inv = mat_inverse(A)
             assert oracle.check_inverse(A, inv)
             assert inv == oracle.gauss_inverse(A)
+
+
+@pytest.mark.parametrize("seed", range(4))
+def test_rational_inverses_take_blocks_with_scales_on_both_sides(seed):
+    # the triangular inverse and U * E^T * L take L and U as the recursion
+    # made them, with a scale per row and per column, none moved first
+    from leu.dense import invert_lower_block
+    from leu.derived import _inverse_from
+
+    r = random.Random(seed)
+    K = blocks(QQ)
+
+    def scales(n):
+        if r.random() < 0.3:
+            return [1] * n
+        return [r.choice([1, 2, 3, 4, 6, 9, 35, 2**70 + 1]) for _ in range(n)]
+
+    def triangle(n, unit):
+        # lower triangular numerators; with unit, a unit diagonal once scaled
+        rs, cs = scales(n), scales(n)
+        nums = [[r.randint(-40, 40) if j < i else 0 for j in range(n)] for i in range(n)]
+        for i in range(n):
+            nums[i][i] = rs[i] * cs[i] * (1 if unit else r.choice([-3, -1, 2, 5]))
+        x = (nums, rs, cs)
+        return x, DenseMatrix._wrap(QQ, K.store(x), n, n)
+
+    for n in (1, 3, 4, 7):
+        l, L = triangle(n, False)
+        ut, Ut = triangle(n, True)
+        c = MulCounter()
+        assert invert_lower_block(K, l, n, c) == oracle.gauss_inverse(L)
+        assert invert_lower_block(K, ut, n, c, unit=True) == oracle.gauss_inverse(Ut)
+        cols = list(range(n))
+        r.shuffle(cols)
+        ones = list(enumerate(cols))
+        E = tp_to_dense(TruncPerm(n, ones), QQ)
+        U = Ut.transpose()
+        A = mul(mul(oracle.gauss_inverse(L), E), oracle.gauss_inverse(U))
+        c = MulCounter()
+        assert _inverse_from(A, l, ones, K.transpose(ut), c) == oracle.gauss_inverse(A)
+        assert c.scalar_mults == n**3
 
 
 def test_rank_examples():

@@ -26,7 +26,7 @@ the paper's claim that the decomposition costs as much as a product, in wall
 time (the model's count gives 17(n^3 - n^2)/4n^3, about 4.2, at full rank).
 ``qq`` times ``leu_decompose`` at
 n = 16 to 64 (``decompose``, with the rank), ``mat_inverse`` at n = 16, 32,
-48, 64 and 128 (``inverse``) and ``bruhat_decompose`` at n = 32 (``bruhat``,
+48, 64 and 128 (``inverse``) and ``bruhat_decompose`` at n = 32 and 48 (``bruhat``,
 the path of the two triangular inverses) on one seeded full-rank integer
 matrix per size, the product of two random n x n matrices with entries in
 [-9, 9] (the rational inputs of acceptance criterion 1), each with the
@@ -82,7 +82,7 @@ GFP_VERIFY = 40
 QQ_DECOMPOSE = (16, 32, 48, 64)
 QQ_RANK = (32,)
 QQ_INVERSE = (16, 32, 48, 64, 128)
-QQ_BRUHAT = (32,)
+QQ_BRUHAT = (32, 48)
 QQ_PRODUCT = (8, 16, 32, 64)
 
 
