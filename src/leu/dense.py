@@ -530,9 +530,6 @@ class _PrimeBlocks(_Blocks):
         v = x[0][0]
         return self.identity(1) if v == 1 else [[self.field.inv(v)]]
 
-    def transpose(self, x):
-        return [list(t) for t in zip(*x)]
-
     def join(self, tl, tr, bl, br):
         return [a + b for a, b in zip(tl, tr)] + [a + b for a, b in zip(bl, br)]
 
@@ -692,9 +689,6 @@ class _RationalBlocks(_Blocks):
             g = -g
         return [[d // g]], [v // g], [1]
 
-    def transpose(self, x):
-        return [list(t) for t in zip(*x[0])], x[2], x[1]
-
     def split(self, x, h):
         rows, r, c = x
         rt, rb, cl, cr = r[:h], r[h:], c[:h], c[h:]
@@ -774,31 +768,34 @@ def mat_mul_classical(A: DenseMatrix, B: DenseMatrix, counter: MulCounter | None
     return DenseMatrix._wrap(A.field, data, A.rows, c)
 
 
-def _inv_lower(K, x, n, counter, unit=False):
+def _inv_lower(K, x, n, unit):
     # inverse of a lower triangular block; with unit, of a unit one, whose
-    # diagonal needs no inversions
+    # diagonal needs no inversions.  It counts nothing (see _tri_count)
     if n == 1:
-        if unit:
-            return K.identity(1)
-        counter.scalar_invs += 1
-        return K.inverse1(x)
+        return K.identity(1) if unit else K.inverse1(x)
     h = n // 2
     a, _, c, b = K.split(x, h)
-    ia = _inv_lower(K, a, h, counter, unit)
-    ib = _inv_lower(K, b, n - h, counter, unit)
-    # two classical products: c * ia, then ib times that
-    counter.scalar_mults += (n - h) * h * h + (n - h) * (n - h) * h
+    ia = _inv_lower(K, a, h, unit)
+    ib = _inv_lower(K, b, n - h, unit)
     m = K.mul(ib, K.mul(c, ia), _LOWER, None, -1)
     return K.join(ia, K.zeros(h, n - h), m, ib)
 
 
-def invert_lower_block(K, x, n, counter, unit=False):
-    # the stored inverse of a lower triangular n x n block, whatever its scales;
-    # perfbench's layer trace charges derived's calls to invert_* to tri_inv
-    if counter is None:
-        counter = MulCounter()
-    data = K.store(_inv_lower(K, x, n, counter, unit)) if n else []
-    return DenseMatrix._wrap(K.field, data, n, n)
+@lru_cache(maxsize=256)
+def _tri_count(n):
+    # multiplications of an n x n triangular inverse: per node, c * ia and ib times that
+    h = n // 2
+    return 0 if n < 2 else _tri_count(h) + _tri_count(n - h) + (n - h) * h * n
+
+
+def _invert_lower(L, counter, unit):
+    # the inverse of a lower triangular L, counted with n inversions unless unit
+    n, K = L.rows, blocks(L.field)
+    if counter is not None:
+        counter.scalar_mults += _tri_count(n)
+        counter.scalar_invs += 0 if unit else n
+    data = K.store(_inv_lower(K, K.load(L._d), n, unit)) if n else []
+    return DenseMatrix._wrap(L.field, data, n, n)
 
 
 def invert_lower_triangular(L: DenseMatrix, counter: MulCounter | None = None) -> DenseMatrix:
@@ -816,8 +813,7 @@ def invert_lower_triangular(L: DenseMatrix, counter: MulCounter | None = None) -
     for i in range(n):
         if not d[i][i]:
             raise SingularError(f"zero diagonal entry at position {i}")
-    K = blocks(L.field)
-    return invert_lower_block(K, K.load(d), n, counter)
+    return _invert_lower(L, counter, False)
 
 
 def invert_upper_unitriangular(U: DenseMatrix, counter: MulCounter | None = None) -> DenseMatrix:
@@ -839,5 +835,4 @@ def invert_upper_unitriangular(U: DenseMatrix, counter: MulCounter | None = None
     for i in range(n):
         if U._d[i][i] != one:
             raise ValueError(f"diagonal entry at position {i} is not 1")
-    K = blocks(U.field)
-    return invert_lower_block(K, K.load(U.transpose()._d), n, counter, unit=True).transpose()
+    return _invert_lower(U.transpose(), counter, True).transpose()

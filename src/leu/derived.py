@@ -4,10 +4,10 @@ Everything here rides on one decomposition of the input: the generalized
 Bruhat form V1 * w * V2 with triangular V1, V2 and a full permutation w,
 the exact inverse U * E^T * L of a nonsingular matrix, the rank as the
 number of ones of E, a kernel basis read off the columns of U, and index
-sets of a nonsingular submatrix of maximal size.  The inverse and Bruhat's
-triangular inverses take L and U as the recursion's blocks, the kernel U
-alone and the rank and the block E alone; the decomposition computes only
-the factors each reads, and only what they return is stored.
+sets of a nonsingular submatrix of maximal size.  No triangular factor is
+inverted.  The inverse and Bruhat take L and U as the recursion's blocks,
+the kernel U alone and the rank and the block E alone; the decomposition
+computes only the factors each reads, and only what they return is stored.
 
 Over the rationals the inverse's entries can be far smaller than the
 numbers of the fraction-free U * E^T * L that make them, so there the one
@@ -26,18 +26,20 @@ from operator import mul as _mul, sub as _sub
 
 from .decompose import _E, _LU, _U, _ensure, _leu_blocks, _square
 from .dense import (
+    _LOWER,
+    _UPPER,
     DenseMatrix,
     MulCounter,
     _fraction_free,
     _int_classical,
     _Record,
+    _tri_count,
     blocks,
-    invert_lower_block,
     mat_mul_classical,
 )
 from .errors import SingularError
 from .fields import GF
-from .perms import TruncPerm, _col_mask, _row_mask
+from .perms import TruncPerm
 
 
 class BruhatResult(_Record):
@@ -53,19 +55,6 @@ class BruhatResult(_Record):
         self.V1, self.w, self.V2 = V1, w, V2
 
 
-def _sub_unit_diag_outside(M: DenseMatrix, support_mask: int) -> DenseMatrix:
-    # subtract 1 from each diagonal entry whose index is outside the support
-    f = M.field
-    data = [row if (support_mask >> i) & 1 else [*row[:i], f.canon(row[i] - f.one_raw), *row[i + 1:]]
-            for i, row in enumerate(M._d)]
-    return DenseMatrix._wrap(f, data, M.rows, M.cols)
-
-
-def _reverse_both(M: DenseMatrix) -> DenseMatrix:
-    data = [list(reversed(row)) for row in reversed(M._d)]
-    return DenseMatrix._wrap(M.field, data, M.rows, M.cols)
-
-
 def bruhat_decompose(
     M: DenseMatrix,
     counter: MulCounter | None = None,
@@ -76,22 +65,29 @@ def bruhat_decompose(
 ) -> BruhatResult:
     """Generalized Bruhat decomposition M = V1 * w * V2.
 
-    Decomposes the row-reversed matrix, then converts: with L*(rev*M)*U = E,
-    V1 is the reversal conjugate of L^-1 minus its off-support unit diagonal,
-    w is the reversal composed with the permutation E completed to full rank,
-    and V2 is U^-1 minus its off-support unit diagonal.
+    With L*R*U = E for the row-reversed R = J*M (J the reversal),
+    R*U = L^-1*E and L*R = E*U^-1, and by the root's support contract
+    L^-1 (U^-1) is the identity's in exactly the columns (rows) outside
+    E's rows (columns), whose unit diagonal is D (D').  So
+    V1 = J*(L^-1 - D)*J = M*U*E^T*J and V2 = U^-1 - D' = E^T*L*J*M: two
+    products, no inverse.  w is the reversal composed with E completed to
+    a full permutation.  The count is the model's of the form
+    M = J*L^-1*E*U^-1, whose two triangular inverses the products stand
+    for: 2 _tri_count(n) multiplications and n inversions.
     """
     s = M.rows
     rev = DenseMatrix._wrap(M.field, M._d[::-1], s, M.cols)
     l, e, u, plan = _leu_blocks(_square(rev), _LU, counter, method, cutoff, debug_checks)
+    plan.counter.scalar_mults += 2 * _tri_count(s)
+    plan.counter.scalar_invs += s
     K = plan.k
-    l_inv = invert_lower_block(K, l, s, plan.counter)
-    ut_inv = invert_lower_block(K, K.transpose(u), s, plan.counter, unit=True)
-    v1 = _reverse_both(_sub_unit_diag_outside(l_inv, _row_mask(e)))
-    v2 = _sub_unit_diag_outside(ut_inv.transpose(), _col_mask(e))
+    # column s - 1 - i of X * E^T * J is column j of X for each one (i, j)
+    v1 = K.perm_cols(K.mul(K.load(M._d), u, _UPPER), [(s - 1 - i, j) for i, j in e], s)
+    v2 = K.perm_rows(e, K.mul(l, K.load_cols(rev._d), _LOWER), s, s)
     full = [*e, *TruncPerm(s, e).complement().ones]
     w = TruncPerm(s, [(s - 1 - i, j) for i, j in full])
-    return BruhatResult(v1, w, v2)
+    return BruhatResult(DenseMatrix._wrap(M.field, K.store(v1), s, s), w,
+                        DenseMatrix._wrap(M.field, K.store(v2), s, s))
 
 
 def mat_inverse(

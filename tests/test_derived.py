@@ -1,6 +1,7 @@
 """Bruhat decomposition, inverse, rank, kernel, largest nonsingular block."""
 
 import random
+from fractions import Fraction
 
 import pytest
 
@@ -14,6 +15,8 @@ from leu import (
     SingularError,
     TruncPerm,
     bruhat_decompose,
+    invert_lower_triangular,
+    invert_upper_unitriangular,
     kernel_basis,
     largest_nonsingular_block,
     leu_decompose,
@@ -62,6 +65,49 @@ def test_bruhat_nonsingular_properties():
         assert all(br.V1._d[i][i] for i in range(8))
         assert all(br.V2._d[i][i] for i in range(8))
         assert br.w.rank == 8
+        # the decomposition of the row-reversed input, and the two triangular
+        # inverses that the products stand for: 2 * 168 multiplications, 8 inversions
+        for method, cutoff in (("classical", 32), ("strassen", 1)):
+            c = MulCounter()
+            bruhat_decompose(A, c, method=method, cutoff=cutoff)
+            rev = leu_decompose(DenseMatrix(GF65521, A._d[::-1]), method=method, cutoff=cutoff)
+            assert c == MulCounter(rev.counter.scalar_mults + 2 * 168, rev.counter.scalar_invs + 8)
+
+
+def _bruhat_reference(M):
+    # the paper's A = L^-1 E U^-1 read literally, on L R U = E for the
+    # row-reversed R: V1 = J (L^-1 - D) J and V2 = U^-1 - D', with D and D' the
+    # unit diagonals outside E's rows and columns, and the count of both inverses
+    n, f = M.rows, M.field
+    res = leu_decompose(DenseMatrix(f, M._d[::-1]))
+    c = res.counter
+    li, ui = invert_lower_triangular(res.L, c)._d, invert_upper_unitriangular(res.U, c)._d
+    rows, cols = {i for i, _ in res.E.ones}, {j for _, j in res.E.ones}
+    v1 = [[v - int(i == j and i not in rows) for j, v in enumerate(row)] for i, row in enumerate(li)]
+    v2 = [[v - int(i == j and i not in cols) for j, v in enumerate(row)] for i, row in enumerate(ui)]
+    full = [*res.E.ones, *res.E.complement().ones]
+    w = TruncPerm(n, [(n - 1 - i, j) for i, j in full])
+    return DenseMatrix(f, [row[::-1] for row in v1[::-1]]), w, DenseMatrix(f, v2), c
+
+
+@pytest.mark.parametrize("field", [GF(2), GF7, GF65521, GF(2**61 - 1), QQ])
+def test_bruhat_products_match_the_inverses_formula(field):
+    # V1 = M U E^T J and V2 = E^T L J M are exactly the values of the form
+    # read literally, and the count is that of its two triangular inverses
+    r = random.Random(f"bruhat route {field!r}")
+    for n in (3, 5, 12, 37):
+        for rank in sorted({0, 1, n // 2, n - 1, n}):
+            for M in (planted_rank(field, n, rank, r), profiled(field, n, rank, r)[0]):
+                if field == QQ:
+                    # rows and columns scaled by fractions keep the rank profile
+                    d = [Fraction(r.randint(1, 9), r.randint(1, 9)) for _ in range(2 * n)]
+                    M = DenseMatrix(QQ, [[v * d[i] * d[n + j] for j, v in enumerate(row)]
+                                         for i, row in enumerate(M._d)])
+                V1, w, V2, count = _bruhat_reference(M)
+                for debug in (False, True):
+                    c = MulCounter()
+                    br = bruhat_decompose(M, c, debug_checks=debug)
+                    assert (br.V1, br.w, br.V2, c) == (V1, w, V2, count)
 
 
 @pytest.mark.parametrize("field", FIELDS)
@@ -111,7 +157,7 @@ def test_inverse_random_vs_oracle(field):
 def test_rational_inverses_take_blocks_with_scales_on_both_sides(seed):
     # the triangular inverse and U * E^T * L take L and U as the recursion
     # made them, with a scale per row and per column, none moved first
-    from leu.dense import invert_lower_block
+    from leu.dense import _inv_lower
     from leu.derived import _inverse_from
 
     r = random.Random(seed)
@@ -134,9 +180,8 @@ def test_rational_inverses_take_blocks_with_scales_on_both_sides(seed):
     for n in (1, 3, 4, 7):
         l, L = triangle(n, False)
         ut, Ut = triangle(n, True)
-        c = MulCounter()
-        assert invert_lower_block(K, l, n, c) == oracle.gauss_inverse(L)
-        assert invert_lower_block(K, ut, n, c, unit=True) == oracle.gauss_inverse(Ut)
+        assert K.store(_inv_lower(K, l, n, False)) == oracle.gauss_inverse(L)._d
+        assert K.store(_inv_lower(K, ut, n, True)) == oracle.gauss_inverse(Ut)._d
         cols = list(range(n))
         r.shuffle(cols)
         ones = list(enumerate(cols))
@@ -144,7 +189,8 @@ def test_rational_inverses_take_blocks_with_scales_on_both_sides(seed):
         U = Ut.transpose()
         A = mul(mul(oracle.gauss_inverse(L), E), oracle.gauss_inverse(U))
         c = MulCounter()
-        assert _inverse_from(A, l, ones, K.transpose(ut), c) == oracle.gauss_inverse(A)
+        u = [list(col) for col in zip(*ut[0])], ut[2], ut[1]  # U's block: ut transposed
+        assert _inverse_from(A, l, ones, u, c) == oracle.gauss_inverse(A)
         assert c.scalar_mults == n**3
 
 

@@ -15,8 +15,8 @@ generic ranks), ``mat_rank``, which reads E alone, on the bench matrices at
 n = 64 and 128, on a seeded 40 x 1500 matrix of residues, whose nodes are
 mostly zero blocks, and on a seeded 3000 x 1 column, whose U is [[1]] at
 every node (``rank``, with the rank and the count), ``bruhat_decompose`` on
-the bench matrices at n = 64 and 128 (``bruhat``, the decomposition and its
-two triangular inverses, with the counts), one
+the bench matrices at n = 64, 128 and 256 (``bruhat``, the decomposition and
+its two products with the input, with the counts), one
 ``mat_mul_classical`` product of two seeded h x h matrices of residues at
 h = 8 to 256, and at 33 and 40 (``product``), and one in-process ``leu
 verify`` on the n = 40 bench matrix (``verify``), failing if a run reports a
@@ -26,9 +26,9 @@ the paper's claim that the decomposition costs as much as a product, in wall
 time (the model's count gives 17(n^3 - n^2)/4n^3, about 4.2, at full rank).
 ``qq`` times ``leu_decompose`` at
 n = 16 to 64 (``decompose``, with the rank), ``mat_inverse`` at n = 16, 32,
-48, 64 and 128 (``inverse``) and ``bruhat_decompose`` at n = 32 and 48 (``bruhat``,
-the path of the two triangular inverses) on one seeded full-rank integer
-matrix per size, the product of two random n x n matrices with entries in
+48, 64 and 128 (``inverse``) and ``bruhat_decompose`` at n = 32, 48 and 64
+(``bruhat``, the decomposition and its two products) on one seeded
+full-rank integer matrix per size, the product of two random n x n matrices with entries in
 [-9, 9] (the rational inputs of acceptance criterion 1), each with the
 largest bit length of an entry of its result, ``mat_rank`` on the n = 32 one
 (``rank``, with the rank and the count), and one ``mat_mul_classical``
@@ -76,13 +76,13 @@ GFP_DECOMPOSE = (16, 32, 33, 40, 64, 128, 256)
 GFP_PROFILE = (128, 256)
 GFP_RANK = (64, 128)
 GFP_RANK_SHAPES = ((40, 1500), (3000, 1))
-GFP_BRUHAT = (64, 128)
+GFP_BRUHAT = (64, 128, 256)
 GFP_PRODUCT = (8, 16, 32, 33, 40, 64, 128, 256)
 GFP_VERIFY = 40
 QQ_DECOMPOSE = (16, 32, 48, 64)
 QQ_RANK = (32,)
 QQ_INVERSE = (16, 32, 48, 64, 128)
-QQ_BRUHAT = (32, 48)
+QQ_BRUHAT = (32, 48, 64)
 QQ_PRODUCT = (8, 16, 32, 64)
 
 

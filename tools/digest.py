@@ -15,10 +15,11 @@ U, the MulCounter totals and the node log into the hash.  The classical run
 also feeds in the inverse (or the rank that the SingularError carries), the
 rank, the kernel basis, the rows and columns of the largest nonsingular
 block and the Bruhat factors, each with its counter, except over the
-rationals at n = 64, where those alone take twice as long as all the rest:
-there only the inverses of the two full-rank inputs go in, which the
-default run lifts p-adically over many digits and ``--debug-checks``
-computes fraction-free.
+rationals at n = 64, to keep the run short: there only the inverses and the
+Bruhat factors of the two full-rank inputs go in.  The default run lifts
+those inverses p-adically over many digits and ``--debug-checks`` computes
+them fraction-free, and their Bruhat factors are the two products of the
+input with U and with L, on the largest rational numbers the hash covers.
 Any change to a value, a count or the order of the node log changes the
 hash.
 
@@ -123,6 +124,9 @@ def main(argv=None):
             except SingularError as e:
                 feed("singular", e.rank, c)
             if big:
+                c = MulCounter()
+                b = bruhat_decompose(A, c, **dc)
+                feed(b.V1, b.w.ones, b.V2, c)
                 continue
             c = MulCounter()
             feed(mat_rank(A, c, **dc), c)
